@@ -1,10 +1,13 @@
 """Integer-lattice arithmetic shared by the protocols.
 
-Matrices over Z_q are plain int64 ndarrays with elements in [0, q-1];
-polynomials in Z_q[x]/(x^n + 1) are RingPoly values carrying a domain flag
-so coefficient- and NTT-domain data cannot be mixed silently.  The public
-matrix / ring element is expanded deterministically from a 32-byte seed
-with SHAKE-128, domain-separated by a one-byte role tag.
+Matrices over Z_q are int64 ndarrays with elements in [0, q-1], except the
+public matrix, which `gen_matrix` returns read-only as uint16 from a
+one-entry cache, so both parties of an exchange, or all sessions to one
+public key, expand it once.  Polynomials in Z_q[x]/(x^n + 1) are RingPoly
+values carrying a domain flag so coefficient- and NTT-domain data cannot
+be mixed silently.  The public matrix / ring element is expanded
+deterministically from a 32-byte seed with SHAKE-128, domain-separated by
+a one-byte role tag.
 """
 
 from __future__ import annotations
@@ -34,24 +37,30 @@ __all__ = [
 SEED_BYTES = 32
 
 
-def _shake_words(seed: bytes, tag: int, nwords: int) -> np.ndarray:
-    """First nwords little-endian 16-bit words of SHAKE-128(seed || tag)."""
-    raw = hashlib.shake_128(seed + bytes([tag])).digest(2 * nwords)
-    return np.frombuffer(raw, dtype="<u2").astype(np.int64)
-
-
 def gen_matrix(seed: bytes, rows: int, cols: int, q: int, tag: int = 0) -> np.ndarray:
     """Expand seed into a uniform rows x cols matrix over Z_q (q a power of two).
 
     Each element masks the low log2(q) bits of one 16-bit stream word for
-    q <= 2^16; wider-than-16-bit moduli are not used by any suite.
+    q <= 2^16; wider-than-16-bit moduli are not used by any suite.  The
+    result is read-only uint16, shared by all callers until another
+    (seed, rows, cols, q, tag) is expanded.
     """
+    seed = bytes(memoryview(seed))  # any bytes-like seed; bytes(32) would be 32 zeros
     if len(seed) != SEED_BYTES:
         raise ValueError("seed must be 32 bytes")
     if not (q > 1 and q & (q - 1) == 0 and q <= 1 << 16):
         raise ValueError("gen_matrix needs a power-of-two q <= 2^16")
-    words = _shake_words(seed, tag, rows * cols)
-    return (words & (q - 1)).reshape(rows, cols)
+    return _expand_matrix(seed, rows, cols, q, tag)
+
+
+# One entry serves both reuse patterns (the responder right after the
+# initiator, and a run of sessions to one public key); more found no hits.
+@lru_cache(maxsize=1)
+def _expand_matrix(seed: bytes, rows: int, cols: int, q: int, tag: int) -> np.ndarray:
+    raw = hashlib.shake_128(seed + bytes([tag])).digest(2 * rows * cols)
+    a = np.frombuffer(raw, dtype="<u2").reshape(rows, cols) & np.uint16(q - 1)
+    a.flags.writeable = False
+    return a
 
 
 def gen_poly(seed: bytes, n: int, q: int, tag: int = 0) -> "RingPoly":
@@ -108,24 +117,28 @@ def uncut(y_cut, t: int):
 
 
 def matmul(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
-    """a @ b mod q.
+    """a @ b mod q, as int64.
 
-    Runs in float64 (BLAS) when the exact product bound fits in 2^53,
-    which holds for every shipped parameter set; falls back to int64
+    Each operand is converted once from its own dtype (uint16 for the
+    public matrix) to float64 for BLAS when the exact product bound fits
+    in 2^53, which holds for every shipped parameter set, and to int64
     otherwise.  Results are exact either way.
     """
-    a = np.asarray(a, dtype=np.int64)
-    b = np.asarray(b, dtype=np.int64)
+    a, b = np.asarray(a), np.asarray(b)
     if a.shape[-1] != b.shape[0]:
         raise ValueError(f"dimension mismatch {a.shape} @ {b.shape}")
     bound = a.shape[-1] * _max_abs(a) * _max_abs(b)
     if bound < 2**53:
-        return np.rint(a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64) % q
-    return (a @ b) % q
+        prod = a.astype(np.float64, copy=False) @ b.astype(np.float64, copy=False)
+        return np.rint(prod).astype(np.int64) % q
+    return (a.astype(np.int64, copy=False) @ b.astype(np.int64, copy=False)) % q
 
 
 def _max_abs(x: np.ndarray) -> int:
-    return int(max(1, np.abs(x).max())) if x.size else 1
+    """max(1, max |x|) in Python ints, so no dtype minimum can wrap."""
+    if not x.size:
+        return 1
+    return max(1, -int(x.min()), int(x.max()))
 
 
 # ---------------------------------------------------------------------------
@@ -227,12 +240,6 @@ def poly_add(a: RingPoly, b: RingPoly) -> RingPoly:
     if (a.n, a.q, a.domain) != (b.n, b.q, b.domain):
         raise ValueError("operands must share ring and domain")
     return RingPoly(a.n, a.q, (a.coeffs + b.coeffs) % a.q, a.domain)
-
-
-def poly_sub(a: RingPoly, b: RingPoly) -> RingPoly:
-    if (a.n, a.q, a.domain) != (b.n, b.q, b.domain):
-        raise ValueError("operands must share ring and domain")
-    return RingPoly(a.n, a.q, (a.coeffs - b.coeffs) % a.q, a.domain)
 
 
 def poly_mul(a: RingPoly, b: RingPoly) -> RingPoly:

@@ -42,11 +42,6 @@ PROB_FLOOR = 2.0**-200  # mass below this is flushed when trimming supports
 # ---------------------------------------------------------------------------
 # Integer-support helpers (kcn.noise.Pmf)
 
-def _check_normalized(p: Pmf):
-    if abs(p.mass - 1.0) > 2.0**-30:
-        raise ValueError(f"pmf not normalized (mass {p.mass})")
-
-
 def conv(p: Pmf, q: Pmf) -> Pmf:
     """Distribution of X + Y for independent X ~ p, Y ~ q."""
     return Pmf(p.offset + q.offset, np.convolve(p.probs, q.probs))

@@ -13,7 +13,7 @@ The consensus output is returned as packed key bits (before any KDF);
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,8 +41,6 @@ __all__ = [
     "rlwe_finish",
 ]
 
-SEED_BYTES = 32
-
 # fixed one-byte domain tags for the public-element expansion
 TAG_MATRIX = 0
 TAG_POLY = 1
@@ -56,7 +54,6 @@ class Session:
     secret: object  # X1 matrix or x1 RingPoly, family-dependent
     msg1: bytes
     key_bits: bytes | None = None
-    extra: dict = field(default_factory=dict)
 
 
 def _gbits(g: int) -> int:
@@ -72,7 +69,7 @@ def _sample_matrix(spec, rng, rows, cols):
 
 def lwr_initiate(suite: Suite, rng) -> tuple[Session, bytes]:
     q, p, n = suite.q, suite.p, suite.n
-    seed = rng.bytes(SEED_BYTES)
+    seed = rng.bytes(algebra.SEED_BYTES)
     a = algebra.gen_matrix(seed, n, n, q, TAG_MATRIX)
     x1 = _sample_matrix(suite.noise, rng, n, suite.l_a)
     y1 = algebra.lwr_round(algebra.matmul(a, x1, 1 << 62), q, p)
@@ -83,7 +80,7 @@ def lwr_initiate(suite: Suite, rng) -> tuple[Session, bytes]:
 def lwr_respond(suite: Suite, msg1: bytes, rng, key_in=None):
     q, p, n = suite.q, suite.p, suite.n
     pbits = (p - 1).bit_length()
-    seed, y1 = msg1[:SEED_BYTES], msg1[SEED_BYTES:]
+    seed, y1 = msg1[:algebra.SEED_BYTES], msg1[algebra.SEED_BYTES:]
     y1 = unpack_checked(y1, pbits, n * suite.l_a, (n, suite.l_a))
     a = algebra.gen_matrix(seed, n, n, q, TAG_MATRIX)
     x2 = _sample_matrix(suite.noise, rng, n, suite.l_b)
@@ -112,7 +109,7 @@ def lwr_finish(session: Session, msg2: bytes) -> bytes:
 
 def lwe_initiate(suite: Suite, rng) -> tuple[Session, bytes]:
     q, n = suite.q, suite.n
-    seed = rng.bytes(SEED_BYTES)
+    seed = rng.bytes(algebra.SEED_BYTES)
     a = algebra.gen_matrix(seed, n, n, q, TAG_MATRIX)
     x1 = _sample_matrix(suite.noise, rng, n, suite.l_a)
     e1 = _sample_matrix(suite.noise, rng, n, suite.l_a)
@@ -123,7 +120,7 @@ def lwe_initiate(suite: Suite, rng) -> tuple[Session, bytes]:
 
 def lwe_respond(suite: Suite, msg1: bytes, rng, key_in=None):
     q, n, t = suite.q, suite.n, suite.t
-    seed, y1b = msg1[:SEED_BYTES], msg1[SEED_BYTES:]
+    seed, y1b = msg1[:algebra.SEED_BYTES], msg1[algebra.SEED_BYTES:]
     y1 = unpack_checked(y1b, suite.qbits, n * suite.l_a, (n, suite.l_a))
     a = algebra.gen_matrix(seed, n, n, q, TAG_MATRIX)
     x2 = _sample_matrix(suite.noise, rng, n, suite.l_b)
@@ -154,7 +151,7 @@ def lwe_finish(session: Session, msg2: bytes) -> bytes:
 def hybrid_keygen(suite: Suite, rng):
     """Returns (public key bytes, secret X1)."""
     q, na, nb = suite.q, suite.n, suite.n_b
-    seed = rng.bytes(SEED_BYTES)
+    seed = rng.bytes(algebra.SEED_BYTES)
     a = algebra.gen_matrix(seed, nb, na, q, TAG_MATRIX)
     x1 = _sample_matrix(suite.noise, rng, na, suite.l_a)
     e1 = _sample_matrix(suite.noise, rng, nb, suite.l_a)
@@ -166,7 +163,7 @@ def hybrid_keygen(suite: Suite, rng):
 def hybrid_encaps(suite: Suite, pk: bytes, rng, key_in=None):
     """Returns (packed key bits, ciphertext bytes)."""
     q, p, na, nb = suite.q, suite.p, suite.n, suite.n_b
-    seed, y1b = pk[:SEED_BYTES], pk[SEED_BYTES:]
+    seed, y1b = pk[:algebra.SEED_BYTES], pk[algebra.SEED_BYTES:]
     y1 = unpack_checked(y1b, suite.qbits, nb * suite.l_a, (nb, suite.l_a))
     a = algebra.gen_matrix(seed, nb, na, q, TAG_MATRIX)
     x2 = _sample_matrix(suite.noise, rng, nb, suite.l_b)
@@ -194,7 +191,7 @@ def hybrid_decaps(suite: Suite, x1: np.ndarray, ct: bytes) -> bytes:
 
 def rlwe_initiate(suite: Suite, rng) -> tuple[Session, bytes]:
     q, n = suite.q, suite.n
-    seed = rng.bytes(SEED_BYTES)
+    seed = rng.bytes(algebra.SEED_BYTES)
     a = algebra.ntt_forward(algebra.gen_poly(seed, n, q, TAG_POLY))
     x1 = algebra.ntt_forward(_poly(suite, rng))
     e1 = _poly(suite, rng)
@@ -205,7 +202,7 @@ def rlwe_initiate(suite: Suite, rng) -> tuple[Session, bytes]:
 
 def rlwe_respond(suite: Suite, msg1: bytes, rng, key_in=None):
     q, n = suite.q, suite.n
-    seed, y1b = msg1[:SEED_BYTES], msg1[SEED_BYTES:]
+    seed, y1b = msg1[:algebra.SEED_BYTES], msg1[algebra.SEED_BYTES:]
     y1 = algebra.RingPoly(n, q, unpack_checked(y1b, suite.qbits, n, (n,)))
     a = algebra.ntt_forward(algebra.gen_poly(seed, n, q, TAG_POLY))
     x2 = algebra.ntt_forward(_poly(suite, rng))

@@ -119,10 +119,6 @@ class Suite:
         return self.variant.is_akc
 
     @property
-    def con_modulus(self) -> int:
-        return self.p if self.family in ("lwr", "hybrid") else self.q
-
-    @property
     def qbits(self) -> int:
         return (self.q - 1).bit_length()
 

@@ -5,7 +5,9 @@ import pytest
 from scipy.stats import chisquare
 
 from kcn import algebra
+from kcn import protocols as proto
 from kcn.algebra import RingPoly
+from kcn.suites import get_suite
 
 SEED = bytes(range(32))
 
@@ -134,3 +136,68 @@ def test_matmul_identity_and_oracle(rng):
     assert np.array_equal(algebra.matmul(a, b, q), want)
     with pytest.raises(ValueError):
         algebra.matmul(np.zeros((2, 3)), np.zeros((2, 3)), q)
+
+
+def _oracle(a, b, q):
+    return np.array([[sum(int(a[i, k]) * int(b[k, j]) for k in range(a.shape[1])) % q
+                      for j in range(b.shape[1])] for i in range(a.shape[0])])
+
+
+def test_gen_matrix_is_read_only():
+    m = algebra.gen_matrix(SEED, 4, 4, 2**14)
+    assert m.dtype == np.uint16
+    with pytest.raises(ValueError):
+        m[0, 0] = 1
+    with pytest.raises(ValueError):
+        m.T[1, 0] += 1
+    assert np.array_equal(algebra.gen_matrix(SEED, 4, 4, 2**14), m)
+
+
+def test_gen_matrix_accepts_buffer_seeds():
+    want = algebra.gen_matrix(SEED, 6, 5, 2**15, tag=2)
+    for seed in (bytearray(SEED), memoryview(SEED), memoryview(bytearray(SEED))):
+        assert np.array_equal(algebra.gen_matrix(seed, 6, 5, 2**15, tag=2), want)
+        assert np.array_equal(algebra.gen_matrix(SEED, 6, 5, 2**15, tag=2), want)
+
+
+def test_respond_accepts_bytearray_message():
+    for name in ("lwe-challenge", "hybrid-recommended"):
+        suite = get_suite(name)
+        session, msg1 = proto.initiate(suite, np.random.default_rng(1))
+        key_b, msg2 = proto.respond(suite, bytearray(msg1), np.random.default_rng(2))
+        assert proto.finish(session, msg2) == key_b
+        assert proto.respond(suite, msg1, np.random.default_rng(2)) == (key_b, msg2)
+
+
+def test_gen_matrix_validates_every_call():
+    algebra.gen_matrix(SEED, 2, 2, 2**14)
+    for _ in range(3):
+        with pytest.raises(ValueError):
+            algebra.gen_matrix(SEED[:31], 2, 2, 2**14)
+        with pytest.raises(ValueError):
+            algebra.gen_matrix(bytearray(SEED) + b"\x00", 2, 2, 2**14)
+        with pytest.raises(ValueError):
+            algebra.gen_matrix(SEED, 2, 2, 12)
+        with pytest.raises(ValueError):
+            algebra.gen_matrix(SEED, 2, 2, 2**17)
+        with pytest.raises(TypeError):
+            algebra.gen_matrix(32, 2, 2, 2**14)
+
+
+def test_matmul_uint16_full_range(rng):
+    q = 2**16
+    a = algebra.gen_matrix(SEED, 7, 5, q).copy()
+    a[0, :2] = (0, q - 1)  # both ends of the uint16 range
+    b = rng.integers(-(2**20), 2**20, (5, 3))
+    assert np.array_equal(algebra.matmul(a, b, q), _oracle(a, b, q))
+    assert np.array_equal(algebra.matmul(a.T, a, q), _oracle(a.T, a, q))
+
+
+def test_matmul_wide_bound_stays_exact(rng):
+    # cols * max|a| * max|b| = 2^61 >= 2^53: float64 would round the sums
+    q = 12289
+    a = rng.integers(2**39, 2**40, (3, 2))
+    b = rng.integers(-(2**20), -(2**19), (2, 3))
+    want = _oracle(a, b, q)
+    assert not np.array_equal(np.rint(a.astype(np.float64) @ b).astype(np.int64) % q, want)
+    assert np.array_equal(algebra.matmul(a, b, q), want)
