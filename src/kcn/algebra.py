@@ -69,6 +69,7 @@ def gen_poly(seed: bytes, n: int, q: int, tag: int = 0) -> "RingPoly":
     16-bit chunks below q * floor(2^16 / q) are accepted and reduced mod q,
     which leaves the residue exactly uniform.
     """
+    seed = bytes(memoryview(seed))  # any bytes-like seed, as in gen_matrix
     if len(seed) != SEED_BYTES:
         raise ValueError("seed must be 32 bytes")
     lim = q * ((1 << 16) // q)

@@ -1,23 +1,19 @@
-"""Closed-form message sizes.
+"""Message sizes, read from the wire layouts.
 
-Each wire component is bit-packed independently and padded to a byte
-boundary, so the formulas here must (and do, by test) equal the lengths
-produced by the serializer exactly.
+Each message is the `kcn.wire.Layout` that `kcn.protocols.layouts` builds
+from the suite; its fields are bit-packed and padded to a byte boundary
+independently.  The sizes here are summed from those same fields, so they
+equal the lengths the serializer produces by construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from kcn.protocols import layouts, public_element
 from kcn.suites import Suite
 
 __all__ = ["BandwidthReport", "bandwidth"]
-
-SEED_BYTES = 32
-
-
-def _bits_to_bytes(bits: int) -> int:
-    return (bits + 7) // 8
 
 
 @dataclass(frozen=True)
@@ -32,49 +28,7 @@ class BandwidthReport:
         return self.total_bytes / 1000.0
 
 
-def _gbits(g: int) -> int:
-    return (g - 1).bit_length()
-
-
 def bandwidth(suite: Suite) -> BandwidthReport:
-    qbits = suite.qbits
-    if suite.family == "lwr":
-        pbits = (suite.p - 1).bit_length()
-        m1 = SEED_BYTES + _bits_to_bytes(suite.n * suite.l_a * pbits)
-        m2 = _bits_to_bytes(suite.n * suite.l_b * pbits) \
-            + _bits_to_bytes(suite.l_a * suite.l_b * _gbits(suite.kc.g))
-        mat = _bits_to_bytes(suite.n * suite.n * qbits)
-    elif suite.family == "lwe":
-        m1 = SEED_BYTES + _bits_to_bytes(suite.n * suite.l_a * qbits)
-        m2 = _bits_to_bytes(suite.n * suite.l_b * (qbits - suite.t)) \
-            + _bits_to_bytes(suite.l_a * suite.l_b * _gbits(suite.kc.g))
-        mat = _bits_to_bytes(suite.n * suite.n * qbits)
-    elif suite.family == "hybrid":
-        pbits = (suite.p - 1).bit_length()
-        m1 = SEED_BYTES + _bits_to_bytes(suite.n_b * suite.l_a * qbits)
-        m2 = _bits_to_bytes(suite.n * suite.l_b * pbits) \
-            + _bits_to_bytes(suite.l_a * suite.l_b * _gbits(suite.kc.g))
-        mat = _bits_to_bytes(suite.n_b * suite.n * qbits)
-    elif suite.family == "rlwe":
-        m1 = SEED_BYTES + _bits_to_bytes(suite.n * qbits)
-        m2 = _bits_to_bytes(suite.n * qbits) + _hint_bytes(suite)
-        mat = _bits_to_bytes(suite.n * qbits)
-    else:
-        raise ValueError(suite.family)
-    return BandwidthReport(m1, m2, m1 + m2, mat)
-
-
-def _hint_bytes(suite: Suite) -> int:
-    if suite.mode in ("plain", "sec"):
-        out = _bits_to_bytes(suite.n * _gbits(suite.kc.g))
-        if suite.mode == "sec" and not suite.is_akc:
-            out += _bits_to_bytes(suite.sec_blocks * (suite.n_h + 1))
-        return out
-    gb = _gbits(suite.code_g)
-    if suite.mode == "newhope":
-        return _bits_to_bytes(suite.n * gb)
-    if suite.mode == "akcn41":
-        return _bits_to_bytes(suite.n // 4 * (3 * gb + gb + 1))
-    if suite.mode == "e8":
-        return _bits_to_bytes(suite.n * gb)
-    raise ValueError(suite.mode)
+    msg1, msg2 = layouts(suite)
+    return BandwidthReport(msg1.nbytes, msg2.nbytes, msg1.nbytes + msg2.nbytes,
+                           public_element(suite).nbytes)

@@ -1,16 +1,25 @@
-"""Bit-exact message packing.
+"""Bit-exact message packing, and the one layout of each message.
 
 Elements are packed little-endian, LSB-first within each element, in
-row-major order; each message component is padded to a byte boundary
-independently.  These rules fix the wire format completely, so the byte
-counts agree with the closed-form bandwidth formulas.
+row-major order; each message field is padded to a byte boundary
+independently.  A `Layout` lists a message's fields in wire order; its
+`pack`, its `unpack` and `kcn.analysis.bandwidth` all read that list, so
+the byte counts and the serializer cannot disagree.
+
+Decoding is canonical: `Layout.unpack` accepts only the unique encoding of
+a valid message, rejecting a wrong length, a set padding bit and any value
+at or above its field's bound.
 """
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
+from functools import cached_property
+
 import numpy as np
 
-__all__ = ["pack", "unpack", "pack_bits", "unpack_bits"]
+__all__ = ["Field", "Layout", "pack", "unpack", "pack_bits", "unpack_bits"]
 
 
 def pack(values: np.ndarray, bits: int) -> bytes:
@@ -40,3 +49,91 @@ def pack_bits(bits_arr: np.ndarray) -> bytes:
 
 def unpack_bits(data: bytes, count: int) -> np.ndarray:
     return unpack(data, 1, count)
+
+
+@dataclass(frozen=True)
+class Field:
+    """An array of `shape` elements, each a record of parts.
+
+    Part j of every element lies in [0, bounds[j]) and takes
+    (bounds[j] - 1).bit_length() bits, lowest part first.  Most fields have
+    one part; the D4 hint is the record (g, g, g, 2g).
+    """
+
+    name: str
+    shape: tuple[int, ...]
+    bounds: tuple[int, ...]
+
+    @cached_property
+    def count(self) -> int:
+        return math.prod(self.shape)
+
+    @cached_property
+    def widths(self) -> tuple[int, ...]:
+        return tuple((b - 1).bit_length() for b in self.bounds)
+
+    @cached_property
+    def bits(self) -> int:
+        return sum(self.widths)
+
+    @cached_property
+    def nbytes(self) -> int:
+        return (self.count * self.bits + 7) // 8
+
+    @cached_property
+    def _offsets(self) -> np.ndarray:
+        return np.cumsum((0,) + self.widths[:-1])
+
+    def check(self, parts: np.ndarray) -> None:
+        """Raise unless every part of `parts`, shaped (count, len(bounds)), is in range."""
+        if parts.min() >= 0 and (parts.max(axis=0) < self.bounds).all():
+            return
+        i = int(np.argmax(((parts < 0) | (parts >= self.bounds)).any(axis=1)))
+        raise ValueError(f"field {self.name}[{i}] = {parts[i].tolist()} "
+                         f"is out of range for bounds {list(self.bounds)}")
+
+    def encode(self, values) -> bytes:
+        parts = np.asarray(values, dtype=np.int64).reshape(self.count, len(self.bounds))
+        self.check(parts)
+        mixed = parts[:, 0] if len(self.bounds) == 1 else (parts << self._offsets).sum(axis=1)
+        return pack(mixed, self.bits)
+
+    def decode(self, data: bytes) -> np.ndarray:
+        """Inverse of encode, for exactly `nbytes` bytes; rejects set padding bits."""
+        used = self.count * self.bits % 8
+        if used and data[-1] >> used:
+            raise ValueError(f"field {self.name}: padding bits are not zero")
+        mixed = unpack(data, self.bits, self.count)
+        if len(self.bounds) == 1:
+            self.check(mixed[:, None])
+            return mixed.reshape(self.shape)
+        parts = (mixed[:, None] >> self._offsets) & ((1 << np.array(self.widths)) - 1)
+        self.check(parts)
+        return parts.reshape(self.shape + (len(self.bounds),))
+
+
+@dataclass(frozen=True)
+class Layout:
+    """The ordered fields of one message."""
+
+    fields: tuple[Field, ...]
+
+    @cached_property
+    def nbytes(self) -> int:
+        return sum(f.nbytes for f in self.fields)
+
+    def pack(self, *values) -> bytes:
+        """Encode one array per field, in field order."""
+        if len(values) != len(self.fields):
+            raise ValueError(f"expected {len(self.fields)} fields, got {len(values)}")
+        return b"".join(f.encode(v) for f, v in zip(self.fields, values))
+
+    def unpack(self, data: bytes) -> tuple[np.ndarray, ...]:
+        """Decode the canonical encoding of one message into one array per field."""
+        if len(data) != self.nbytes:
+            raise ValueError(f"expected {self.nbytes} bytes, got {len(data)}")
+        out, start = [], 0
+        for f in self.fields:
+            out.append(f.decode(data[start:start + f.nbytes]))
+            start += f.nbytes
+        return tuple(out)

@@ -161,12 +161,13 @@ def test_gen_matrix_accepts_buffer_seeds():
 
 
 def test_respond_accepts_bytearray_message():
-    for name in ("lwe-challenge", "hybrid-recommended"):
+    for name in ("lwe-challenge", "hybrid-recommended", "newhope"):
         suite = get_suite(name)
         session, msg1 = proto.initiate(suite, np.random.default_rng(1))
-        key_b, msg2 = proto.respond(suite, bytearray(msg1), np.random.default_rng(2))
-        assert proto.finish(session, msg2) == key_b
-        assert proto.respond(suite, msg1, np.random.default_rng(2)) == (key_b, msg2)
+        for buf in (bytearray(msg1), memoryview(msg1)):
+            key_b, msg2 = proto.respond(suite, buf, np.random.default_rng(2))
+            assert proto.finish(session, msg2) == key_b
+            assert proto.respond(suite, msg1, np.random.default_rng(2)) == (key_b, msg2)
 
 
 def test_gen_matrix_validates_every_call():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -46,22 +48,85 @@ def test_pack_is_lsb_first():
         wire.unpack(b"\x00\x00", 4, 5)
 
 
+def _top(field):
+    """Every element of `field` at its largest valid value, as (count, parts)."""
+    return np.tile(np.array(field.bounds) - 1, (field.count, 1))
+
+
+@pytest.mark.parametrize("name", sorted(SUITES))
+def test_layout_edges(name):
+    suite = get_suite(name)
+    msgs = proto.layouts(suite)
+    assert sum(f.nbytes for m in msgs for f in m.fields) == bandwidth(suite).total_bytes
+    for layout in msgs:
+        tops = [_top(f) for f in layout.fields]
+        data = layout.pack(*tops)
+        for field, top, got in zip(layout.fields, tops, layout.unpack(data)):
+            assert np.array_equal(got.reshape(field.count, -1), top)
+        start = 0
+        for i, field in enumerate(layout.fields):
+            over = [t.copy() for t in tops]
+            over[i][-1, -1] += 1  # one value at its bound
+            bad = rf"field {re.escape(field.name)}\[{field.count - 1}\]"
+            with pytest.raises(ValueError, match=bad):
+                layout.pack(*over)
+            if len(field.bounds) == 1 and field.bounds[0] < 1 << field.bits:
+                # the value fits the field's bits, so only the bound check stops it
+                raw = wire.pack(over[i], field.bits)
+                with pytest.raises(ValueError, match=bad):
+                    layout.unpack(data[:start] + raw + data[start + field.nbytes:])
+            start += field.nbytes
+
+
+# 14-bit ring fields hold 12289..16383 too; the canonical decoder refuses them
+
+def test_ring_msg1_coefficient_at_q_rejected(rng):
+    suite = get_suite("newhope")
+    _, m1 = proto.initiate(suite, rng)
+    bad = bytearray(m1)
+    bad[32], bad[33] = 0xFF, bad[33] | 0x3F  # y1[0] = 16383
+    with pytest.raises(ValueError, match=r"field y1\[0\]"):
+        proto.respond(suite, bytes(bad), rng)
+
+
+def test_ring_msg2_coefficient_at_q_rejected(rng):
+    suite = get_suite("okcn-rlwe-16")
+    sess, m1 = proto.initiate(suite, rng)
+    kb, m2 = proto.respond(suite, m1, rng)
+    bad = bytearray(m2)
+    bad[0], bad[1] = 0x01, (bad[1] & 0xC0) | 0x30  # y2[0] = 12289
+    with pytest.raises(ValueError, match=r"field y2\[0\]"):
+        proto.finish(sess, bytes(bad))
+    assert proto.finish(sess, m2) == kb
+
+
+def test_padding_bits_rejected(rng):
+    # okcn-sec-837 carries 27 SEC blocks of 6 correction bits: 162 bits in 21 bytes
+    suite = get_suite("okcn-sec-837")
+    sess, m1 = proto.initiate(suite, rng)
+    kb, m2 = proto.respond(suite, m1, rng)
+    bad = m2[:-1] + bytes([m2[-1] | 0x80])
+    with pytest.raises(ValueError, match="field v': padding bits"):
+        proto.finish(sess, bad)
+    assert proto.finish(sess, m2) == kb
+
+
 # --- toy round trips ------------------------------------------------------------
 
 def test_lwr_toy_roundtrip(rng):
     suite = _toy_lwr()
     for _ in range(200):
-        sess, m1 = proto.lwr_initiate(suite, rng)
-        kb, m2 = proto.lwr_respond(suite, m1, rng)
-        assert proto.lwr_finish(sess, m2) == kb
+        sess, m1 = proto.initiate(suite, rng)
+        kb, m2 = proto.respond(suite, m1, rng)
+        assert proto.finish(sess, m2) == kb
 
 
 def test_rlwe_toy_roundtrip(rng):
     suite = _toy_rlwe()
     for _ in range(200):
-        sess, m1 = proto.rlwe_initiate(suite, rng)
-        kb, m2 = proto.rlwe_respond(suite, m1, rng)
-        assert proto.rlwe_finish(sess, m2) == kb
+        sess, m1 = proto.initiate(suite, rng)
+        kb, m2 = proto.respond(suite, m1, rng)
+        assert proto.finish(sess, m2) == kb
 
 
 def test_lwe_binary_noise_always_agrees(rng):
@@ -72,9 +137,9 @@ def test_lwe_binary_noise_always_agrees(rng):
         kc=KcParams(q=2**8, m=2, g=2**7, d=9),
     )
     for _ in range(300):
-        sess, m1 = proto.lwe_initiate(suite, rng)
-        kb, m2 = proto.lwe_respond(suite, m1, rng)
-        assert proto.lwe_finish(sess, m2) == kb
+        sess, m1 = proto.initiate(suite, rng)
+        kb, m2 = proto.respond(suite, m1, rng)
+        assert proto.finish(sess, m2) == kb
 
 
 def test_transcript_determinism():
@@ -91,12 +156,12 @@ def test_transcript_determinism():
 
 def test_malformed_messages_rejected(rng):
     suite = _toy_lwr()
-    sess, m1 = proto.lwr_initiate(suite, rng)
+    sess, m1 = proto.initiate(suite, rng)
     with pytest.raises(ValueError):
-        proto.lwr_respond(suite, m1 + b"x", rng)
-    kb, m2 = proto.lwr_respond(suite, m1, rng)
+        proto.respond(suite, m1 + b"x", rng)
+    kb, m2 = proto.respond(suite, m1, rng)
     with pytest.raises(ValueError):
-        proto.lwr_finish(sess, m2[:-1])
+        proto.finish(sess, m2[:-1])
 
 
 def test_chosen_key_transport(rng):
@@ -125,7 +190,6 @@ def test_kc_suite_rejects_chosen_key(rng):
 def test_derive_key_modes():
     suite = get_suite("okcn-t2")
     kb = b"\x01\x02" * 16
-    assert proto.derive_key(suite, kb, raw=True) == kb
     k1 = proto.derive_key(suite, kb)
     assert k1 == proto.derive_key(suite, kb)
     assert len(k1) == 32
