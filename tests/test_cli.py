@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -10,6 +11,18 @@ def test_params_all(capsys):
     out = capsys.readouterr().out
     assert "lwr-recommended" in out and "zarzar" in out
     assert len([ln for ln in out.splitlines() if ln and not ln.startswith(("suite", "-"))]) >= 15
+
+
+# SHA-256 of `kcn --json params` stdout over all 30 suites: every suite's
+# describe() (key_bits included) and bandwidth, byte for byte
+PARAMS_JSON_DIGEST = "fba2c963c7c1c3bd242e1a084961f2bfa6048fa014e22a4d24fce48db6423eec"
+
+
+def test_params_json_digest(capsys):
+    assert main(["--json", "params"]) == 0
+    out = capsys.readouterr().out
+    assert len(json.loads(out)["suites"]) == 30
+    assert hashlib.sha256(out.encode()).hexdigest() == PARAMS_JSON_DIGEST
 
 
 def test_params_single_json(capsys):
