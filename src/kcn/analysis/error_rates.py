@@ -18,6 +18,7 @@ import numpy as np
 
 from kcn.noise import Pmf, uniform_pmf
 from kcn.analysis import pmf as pm
+from kcn.codes import SecCode
 from kcn.kc import KcVariant
 from kcn.suites import Suite
 
@@ -276,9 +277,8 @@ def rlwe_error_rate(suite: Suite) -> ErrorReport:
     if suite.mode == "plain":
         overall = _union(per_bit, n)
     else:
-        blocks = suite.sec_blocks
-        block_bits = (1 << suite.n_h) + suite.n_h
-        overall = _union(per_bit**2, blocks * math.comb(block_bits, 2))
+        block_bits = SecCode(suite.n_h).block_bits
+        overall = _union(per_bit**2, suite.n // block_bits * math.comb(block_bits, 2))
     return ErrorReport(per_bit, overall)
 
 

@@ -22,6 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from kcn.kc import div_round
+
 __all__ = [
     "SecCode",
     "sec_encode",
@@ -167,8 +169,8 @@ def cvp_d4(num, den: int = 1) -> np.ndarray:
         raise ValueError("need 4-vectors")
     if den < 1:
         raise ValueError("denominator must be positive")
-    v0 = div_round_arr(num, den)
-    v1 = div_round_arr(2 * num - den, 2 * den)  # round(x - g)
+    v0 = div_round(num, den)
+    v1 = div_round(2 * num - den, 2 * den)  # round(x - g)
     k = (np.sum(np.abs(num - den * v0), axis=-1) >= den).astype(np.int64)
     vk = np.where(k[..., None] == 0, v0, v1)
     out = np.empty_like(vk)
@@ -177,11 +179,6 @@ def cvp_d4(num, den: int = 1) -> np.ndarray:
     out[..., 2] = vk[..., 2] - vk[..., 3]
     out[..., 3] = k + 2 * vk[..., 3]
     return out
-
-
-def div_round_arr(a, b):
-    """floor(a/b + 1/2) element-wise; b positive."""
-    return (2 * a + b) // (2 * b)
 
 
 def d4_point(v) -> np.ndarray:
@@ -196,7 +193,7 @@ def d4_point(v) -> np.ndarray:
 def _decode_d4(num, den: int):
     """NewHope Decode on x = num/den in R^4/Z^4: 0 iff ||x - round(x)||_1 <= 1."""
     num = np.asarray(num, dtype=np.int64)
-    r = num - den * div_round_arr(num, den)
+    r = num - den * div_round(num, den)
     return (np.sum(np.abs(r), axis=-1) > den).astype(np.int64)
 
 
@@ -236,7 +233,7 @@ def akcn41_rec(sigma2, v, g: int, q: int):
     v = np.asarray(v, dtype=np.int64)
     num = q * d4_point(v) - 2 * g * sigma2  # over den 2 g q
     den = 2 * g * q
-    r = num - den * div_round_arr(num, den)
+    r = num - den * div_round(num, den)
     return (np.sum(np.abs(r), axis=-1) >= den).astype(np.int64)
 
 
@@ -268,14 +265,14 @@ def e8_con(sigma1, k1, g: int, q: int) -> np.ndarray:
     if sigma1.shape[-1] != 8:
         raise ValueError("need 8-coefficient blocks")
     w = sigma1 + (q - 1) // 2 * e8_encode(k1)
-    return div_round_arr(g * w, q) % g
+    return div_round(g * w, q) % g
 
 
 def e8_rec(sigma2, v, g: int, q: int) -> np.ndarray:
     """Decode round((q/g) v) - sigma2 back to the 4 transported bits."""
     sigma2 = np.asarray(sigma2, dtype=np.int64)
     v = np.asarray(v, dtype=np.int64)
-    return decode_e8(div_round_arr(q * v, g) - sigma2, q)
+    return decode_e8(div_round(q * v, g) - sigma2, q)
 
 
 def _decode_c(cost0: np.ndarray, cost1: np.ndarray):

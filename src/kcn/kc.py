@@ -235,13 +235,9 @@ def kc_rec(variant: KcVariant, sigma2, v, params: KcParams):
     q, m, g = params.q, params.m, params.g
     _check_range(sigma2, q, "sigma2")
     _check_range(v, g, "v")
-    if variant is KcVariant.OKCN_GENERIC:
+    if variant in (KcVariant.OKCN_GENERIC, KcVariant.OKCN_POWER2):  # power2: m | q, so alpha = 1
         alpha, beta = params.alpha, params.beta
         k2 = div_round(2 * g * alpha * np.asarray(sigma2, dtype=np.int64) - beta * (2 * np.asarray(v, dtype=np.int64) + 1),
-                       2 * beta * g) % m
-    elif variant is KcVariant.OKCN_POWER2:
-        beta = params.beta
-        k2 = div_round(2 * g * np.asarray(sigma2, dtype=np.int64) - beta * (2 * np.asarray(v, dtype=np.int64) + 1),
                        2 * beta * g) % m
     elif variant is KcVariant.OKCN_SIMPLE:
         k2 = div_round(np.asarray(sigma2, dtype=np.int64) - v, g) % m

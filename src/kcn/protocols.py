@@ -10,7 +10,8 @@ The matrix families are compositions of two step kinds, LWR and LWE: a
 family is a (key step, response) pair, with LWR = (LWR, LWR), LWE = (LWE,
 LWE) and hybrid = (LWE, LWR).  RLWE runs its own NTT path.  Every family
 states its messages once, as the `kcn.wire.Layout` pair from `layouts`,
-which packs, unpacks (canonically) and sizes them.
+which packs, unpacks (canonically) and sizes them.  Consensus is `MODES`,
+one entry per mode (plain, sec, newhope, akcn41, e8), for every family.
 
 The consensus output is returned as packed key bits (before any KDF);
 `derive_key` applies the SHAKE-256 KDF with a suite-name prefix.
@@ -21,12 +22,15 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from kcn import algebra, codes, wire
 from kcn.kc import akc_con, akc_rec, kc_con, kc_rec
-from kcn.suites import Suite
+
+if TYPE_CHECKING:
+    from kcn.suites import Suite
 
 __all__ = [
     "Session",
@@ -36,6 +40,7 @@ __all__ = [
     "derive_key",
     "layouts",
     "public_element",
+    "MODES",
     "hybrid_keygen",
     "hybrid_encaps",
     "hybrid_decaps",
@@ -54,8 +59,6 @@ class Session:
 
     suite: Suite
     secret: object  # X1 matrix or x1 RingPoly, family-dependent
-    msg1: bytes
-    key_bits: bytes | None = None
 
 
 def _sample_matrix(spec, rng, rows, cols):
@@ -117,12 +120,14 @@ class _Matrix:
     def public(self, suite: Suite) -> wire.Field:
         return wire.Field("A", (suite.n_b or suite.n, suite.n), (suite.q,))
 
+    def sigma_shape(self, suite: Suite) -> tuple[int, ...]:
+        return (suite.l_a, suite.l_b)
+
     def layouts(self, suite: Suite) -> tuple[wire.Layout, wire.Layout]:
         rows, n = self.public(suite).shape
         y1 = wire.Field("y1", (rows, suite.l_a), (self.key.modulus(suite),))
         y2 = wire.Field("y2", (n, suite.l_b), (self.response.modulus(suite) >> self.response.cut(suite),))
-        v = wire.Field("v", (suite.l_a, suite.l_b), (suite.kc.g,))
-        return wire.Layout((_SEED, y1)), wire.Layout((y2, v))
+        return wire.Layout((_SEED, y1)), wire.Layout((y2,) + MODES[suite.mode].fields(suite)[1])
 
     def _a(self, suite: Suite, seed) -> np.ndarray:
         return algebra.gen_matrix(seed, *self.public(suite).shape, suite.q, TAG_MATRIX)
@@ -141,29 +146,32 @@ class _Matrix:
         x2 = _sample_matrix(suite.noise, rng, a.shape[0], suite.l_b)
         y2 = algebra.cut_bits(self.response.sample(suite, a.T, x2, rng), self.response.cut(suite))
         sigma2 = self.response.sample(suite, self.key.lift(suite, y1, rng).T, x2, rng)
-        key_sym, v = _con(suite, sigma2, rng, key_in)
-        return _pack_key(suite, key_sym), layout2.pack(y2, v)
+        key, hint = MODES[suite.mode].con(suite, sigma2, rng, key_in)
+        return key, layout2.pack(y2, *hint)
 
     def finish(self, suite: Suite, x1, msg2: bytes) -> bytes:
-        y2, v = layouts(suite)[1].unpack(msg2)
+        y2, *hint = layouts(suite)[1].unpack(msg2)
         y2 = algebra.uncut(y2, self.response.cut(suite))
         sigma1 = algebra.matmul(x1.T, y2, self.response.modulus(suite))
-        return _pack_key(suite, _rec(suite, sigma1, v))
+        return MODES[suite.mode].rec(suite, sigma1, hint)
 
 
 # ---------------------------------------------------------------------------
-# RLWE key exchange, with the code modes
+# RLWE key exchange
 
 class _Ring:
-    """The ring family: NTT products, with plain, SEC, D4 and E8 consensus."""
+    """The ring family: NTT products, consensus in the suite's mode."""
 
     def public(self, suite: Suite) -> wire.Field:
         return wire.Field("a", (suite.n,), (suite.q,))
 
+    def sigma_shape(self, suite: Suite) -> tuple[int, ...]:
+        return (suite.n,)
+
     def layouts(self, suite: Suite) -> tuple[wire.Layout, wire.Layout]:
         y = wire.Field("y1", (suite.n,), (suite.q,))
         return (wire.Layout((_SEED, y)),
-                wire.Layout((wire.Field("y2", y.shape, y.bounds),) + _ring_hint(suite)))
+                wire.Layout((wire.Field("y2", y.shape, y.bounds),) + MODES[suite.mode].fields(suite)[1]))
 
     def _a(self, suite: Suite, seed) -> "algebra.RingPoly":
         return algebra.ntt_forward(algebra.gen_poly(seed, suite.n, suite.q, TAG_POLY))
@@ -186,14 +194,14 @@ class _Ring:
         e_sigma = _poly(suite, rng)
         y2 = algebra.poly_add(algebra.ntt_inverse(_ntt_mul(a, x2)), e2)
         sigma2 = algebra.poly_add(algebra.ntt_inverse(_ntt_mul(algebra.ntt_forward(y1), x2)), e_sigma)
-        key_bits, hint = _ring_con(suite, sigma2.coeffs, rng, key_in)
-        return wire.pack_bits(key_bits), layout2.pack(y2.coeffs, *hint)
+        key, hint = MODES[suite.mode].con(suite, sigma2.coeffs, rng, key_in)
+        return key, layout2.pack(y2.coeffs, *hint)
 
     def finish(self, suite: Suite, x1, msg2: bytes) -> bytes:
         y2, *hint = layouts(suite)[1].unpack(msg2)
         y2p = algebra.ntt_forward(algebra.RingPoly(suite.n, suite.q, y2))
         sigma1 = algebra.ntt_inverse(_ntt_mul(y2p, x1))
-        return wire.pack_bits(_ring_rec(suite, sigma1.coeffs, hint))
+        return MODES[suite.mode].rec(suite, sigma1.coeffs, hint)
 
 
 def _poly(suite, rng) -> "algebra.RingPoly":
@@ -204,21 +212,87 @@ def _ntt_mul(a, b):
     return algebra.RingPoly(a.n, a.q, a.coeffs * b.coeffs % a.q, "ntt")
 
 
-# --- ring consensus dispatch ------------------------------------------------
+# ---------------------------------------------------------------------------
+# Consensus, one entry per mode: `fields` gives the agreed key (a field of
+# symbols below a bound) and the hint fields that follow y2 in msg2; `akc`
+# says whether the responder chooses the key; `_agree` and `_recover` run
+# Con and Rec on sigma.
 
-def _ring_hint(suite: Suite) -> tuple[wire.Field, ...]:
-    """The hint fields that follow y2 in an RLWE msg2."""
-    n, g = suite.n, suite.code_g
-    if suite.mode == "newhope":
-        return (wire.Field("v", (n // 4, 4), (g,)),)
-    if suite.mode == "akcn41":
-        return (wire.Field("v", (n // 4,), (g, g, g, 2 * g)),)
-    if suite.mode == "e8":
-        return (wire.Field("v", (n // 8, 8), (g,)),)
-    v = wire.Field("v", (n,), (suite.kc.g,))
-    if suite.mode == "sec" and not suite.is_akc:
-        return v, wire.Field("v'", (suite.sec_blocks, suite.n_h + 1), (2,))
-    return (v,)
+class _Mode:
+    AKC = None  # fixed by a code mode; None: the suite's scalar variant decides
+
+    def akc(self, suite: Suite) -> bool:
+        return suite.variant.is_akc if self.AKC is None else self.AKC
+
+    def con(self, suite: Suite, sigma2: np.ndarray, rng, key_in) -> tuple[bytes, tuple]:
+        """(packed key, hint arrays).  AKC sends `key_in` (the key's symbol
+        count, each below its bound) or a uniform key; KC refuses `key_in`."""
+        key, k = self.fields(suite)[0], None
+        if key_in is not None:
+            if not self.akc(suite):
+                raise ValueError(f"{suite.name}: KC suites cannot transport a chosen key")
+            k = np.asarray(key_in, dtype=np.int64).reshape(key.shape)  # ValueError unless key.count symbols
+            key.check(k.reshape(-1, 1))
+        elif self.akc(suite):
+            k = rng.integers(0, key.bounds[0], size=key.shape, dtype=np.int64)
+        k, hint = self._agree(suite, sigma2, rng, k)
+        return wire.pack(k, key.bits), hint
+
+    def rec(self, suite: Suite, sigma1: np.ndarray, hint) -> bytes:
+        return wire.pack(self._recover(suite, sigma1, hint), self.fields(suite)[0].bits)
+
+
+class _Plain(_Mode):
+    """One scalar KC or AKC per coefficient of sigma."""
+
+    def fields(self, suite: Suite) -> tuple[wire.Field, tuple[wire.Field, ...]]:
+        shape = _FAMILIES[suite.family].sigma_shape(suite)
+        return wire.Field("key", shape, (suite.kc.m,)), (wire.Field("v", shape, (suite.kc.g,)),)
+
+    def _agree(self, suite: Suite, sigma2, rng, k):
+        if k is not None:
+            return k, (akc_con(suite.variant, sigma2, k, suite.kc),)
+        k, v = kc_con(suite.variant, sigma2, suite.kc, rng)
+        return k, (v,)
+
+    def _recover(self, suite: Suite, sigma1, hint):
+        rec = akc_rec if self.akc(suite) else kc_rec
+        return rec(suite.variant, sigma1, hint[0], suite.kc)
+
+
+class _Sec(_Plain):
+    """Plain consensus under one SEC codeword per block of coefficients: AKC
+    encodes the key into them; KC wraps them and sends the correction v'."""
+
+    def fields(self, suite: Suite) -> tuple[wire.Field, tuple[wire.Field, ...]]:
+        code = codes.SecCode(suite.n_h)
+        blocks = suite.n // code.block_bits
+        vprime = wire.Field("v'", (blocks, code.n_h + 1), (2,))
+        return (wire.Field("key", (blocks * code.message_bits,), (2,)),
+                super().fields(suite)[1] + (() if self.akc(suite) else (vprime,)))
+
+    def _agree(self, suite: Suite, sigma2, rng, k):
+        code = codes.SecCode(suite.n_h)
+        if k is not None:
+            cw = codes.sec_encode(k.reshape(-1, code.message_bits), code).reshape(-1)
+            coeff_keys = np.concatenate([cw, np.zeros(suite.n - cw.size, cw.dtype)])
+            return k, super()._agree(suite, sigma2, rng, coeff_keys)[1]
+        k, (v,) = super()._agree(suite, sigma2, rng, None)
+        x, vprime = codes.sec_wrap(_whole_blocks(k, code), code)
+        return x.reshape(-1), (v, vprime)
+
+    def _recover(self, suite: Suite, sigma1, hint):
+        code = codes.SecCode(suite.n_h)
+        blocks = _whole_blocks(super()._recover(suite, sigma1, hint), code)
+        if self.akc(suite):
+            return codes.sec_decode(blocks, code).reshape(-1)
+        return codes.sec_unwrap(blocks, hint[1].astype(np.uint8), code).reshape(-1)
+
+
+def _whole_blocks(k: np.ndarray, code) -> np.ndarray:
+    """The whole SEC blocks of per-coefficient bits k; the tail is unused."""
+    nblk = k.size // code.block_bits
+    return k[: nblk * code.block_bits].reshape(nblk, code.block_bits).astype(np.uint8)
 
 
 def _stride_blocks(coeffs: np.ndarray, width: int) -> np.ndarray:
@@ -226,100 +300,56 @@ def _stride_blocks(coeffs: np.ndarray, width: int) -> np.ndarray:
     return coeffs.reshape(width, -1).T
 
 
-def _ring_con(suite: Suite, sigma2: np.ndarray, rng, key_in):
-    """Returns (key bits, hint arrays in the order of `_ring_hint`)."""
-    q, n = suite.q, suite.n
-    mode = suite.mode
-    if mode in ("plain", "sec"):
-        if suite.is_akc:
-            if mode == "plain":
-                bits = _want_bits(rng, key_in, n)
-                coeff_keys = bits
-            else:
-                code = codes.SecCode(suite.n_h)
-                msg = _want_bits(rng, key_in, suite.key_bits).reshape(-1, code.message_bits)
-                cw = codes.sec_encode(msg, code)
-                coeff_keys = np.zeros(n, dtype=np.int64)
-                coeff_keys[:cw.size] = cw.reshape(-1)
-                bits = msg.reshape(-1)
-            return bits, (akc_con(suite.variant, sigma2, coeff_keys, suite.kc),)
-        k, v = kc_con(suite.variant, sigma2, suite.kc, rng)
-        if mode == "plain":
-            return k, (v,)
-        code = codes.SecCode(suite.n_h)
-        nblk = suite.sec_blocks
-        blocks = k[: nblk * code.block_bits].reshape(nblk, code.block_bits).astype(np.uint8)
-        x, vprime = codes.sec_wrap(blocks, code)
-        return x.reshape(-1), (v, vprime)
-    if mode == "newhope":
+class _NewHope(_Mode):
+    """NewHope's D4 reconciliation (KC): one bit per 4 coefficients."""
+
+    AKC = False
+
+    def fields(self, suite: Suite) -> tuple[wire.Field, tuple[wire.Field, ...]]:
+        return wire.Field("key", (suite.n // 4,), (2,)), (wire.Field("v", (suite.n // 4, 4), (suite.code_g,)),)
+
+    def _agree(self, suite: Suite, sigma2, rng, k):
         blocks = _stride_blocks(sigma2, 4)
         b = rng.integers(0, 2, size=len(blocks), dtype=np.int64)
-        k, v = codes.newhope_con(blocks, b, (suite.code_g - 1).bit_length(), q)
+        k, v = codes.newhope_con(blocks, b, (suite.code_g - 1).bit_length(), suite.q)
         return k, (v,)
-    if mode == "akcn41":
-        blocks = _stride_blocks(sigma2, 4)
-        bits = _want_bits(rng, key_in, len(blocks))
-        return bits, (codes.akcn41_con(blocks, bits, suite.code_g, q),)
-    if mode == "e8":
-        blocks = _stride_blocks(sigma2, 8)
-        bits = _want_bits(rng, key_in, 4 * len(blocks)).reshape(-1, 4)
-        return bits.reshape(-1), (codes.e8_con(blocks, bits, suite.code_g, q),)
-    raise ValueError(mode)
+
+    def _recover(self, suite: Suite, sigma1, hint):
+        return codes.newhope_rec(_stride_blocks(sigma1, 4), hint[0], (suite.code_g - 1).bit_length(), suite.q)
 
 
-def _ring_rec(suite: Suite, sigma1: np.ndarray, hint) -> np.ndarray:
-    q = suite.q
-    mode = suite.mode
-    if mode in ("plain", "sec"):
-        rec = akc_rec if suite.is_akc else kc_rec
-        k = rec(suite.variant, sigma1, hint[0], suite.kc)
-        if mode == "plain":
-            return k
-        code = codes.SecCode(suite.n_h)
-        nblk = suite.sec_blocks
-        blocks = k[: nblk * code.block_bits].reshape(nblk, code.block_bits).astype(np.uint8)
-        if suite.is_akc:
-            return codes.sec_decode(blocks, code).reshape(-1)
-        return codes.sec_unwrap(blocks, hint[1].astype(np.uint8), code).reshape(-1)
-    if mode == "newhope":
-        r = (suite.code_g - 1).bit_length()
-        return codes.newhope_rec(_stride_blocks(sigma1, 4), hint[0], r, q)
-    if mode == "akcn41":
-        return codes.akcn41_rec(_stride_blocks(sigma1, 4), hint[0], suite.code_g, q)
-    if mode == "e8":
-        return codes.e8_rec(_stride_blocks(sigma1, 8), hint[0], suite.code_g, q).reshape(-1)
-    raise ValueError(mode)
+class _Akcn41(_Mode):
+    """The 4:1 D4 AKC: one chosen bit per 4 coefficients."""
+
+    AKC = True
+
+    def fields(self, suite: Suite) -> tuple[wire.Field, tuple[wire.Field, ...]]:
+        g = suite.code_g
+        return wire.Field("key", (suite.n // 4,), (2,)), (wire.Field("v", (suite.n // 4,), (g, g, g, 2 * g)),)
+
+    def _agree(self, suite: Suite, sigma2, rng, k):
+        return k, (codes.akcn41_con(_stride_blocks(sigma2, 4), k, suite.code_g, suite.q),)
+
+    def _recover(self, suite: Suite, sigma1, hint):
+        return codes.akcn41_rec(_stride_blocks(sigma1, 4), hint[0], suite.code_g, suite.q)
 
 
-def _want_bits(rng, key_in, count: int) -> np.ndarray:
-    if key_in is None:
-        return rng.integers(0, 2, size=count, dtype=np.int64)
-    bits = np.asarray(key_in, dtype=np.int64).reshape(-1)
-    if bits.size != count:
-        raise ValueError(f"caller-chosen key must have {count} bits")
-    return bits
+class _E8(_Mode):
+    """The E8 AKC: four chosen bits per 8 coefficients."""
+
+    AKC = True
+
+    def fields(self, suite: Suite) -> tuple[wire.Field, tuple[wire.Field, ...]]:
+        return wire.Field("key", (suite.n // 2,), (2,)), (wire.Field("v", (suite.n // 8, 8), (suite.code_g,)),)
+
+    def _agree(self, suite: Suite, sigma2, rng, k):
+        return k, (codes.e8_con(_stride_blocks(sigma2, 8), k.reshape(-1, 4), suite.code_g, suite.q),)
+
+    def _recover(self, suite: Suite, sigma1, hint):
+        return codes.e8_rec(_stride_blocks(sigma1, 8), hint[0], suite.code_g, suite.q).reshape(-1)
 
 
-# --- matrix-family consensus helpers ---------------------------------------
-
-def _con(suite: Suite, sigma2: np.ndarray, rng, key_in):
-    if suite.is_akc:
-        if key_in is None:
-            key_in = rng.integers(0, suite.kc.m, size=sigma2.shape, dtype=np.int64)
-        return key_in, akc_con(suite.variant, sigma2, key_in, suite.kc)
-    if key_in is not None:
-        raise ValueError("KC suites cannot transport a chosen key")
-    return kc_con(suite.variant, sigma2, suite.kc, rng)
-
-
-def _rec(suite: Suite, sigma1: np.ndarray, v: np.ndarray):
-    rec = akc_rec if suite.is_akc else kc_rec
-    return rec(suite.variant, sigma1, v, suite.kc)
-
-
-def _pack_key(suite: Suite, key_sym: np.ndarray) -> bytes:
-    mbits = (suite.kc.m - 1).bit_length()
-    return wire.pack(key_sym, mbits)
+MODES = {"plain": _Plain(), "sec": _Sec(), "newhope": _NewHope(), "akcn41": _Akcn41(), "e8": _E8()}
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +377,7 @@ def public_element(suite: Suite) -> wire.Field:
 
 def initiate(suite: Suite, rng) -> tuple[Session, bytes]:
     secret, msg1 = _FAMILIES[suite.family].initiate(suite, rng)
-    return Session(suite, secret, msg1), msg1
+    return Session(suite, secret), msg1
 
 
 def respond(suite: Suite, msg1: bytes, rng, key_in=None) -> tuple[bytes, bytes]:
@@ -356,9 +386,7 @@ def respond(suite: Suite, msg1: bytes, rng, key_in=None) -> tuple[bytes, bytes]:
 
 
 def finish(session: Session, msg2: bytes) -> bytes:
-    suite = session.suite
-    session.key_bits = _FAMILIES[suite.family].finish(suite, session.secret, msg2)
-    return session.key_bits
+    return _FAMILIES[session.suite.family].finish(session.suite, session.secret, msg2)
 
 
 def hybrid_keygen(suite: Suite, rng):

@@ -15,6 +15,7 @@ from functools import lru_cache
 
 from kcn import noise as noise_mod
 from kcn.kc import KcParams, KcVariant, validate_params
+from kcn.protocols import MODES
 
 __all__ = ["NoiseSpec", "Suite", "SUITES", "get_suite", "suite_names"]
 
@@ -98,7 +99,7 @@ class Suite:
     n_b: int = 0  # hybrid only
     p: int = 0  # rounding modulus (lwr / hybrid)
     t: int = 0  # cut bits (lwe)
-    mode: str = "plain"  # rlwe: plain | sec | akcn41 | newhope | e8
+    mode: str = "plain"  # a key of kcn.protocols.MODES; the matrix families use plain
     code_g: int = 0  # hint range for the code modes
     n_h: int = 0  # SEC parity dimension
 
@@ -111,35 +112,13 @@ class Suite:
     # -- derived quantities ------------------------------------------------
 
     @property
-    def is_akc(self) -> bool:
-        if self.mode in ("akcn41", "e8"):
-            return True
-        if self.mode == "newhope":
-            return False
-        return self.variant.is_akc
-
-    @property
     def qbits(self) -> int:
         return (self.q - 1).bit_length()
 
     @property
-    def sec_blocks(self) -> int:
-        code_bits = (1 << self.n_h) + self.n_h
-        return self.n // code_bits
-
-    @property
     def key_bits(self) -> int:
-        if self.family in ("lwr", "lwe", "hybrid"):
-            return self.l_a * self.l_b * (self.kc.m - 1).bit_length()
-        if self.mode == "plain":
-            return self.n * (self.kc.m - 1).bit_length()
-        if self.mode == "sec":
-            return self.sec_blocks * ((1 << self.n_h) - 1)
-        if self.mode in ("akcn41", "newhope"):
-            return self.n // 4
-        if self.mode == "e8":
-            return self.n // 2
-        raise ValueError(self.mode)
+        key = MODES[self.mode].fields(self)[0]
+        return key.count * key.bits
 
     def describe(self) -> dict:
         out = {

@@ -172,6 +172,8 @@ def test_chosen_key_transport(rng):
     kb, ct = proto.hybrid_encaps(suite, pk, rng, key_in=chosen)
     assert kb == bytes(32)
     assert proto.hybrid_decaps(suite, sk, ct) == kb
+    kb, ct = proto.hybrid_encaps(suite, pk, rng, key_in=np.ones((8, 8), dtype=np.int64))
+    assert proto.hybrid_decaps(suite, sk, ct) == kb == b"\x11" * 32  # 64 symbols of 4 bits
 
     rlwe = get_suite("akcn-sec-837")
     sess, m1 = proto.initiate(rlwe, rng)
@@ -179,12 +181,32 @@ def test_chosen_key_transport(rng):
     kb, m2 = proto.respond(rlwe, m1, rng, key_in=bits)
     assert proto.finish(sess, m2) == kb == bytes((rlwe.key_bits + 7) // 8)
 
+    # an all-ones key through one AKC suite of each ring mode
+    for name in ("akcn-rlwe-16", "akcn-sec-765", "akcn-4to1", "zarzar"):
+        rlwe = get_suite(name)
+        ones = np.ones(rlwe.key_bits, dtype=np.int64)
+        sess, m1 = proto.initiate(rlwe, rng)
+        kb, m2 = proto.respond(rlwe, m1, rng, key_in=ones)
+        assert proto.finish(sess, m2) == kb == wire.pack_bits(ones), name
 
-def test_kc_suite_rejects_chosen_key(rng):
-    suite = get_suite("lwr-recommended")
+
+@pytest.mark.parametrize("name", ["lwr-recommended", "okcn-rlwe-16", "okcn-sec-765", "newhope"])
+def test_kc_suite_rejects_chosen_key(name, rng):
+    suite = get_suite(name)
     sess, m1 = proto.initiate(suite, rng)
-    with pytest.raises(ValueError):
-        proto.respond(suite, m1, rng, key_in=np.zeros((8, 8), dtype=np.int64))
+    with pytest.raises(ValueError, match="cannot transport a chosen key"):
+        proto.respond(suite, m1, rng, key_in=np.ones(suite.key_bits, dtype=np.int64))
+
+
+def test_akc_chosen_key_needs_the_key_count(rng):
+    # hybrid-recommended agrees on 8 x 8 symbols; a scalar used to broadcast
+    suite = get_suite("hybrid-recommended")
+    pk, _ = proto.hybrid_keygen(suite, rng)
+    for bad in (1, np.ones((8, 7), dtype=np.int64)):
+        with pytest.raises(ValueError):
+            proto.hybrid_encaps(suite, pk, rng, key_in=bad)
+    with pytest.raises(ValueError, match=r"field key\[0\]"):  # a symbol at m = 16
+        proto.hybrid_encaps(suite, pk, rng, key_in=np.full((8, 8), 16))
 
 
 def test_derive_key_modes():
