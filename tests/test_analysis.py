@@ -13,6 +13,8 @@ from scipy.stats import chi2
 
 from kcn.analysis import pmf as pm
 from kcn.analysis.error_rates import (
+    ZarzarReport,
+    error_rate,
     lwe_error_rate,
     lwr_diff_distribution,
     rlwe_error_rate,
@@ -20,7 +22,7 @@ from kcn.analysis.error_rates import (
 )
 from kcn.kc import KcParams, KcVariant
 from kcn.noise import Pmf
-from kcn.suites import NoiseSpec, Suite
+from kcn.suites import SUITES, NoiseSpec, Suite
 
 
 # --- pmf operations ----------------------------------------------------------
@@ -193,3 +195,52 @@ def test_zarzar_report_structure():
     assert 0 <= rep.tail <= 1
     assert rep.overall <= min(1.0, 8 * rep.tail) + 1e-18
     assert zarzar_error_rate(1e-6, 12289, 2**6, 64).tail == 0.0  # sigma -> 0
+
+
+# --- pinned figures ------------------------------------------------------------
+
+# (log2_overall, log2_per_symbol) per suite; log2_tail in place of the
+# per-symbol figure for the zarzar chi-square pipeline.
+PINNED_FIGURES = {
+    "lwr-recommended": (-35.439570393359475, -41.439570393359475),
+    "lwr-paranoid": (-34.838100575766184, -40.838100575766184),
+    "lwe-challenge": (-47.88869456809372, -53.88869456809372),
+    "lwe-classical": (-39.394794246165205, -46.394794246165205),
+    "lwe-recommended": (-37.86331605172429, -45.86331605172429),
+    "lwe-paranoid": (-32.632714613359134, -40.632714613359134),
+    "lwe-paranoid-512": (-33.61821099096072, -42.61821099096072),
+    "okcn-t2": (-39.03347446362304, -47.03347446362304),
+    "okcn-t1": (-52.26443397255644, -60.26443397255644),
+    "frodo-challenge": (-41.79863747505612, -47.79863747505612),
+    "frodo-classical": (-36.23296174643675, -43.23296174643675),
+    "frodo-recommended": (-38.94387621686893, -46.94387621686893),
+    "frodo-paranoid": (-33.78413408186755, -41.78413408186755),
+    "okcn-frodo-challenge": (-80.05858804190487, -86.05858804190487),
+    "okcn-frodo-classical": (-70.32180126062866, -77.32180126062866),
+    "okcn-frodo-recommended": (-105.90327551660928, -113.90327551660928),
+    "okcn-frodo-paranoid": (-91.92075031848361, -99.92075031848361),
+    "hybrid-recommended": (-63.30989101191406, -69.30989101191406),
+    "hybrid-paranoid": (-52.31388280383642, -58.31388280383642),
+    "okcn-rlwe-16": (-38.352598374760134, -48.352598374760134),
+    "okcn-rlwe-64": (-42.966522710493976, -52.966522710493976),
+    "akcn-rlwe-16": (-32.52281785915974, -42.52281785915974),
+    "akcn-rlwe-64": (-41.40563940123555, -51.40563940123555),
+    "okcn-sec-765": (-71.80335476801703, -42.52281785915974),
+    "okcn-sec-837": (-70.91136984908475, -42.52281785915974),
+    "akcn-sec-765": (-71.80335476801703, -42.52281785915974),
+    "akcn-sec-837": (-70.91136984908475, -42.52281785915974),
+    "zarzar": (-28.488988731592926, -34.488988731592926),
+}
+
+
+def test_error_rate_figures_pinned():
+    unsupported = {"newhope", "akcn-4to1"}
+    assert set(PINNED_FIGURES) == set(SUITES) - unsupported
+    for name, (overall, second) in PINNED_FIGURES.items():
+        rep = error_rate(SUITES[name])
+        got = rep.log2_tail if isinstance(rep, ZarzarReport) else rep.log2_per_symbol
+        assert abs(rep.log2_overall - overall) <= 1e-9, (name, rep.log2_overall, overall)
+        assert abs(got - second) <= 1e-9, (name, got, second)
+    for name in unsupported:
+        with pytest.raises(ValueError):
+            error_rate(SUITES[name])
