@@ -38,6 +38,9 @@ __all__ = [
 class ErrorReport:
     per_symbol: float  # one coordinate (matrix families) or one bit (ring)
     overall: float
+    # Bound on the per-symbol mass lost to trimming: the exact per-symbol
+    # rate lies in [per_symbol, per_symbol + dropped].  None: not tracked.
+    dropped: float | None = None
 
     @property
     def log2_overall(self) -> float:
@@ -98,7 +101,7 @@ def lwe_error_rate(suite: Suite) -> ErrorReport:
         p_coord = _frodo_fail_prob(folded, q, suite.kc.m)
     else:
         p_coord = pm.cyclic_fail_prob(folded, d)
-    return ErrorReport(p_coord, _union(p_coord, suite.key_bits))
+    return ErrorReport(p_coord, _union(p_coord, suite.key_bits), dist.dropped)
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +246,8 @@ def hybrid_error_rate(suite: Suite, exact_region: bool = False) -> ErrorReport:
     w = q // p
     ex = pm.iid_sum(pm.trim(pm.product_pmf(chi, chi)), suite.n_b)
     xu = pm.iid_sum(pm.trim(pm.product_pmf(chi, uniform_pmf(-w // 2, w // 2 - 1))), suite.n)
-    folded = pm.fold_mod(pm.conv(ex, xu), q)
+    dist = pm.conv(ex, xu)
+    folded = pm.fold_mod(dist, q)
     r = np.arange(q)
     s = (2 * p * r + q) // (2 * q) % p
     if exact_region:
@@ -257,7 +261,7 @@ def hybrid_error_rate(suite: Suite, exact_region: bool = False) -> ErrorReport:
         p_coord = float(np.dot(folded, frac / step))
     else:
         p_coord = float(np.sum(folded[np.minimum(s, p - s) > qk // (2 * m) - 1]))
-    return ErrorReport(p_coord, _union(p_coord, suite.l_a * suite.l_b))
+    return ErrorReport(p_coord, _union(p_coord, suite.l_a * suite.l_b), dist.dropped)
 
 
 # ---------------------------------------------------------------------------
@@ -271,15 +275,14 @@ def rlwe_error_rate(suite: Suite) -> ErrorReport:
     chi = suite.noise.pmf()
     q, n, d = suite.q, suite.n, suite.kc.d
     term = pm.trim(pm.product_pmf(chi, chi))
-    folded = pm.iid_sum_mod(term, 2 * n, q)
-    folded = pm._cyclic_conv(folded, pm.fold_mod(pm.negate(chi), q), q)
-    per_bit = pm.cyclic_fail_prob(folded, d)
+    dist = pm.conv(pm.iid_sum(term, 2 * n), pm.negate(chi))
+    per_bit = pm.cyclic_fail_prob(pm.fold_mod(dist, q), d)
     if suite.mode == "plain":
         overall = _union(per_bit, n)
     else:
         block_bits = SecCode(suite.n_h).block_bits
         overall = _union(per_bit**2, suite.n // block_bits * math.comb(block_bits, 2))
-    return ErrorReport(per_bit, overall)
+    return ErrorReport(per_bit, overall, dist.dropped)
 
 
 # ---------------------------------------------------------------------------

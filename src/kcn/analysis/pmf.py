@@ -9,7 +9,9 @@ for integer k, so discretization and merging are exact grid operations.
 
 Convolutions are direct (never FFT): with non-negative terms the result
 carries only relative rounding error, which keeps 2^-100-scale tail
-probabilities meaningful.
+probabilities meaningful.  Trimming keeps supports small; each Pmf carries
+the mass its trims removed in `dropped`, and every stage that combines
+two Pmfs adds their bounds (1 - (1-a)(1-b) <= a + b).
 """
 
 from __future__ import annotations
@@ -44,25 +46,32 @@ PROB_FLOOR = 2.0**-200  # mass below this is flushed when trimming supports
 
 def conv(p: Pmf, q: Pmf) -> Pmf:
     """Distribution of X + Y for independent X ~ p, Y ~ q."""
-    return Pmf(p.offset + q.offset, np.convolve(p.probs, q.probs))
+    return Pmf(p.offset + q.offset, np.convolve(p.probs, q.probs), p.dropped + q.dropped)
 
 
 def negate(p: Pmf) -> Pmf:
-    return Pmf(-(p.offset + len(p.probs) - 1), p.probs[::-1])
+    return Pmf(-(p.offset + len(p.probs) - 1), p.probs[::-1], p.dropped)
 
 
 def iid_sum(p: Pmf, n: int) -> Pmf:
-    """Distribution of the sum of n i.i.d. copies of p, by binary doubling."""
+    """Distribution of the sum of n i.i.d. copies of p, by binary doubling.
+
+    Every convolution is trimmed, so supports stay near the bulk of the mass.
+    A cut made after j doublings reaches the sum about n / 2^j times, so the
+    floor is PROB_FLOOR / n: the trims add at most 4 PROB_FLOOR to `dropped`
+    whatever n is.
+    """
     if n < 1:
         raise ValueError("n >= 1")
+    floor = PROB_FLOOR / n
     acc = None
     sq = p
     while n:
         if n & 1:
-            acc = sq if acc is None else conv(acc, sq)
+            acc = sq if acc is None else trim(conv(acc, sq), floor)
         n >>= 1
         if n:
-            sq = conv(sq, sq)
+            sq = trim(conv(sq, sq), floor)
     return acc
 
 
@@ -75,27 +84,8 @@ def fold_mod(p: Pmf, q: int) -> np.ndarray:
 
 
 def iid_sum_mod(p: Pmf, n: int, q: int) -> np.ndarray:
-    """Distribution of an n-fold i.i.d. sum reduced mod q (length-q array).
-
-    Folding after every doubling keeps intermediate supports at q points.
-    """
-    acc = None
-    sq = fold_mod(p, q)
-    while n:
-        if n & 1:
-            acc = sq if acc is None else _cyclic_conv(acc, sq, q)
-        n >>= 1
-        if n:
-            sq = _cyclic_conv(sq, sq, q)
-    return acc
-
-
-def _cyclic_conv(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
-    full = np.convolve(a, b)
-    out = np.zeros(q)
-    out[: len(full) - q] = full[q:]
-    out += full[:q]
-    return out
+    """Distribution of an n-fold i.i.d. sum reduced mod q (length-q array)."""
+    return fold_mod(iid_sum(p, n), q)
 
 
 def product_pmf(px: Pmf, py: Pmf) -> Pmf:
@@ -106,7 +96,7 @@ def product_pmf(px: Pmf, py: Pmf) -> Pmf:
     lo, hi = int(prods.min()), int(prods.max())
     out = np.zeros(hi - lo + 1)
     np.add.at(out, prods - lo, weights)
-    return Pmf(lo, out)
+    return Pmf(lo, out, px.dropped + py.dropped)
 
 
 def cyclic_fail_prob(folded: np.ndarray, d: int) -> float:
@@ -118,12 +108,17 @@ def cyclic_fail_prob(folded: np.ndarray, d: int) -> float:
 
 
 def trim(p: Pmf, floor: float = PROB_FLOOR) -> Pmf:
-    """Drop leading/trailing support whose one-sided tail mass is below floor."""
+    """Drop leading/trailing support whose one-sided tail mass is below floor.
+
+    The cut tails are summed directly into `dropped`: 1 - mass would be
+    swamped by rounding.
+    """
     c = np.cumsum(p.probs)
     lo = int(np.searchsorted(c, floor))
     hi = len(p.probs) - int(np.searchsorted(np.cumsum(p.probs[::-1]), floor))
     lo = max(0, min(lo, hi - 1))
-    return Pmf(p.offset + lo, p.probs[lo:hi].copy())
+    cut = float(np.sum(p.probs[:lo]) + np.sum(p.probs[hi:]))
+    return Pmf(p.offset + lo, p.probs[lo:hi].copy(), p.dropped + cut)
 
 
 # ---------------------------------------------------------------------------

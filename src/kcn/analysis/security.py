@@ -84,8 +84,10 @@ def _dual(n, q, ss, se, m_grid, b_grid, model):
     table was computed.
     """
     c = math.sqrt(se / ss)
-    mm, bb = np.meshgrid(m_grid.astype(np.float64), b_grid.astype(np.float64), indexing="ij")
-    d = mm + n
+    # rows are sample counts m, columns block sizes b; terms of b alone
+    # are computed once per b and broadcast
+    bb = b_grid.astype(np.float64)
+    d = m_grid.astype(np.float64)[:, None] + n
     ln_l = d * np.log(_delta0(bb)) + (n / d) * math.log(q / c)
     ln_tau = ln_l + 0.5 * math.log(se) - math.log(q)
     log2_eps = (math.log(4) - 2 * math.pi**2 * np.exp(2 * ln_tau)) / math.log(2)

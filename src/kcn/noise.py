@@ -38,10 +38,13 @@ class Pmf:
 
     `probs[i]` is the probability of `offset + i`.  Total mass is kept
     within 2^-40 of 1 by construction everywhere in this package.
+    `dropped` bounds the mass that trimming removed on the way here, so an
+    event's true probability lies in [P, P + dropped].
     """
 
     offset: int
     probs: np.ndarray
+    dropped: float = 0.0
 
     def __post_init__(self):
         object.__setattr__(self, "probs", np.asarray(self.probs, dtype=np.float64))

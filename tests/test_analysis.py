@@ -7,6 +7,7 @@ pipelines are checked against independent oracles at small sizes.
 import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.stats import chi2
@@ -84,6 +85,99 @@ def test_integer_pmf_helpers():
     assert np.allclose(folded, direct, atol=1e-14)
     prod = pm.product_pmf(p, Pmf(2, np.array([1.0])))
     assert prod.offset == -2 and abs(prod.variance() - 4 * p.variance()) < 1e-12
+
+
+def _fold_every_doubling(p, n, q):
+    """The old iid_sum_mod: fold onto Z_q, then cyclic convolutions."""
+    def cyclic(a, b):
+        full = np.convolve(a, b)
+        out = full[:q].copy()
+        out[: len(full) - q] += full[q:]
+        return out
+
+    acc, sq = None, pm.fold_mod(p, q)
+    while n:
+        if n & 1:
+            acc = sq if acc is None else cyclic(acc, sq)
+        n >>= 1
+        if n:
+            sq = cyclic(sq, sq)
+    return acc
+
+
+@pytest.mark.parametrize("n, q", [(100, 7), (37, 12289)])
+def test_iid_sum_mod_matches_fold_every_doubling(n, q):
+    if q == 7:
+        p = Pmf(-1, np.array([0.25, 0.5, 0.25]))
+    else:
+        chi = SUITES["okcn-sec-837"].noise.pmf()
+        p = pm.trim(pm.product_pmf(chi, chi))
+    want = _fold_every_doubling(p, n, q)
+    got = pm.iid_sum_mod(p, n, q)
+    assert len(got) == q
+    assert np.allclose(got, want, rtol=1e-12, atol=2.0**-190)
+
+
+def _tail_index(probs, target):
+    """First index whose upper tail sum falls to target or below."""
+    tails = np.cumsum(probs[::-1])[::-1]
+    return int(np.argmax(tails <= target))
+
+
+def test_trimmed_iid_sum_within_dropped_of_untrimmed():
+    chi = SUITES["lwe-recommended"].noise.pmf()
+    term = pm.product_pmf(chi, chi)
+    ref = term.probs
+    for _ in range(63):
+        ref = np.convolve(ref, term.probs)
+    ref_offset = 64 * term.offset
+    i = _tail_index(ref, 2.0**-100)
+    want = float(np.sum(ref[i:]))
+    got = pm.iid_sum(pm.trim(term), 64)
+    assert 0 < got.dropped <= 2.0**-190
+    have = float(np.sum(got.probs[i + ref_offset - got.offset:]))
+    assert 2.0**-101 < want <= 2.0**-100
+    assert -1e-12 * want <= want - have <= got.dropped + 1e-12 * want
+
+
+def test_iid_sum_tail_against_mpmath():
+    # centered binomial with support +-2: dyadic probabilities, exact in float
+    chi = Pmf(-2, np.array([1, 4, 6, 4, 1]) / 16.0)
+    term = pm.product_pmf(chi, chi)
+    got = pm.iid_sum(pm.trim(term), 64)
+    with mpmath.workdps(50):
+        one = [mpmath.mpf(float(x)) for x in term.probs]
+        exact = one
+        for _ in range(63):
+            nxt = [mpmath.mpf(0)] * (len(exact) + len(one) - 1)
+            for j, y in enumerate(one):
+                for i, x in enumerate(exact):
+                    nxt[i + j] += x * y
+            exact = nxt
+        tails = list(itertools.accumulate(reversed(exact)))[::-1]
+        i = next(k for k, t in enumerate(tails) if t <= mpmath.mpf(2) ** -100)
+        want = tails[i]
+        have = mpmath.mpf(float(np.sum(got.probs[i + 64 * term.offset - got.offset:])))
+        assert want > mpmath.mpf(2) ** -101
+        assert -1e-12 * want <= want - have <= got.dropped + 1e-12 * want
+
+
+def test_error_reports_carry_dropped_mass():
+    for name, suite in SUITES.items():
+        if suite.family == "lwr":
+            assert error_rate(suite).dropped is None
+        elif suite.family in ("lwe", "hybrid") or suite.mode in ("plain", "sec"):
+            rep = error_rate(suite)
+            assert 0 < rep.dropped <= 2.0**-190, name
+
+
+def test_trim_sums_the_cut_tails():
+    p = Pmf(0, np.array([2.0**-210, 2.0**-205, 0.5, 0.5 - 2.0**-204, 2.0**-204]), 2.0**-230)
+    t = pm.trim(p)
+    assert t.offset == 2 and len(t.probs) == 2
+    assert t.dropped == 2.0**-210 + 2.0**-205 + 2.0**-204 + 2.0**-230
+    assert pm.conv(t, pm.negate(t)).dropped == 2 * t.dropped
+    assert pm.product_pmf(t, p).dropped == t.dropped + p.dropped
 
 
 def test_cyclic_fail_prob():
