@@ -118,12 +118,6 @@ def test_iid_sum_mod_matches_fold_every_doubling(n, q):
     assert np.allclose(got, want, rtol=1e-12, atol=2.0**-190)
 
 
-def _tail_index(probs, target):
-    """First index whose upper tail sum falls to target or below."""
-    tails = np.cumsum(probs[::-1])[::-1]
-    return int(np.argmax(tails <= target))
-
-
 def test_trimmed_iid_sum_within_dropped_of_untrimmed():
     chi = SUITES["lwe-recommended"].noise.pmf()
     term = pm.product_pmf(chi, chi)
@@ -131,7 +125,7 @@ def test_trimmed_iid_sum_within_dropped_of_untrimmed():
     for _ in range(63):
         ref = np.convolve(ref, term.probs)
     ref_offset = 64 * term.offset
-    i = _tail_index(ref, 2.0**-100)
+    i = int(np.argmax(np.cumsum(ref[::-1])[::-1] <= 2.0**-100))  # tail near 2^-100
     want = float(np.sum(ref[i:]))
     got = pm.iid_sum(pm.trim(term), 64)
     assert 0 < got.dropped <= 2.0**-190
