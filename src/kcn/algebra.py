@@ -8,6 +8,14 @@ values carrying a domain flag so coefficient- and NTT-domain data cannot
 be mixed silently.  The public matrix / ring element is expanded
 deterministically from a 32-byte seed with SHAKE-128, domain-separated by
 a one-byte role tag.
+
+The negacyclic NTT is Bailey's four-step method on float64 BLAS: the n
+coefficients form an n1 x n2 matrix (n1 = 2^ceil(log2(n) / 2)), which is
+multiplied by an n1-point transform matrix, scaled by twiddle factors and
+multiplied by an n2-point one, each step reduced mod q.  The products are
+exact while n1 (q - 1)^2 < 2^53; a ring past that bound is refused.  The
+order of the NTT-domain values is unspecified, so they serve only for
+pointwise products and the inverse transform, never the wire.
 """
 
 from __future__ import annotations
@@ -183,58 +191,81 @@ def _find_generator(q: int) -> int:
 
 @lru_cache(maxsize=None)
 def _ntt_tables(n: int, q: int):
-    """Bit-reversed psi tables for the 2n-th primitive root of unity mod q."""
+    """Read-only float64 four-step tables (W1, T, W2, W1inv, Tinv, W2inv).
+
+    With n = n1 * n2 and n1 = 2^ceil(log2(n) / 2), coefficient n2 j1 + j2
+    is entry (j1, j2) of A, and entry (k1, k2) of the output is A evaluated
+    at psi^(2k + 1), k = k1 + n1 k2.  That evaluation factors into
+    W1[k1, j1] = psi^(n2 j1 (2k1 + 1)), T[k1, j2] = psi^(j2 (2k1 + 1)) and
+    W2[j2, k2] = psi^(2 n1 j2 k2).  The inverse tables negate every
+    exponent, and Tinv also carries n^-1.  Every entry is read, by its
+    exponent mod 2n, from one array of the powers of psi.
+    """
     if n & (n - 1) or n < 2:
         raise ValueError("n must be a power of two")
     if (q - 1) % (2 * n):
         raise ValueError(f"q = {q} does not support n = {n} (need q = 1 mod 2n)")
+    n1 = 1 << (n.bit_length() // 2)
+    n2 = n // n1
+    if n1 * (q - 1) ** 2 >= 2**53:
+        raise ValueError(f"n1 * (q - 1)^2 = {n1 * (q - 1) ** 2} must be below 2^53 "
+                         f"for an exact float64 NTT (n = {n}, q = {q})")
     g = _find_generator(q)
     psi = pow(g, (q - 1) // (2 * n), q)
     assert pow(psi, n, q) == q - 1
-    logn = n.bit_length() - 1
-    br = np.array([int(format(i, f"0{logn}b")[::-1], 2) for i in range(n)])
-    powers = np.array([pow(psi, int(i), q) for i in range(n)], dtype=np.int64)
-    inv_powers = np.array([pow(psi, -int(i), q) for i in range(n)], dtype=np.int64)
+    powers = np.empty(2 * n, dtype=np.int64)
+    powers[0] = 1
+    for e in range(1, 2 * n):
+        powers[e] = powers[e - 1] * psi % q
+    odd = 2 * np.arange(n1)[:, None] + 1  # 2 k1 + 1, down the rows
+    j1, j2 = np.arange(n1), np.arange(n2)
+    w1, t, w2 = n2 * j1 * odd, j2 * odd, 2 * n1 * j2[:, None] * j2
     n_inv = pow(n, -1, q)
-    return powers[br], inv_powers[br], n_inv
+    tables = (powers[w1 % (2 * n)], powers[t % (2 * n)], powers[w2 % (2 * n)],
+              powers[-w1.T % (2 * n)], powers[-t % (2 * n)] * n_inv % q, powers[-w2.T % (2 * n)])
+    tables = tuple(np.ascontiguousarray(x, dtype=np.float64) for x in tables)
+    for x in tables:
+        x.flags.writeable = False
+    return tables
+
+
+def _mod(x: np.ndarray, q: int) -> np.ndarray:
+    """x mod q for exact integer float64 x, into [0, q)."""
+    r = x * (1.0 / q)
+    np.floor(r, out=r)
+    r *= -q
+    r += x  # x - floor(x / q) q, off by one q at most
+    r[r >= q] -= q
+    r[r < 0] += q
+    return r
 
 
 def ntt_forward(p: RingPoly) -> RingPoly:
-    """Forward negacyclic NTT (Cooley-Tukey, psi powers merged in)."""
+    """Forward negacyclic NTT, Bailey's four-step method in float64 BLAS.
+
+    The n coefficients are an n1 x n2 matrix A, transformed as
+    ((W1 @ A mod q) * T mod q) @ W2 mod q, with the powers of psi folded
+    into W1 and T.  Every product is an exact integer in float64 because
+    n1 (q - 1)^2 < 2^53.  The order of the outputs is unspecified: use
+    them only pointwise and through `ntt_inverse`.
+    """
     if p.domain != "coef":
         raise ValueError("already in NTT domain")
-    psi_br, _, _ = _ntt_tables(p.n, p.q)
-    a = p.coeffs.copy()
-    n, q = p.n, p.q
-    m = 1
-    while m < n:
-        t = n // (2 * m)
-        view = a.reshape(m, 2, t)
-        s = psi_br[m: 2 * m, None]
-        u = view[:, 0, :]
-        v = view[:, 1, :] * s % q
-        view[:, 0, :], view[:, 1, :] = (u + v) % q, (u - v) % q
-        m *= 2
-    return RingPoly(n, q, a, "ntt")
+    w1, t, w2, _, _, _ = _ntt_tables(p.n, p.q)
+    a = p.coeffs.astype(np.float64).reshape(w1.shape[0], -1)
+    a = _mod(_mod(_mod(w1 @ a, p.q) * t, p.q) @ w2, p.q)
+    return RingPoly(p.n, p.q, a.reshape(-1).astype(np.int64), "ntt")
 
 
 def ntt_inverse(p: RingPoly) -> RingPoly:
-    """Inverse transform (Gentleman-Sande), including the n^-1 scaling."""
+    """Inverse of `ntt_forward`, each step undone in reverse order, with
+    psi^-j and n^-1 folded into the tables; exact under the same bound."""
     if p.domain != "ntt":
         raise ValueError("not in NTT domain")
-    _, inv_psi_br, n_inv = _ntt_tables(p.n, p.q)
-    a = p.coeffs.copy()
-    n, q = p.n, p.q
-    m = n // 2
-    while m >= 1:
-        t = n // (2 * m)
-        view = a.reshape(m, 2, t)
-        s = inv_psi_br[m: 2 * m, None]
-        u = view[:, 0, :]
-        v = view[:, 1, :]
-        view[:, 0, :], view[:, 1, :] = (u + v) % q, (u - v) * s % q
-        m //= 2
-    return RingPoly(n, q, a * n_inv % q, "coef")
+    _, _, _, w1inv, tinv, w2inv = _ntt_tables(p.n, p.q)
+    a = p.coeffs.astype(np.float64).reshape(w1inv.shape[0], -1)
+    a = _mod(w1inv @ _mod(_mod(a @ w2inv, p.q) * tinv, p.q), p.q)
+    return RingPoly(p.n, p.q, a.reshape(-1).astype(np.int64), "coef")
 
 
 def poly_add(a: RingPoly, b: RingPoly) -> RingPoly:
@@ -244,11 +275,12 @@ def poly_add(a: RingPoly, b: RingPoly) -> RingPoly:
 
 
 def poly_mul(a: RingPoly, b: RingPoly) -> RingPoly:
-    """Negacyclic product via the NTT; inputs and output in coefficient domain."""
-    if a.domain == "ntt" and b.domain == "ntt":
-        return RingPoly(a.n, a.q, a.coeffs * b.coeffs % a.q, "ntt")
+    """Negacyclic product of two polys in one ring: pointwise when both are
+    in the NTT domain, else via the NTT with inputs and output as coefficients."""
     if (a.n, a.q) != (b.n, b.q):
         raise ValueError("operands must share the ring")
+    if a.domain == "ntt" and b.domain == "ntt":
+        return RingPoly(a.n, a.q, a.coeffs * b.coeffs % a.q, "ntt")
     fa, fb = ntt_forward(a), ntt_forward(b)
     return ntt_inverse(RingPoly(a.n, a.q, fa.coeffs * fb.coeffs % a.q, "ntt"))
 

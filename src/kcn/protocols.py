@@ -174,14 +174,14 @@ class _Ring:
                 wire.Layout((wire.Field("y2", y.shape, y.bounds),) + MODES[suite.mode].fields(suite)[1]))
 
     def _a(self, suite: Suite, seed) -> "algebra.RingPoly":
-        return algebra.ntt_forward(algebra.gen_poly(seed, suite.n, suite.q, TAG_POLY))
+        return _public_ntt(bytes(seed), suite.n, suite.q)
 
     def initiate(self, suite: Suite, rng):
         seed = rng.bytes(algebra.SEED_BYTES)
         a = self._a(suite, seed)
         x1 = algebra.ntt_forward(_poly(suite, rng))
         e1 = _poly(suite, rng)
-        y1 = algebra.poly_add(algebra.ntt_inverse(_ntt_mul(a, x1)), e1)
+        y1 = algebra.poly_add(algebra.ntt_inverse(algebra.poly_mul(a, x1)), e1)
         return x1, layouts(suite)[0].pack(np.frombuffer(seed, np.uint8), y1.coeffs)
 
     def respond(self, suite: Suite, msg1: bytes, rng, key_in):
@@ -192,15 +192,16 @@ class _Ring:
         x2 = algebra.ntt_forward(_poly(suite, rng))
         e2 = _poly(suite, rng)
         e_sigma = _poly(suite, rng)
-        y2 = algebra.poly_add(algebra.ntt_inverse(_ntt_mul(a, x2)), e2)
-        sigma2 = algebra.poly_add(algebra.ntt_inverse(_ntt_mul(algebra.ntt_forward(y1), x2)), e_sigma)
+        y2 = algebra.poly_add(algebra.ntt_inverse(algebra.poly_mul(a, x2)), e2)
+        y1x2 = algebra.poly_mul(algebra.ntt_forward(y1), x2)
+        sigma2 = algebra.poly_add(algebra.ntt_inverse(y1x2), e_sigma)
         key, hint = MODES[suite.mode].con(suite, sigma2.coeffs, rng, key_in)
         return key, layout2.pack(y2.coeffs, *hint)
 
     def finish(self, suite: Suite, x1, msg2: bytes) -> bytes:
         y2, *hint = layouts(suite)[1].unpack(msg2)
         y2p = algebra.ntt_forward(algebra.RingPoly(suite.n, suite.q, y2))
-        sigma1 = algebra.ntt_inverse(_ntt_mul(y2p, x1))
+        sigma1 = algebra.ntt_inverse(algebra.poly_mul(y2p, x1))
         return MODES[suite.mode].rec(suite, sigma1.coeffs, hint)
 
 
@@ -208,8 +209,14 @@ def _poly(suite, rng) -> "algebra.RingPoly":
     return algebra.RingPoly(suite.n, suite.q, suite.noise.sample(rng, suite.n))
 
 
-def _ntt_mul(a, b):
-    return algebra.RingPoly(a.n, a.q, a.coeffs * b.coeffs % a.q, "ntt")
+# One entry, like the public matrix in `algebra.gen_matrix`: in one process
+# the responder reuses the initiator's transform.
+@lru_cache(maxsize=1)
+def _public_ntt(seed: bytes, n: int, q: int) -> "algebra.RingPoly":
+    """NTT of the public ring element, its coefficients read-only."""
+    a = algebra.ntt_forward(algebra.gen_poly(seed, n, q, TAG_POLY))
+    a.coeffs.flags.writeable = False
+    return a
 
 
 # ---------------------------------------------------------------------------

@@ -90,6 +90,71 @@ def test_ntt_domain_guard(rng):
         algebra.ntt_forward(RingPoly(12, 97, np.zeros(12, dtype=np.int64)))
 
 
+# the smallest prime q = 1 mod 2n for each power of two n: odd and even
+# log2(n), so both n1 = n2 and n1 = 2 n2 in the four-step split
+POW2_RINGS = [(2, 5), (4, 17), (8, 17), (16, 97), (32, 193), (64, 257), (128, 257),
+              (256, 7681), (512, 12289), (1024, 12289)]
+
+
+@pytest.mark.parametrize("n,q", POW2_RINGS)
+def test_ntt_every_power_of_two(n, q, rng):
+    assert (q - 1) % (2 * n) == 0
+    for _ in range(3):
+        a = rng.integers(0, q, n)
+        b = rng.integers(0, q, n)
+        fast = algebra.poly_mul(RingPoly(n, q, a), RingPoly(n, q, b)).coeffs
+        assert np.array_equal(fast, algebra.schoolbook_negacyclic(a, b, q))
+        back = algebra.ntt_inverse(algebra.ntt_forward(RingPoly(n, q, a)))
+        assert np.array_equal(back.coeffs, a)
+
+
+def test_ntt_exactness_guard():
+    # q = 1 mod 32, but n1 (q - 1)^2 = 4 (q - 1)^2 is past 2^53
+    with pytest.raises(ValueError, match=r"2\^53"):
+        algebra.ntt_forward(RingPoly(16, 67108961, np.arange(16)))
+
+
+def test_float_mod_corrects_floor_rounding():
+    # at q = 7681, floor(x * (1/q)) falls one short on many exact multiples of q
+    q = 7681
+    m = np.arange(32 * (q - 1) ** 2 // q, dtype=np.float64) * q
+    x = np.concatenate([m, m + 1, m + q - 1])
+    r = algebra._mod(x, q)
+    assert np.array_equal(r, x.astype(np.int64) % q)
+
+
+def test_poly_mul_ring_mismatch():
+    a = algebra.ntt_forward(RingPoly(16, 97, np.arange(16)))
+    b = algebra.ntt_forward(RingPoly(16, 193, np.arange(16)))
+    with pytest.raises(ValueError):
+        algebra.poly_mul(a, b)
+    with pytest.raises(ValueError):
+        algebra.poly_mul(RingPoly(16, 97, np.arange(16)), RingPoly(16, 193, np.arange(16)))
+
+
+def test_ring_public_element_is_read_only():
+    suite = get_suite("newhope")
+    ring = proto._FAMILIES["rlwe"]
+    a = ring._a(suite, SEED)
+    assert a.domain == "ntt"
+    with pytest.raises(ValueError):
+        a.coeffs[0] = 1
+    assert ring._a(suite, bytearray(SEED)) is a
+    want = algebra.ntt_forward(algebra.gen_poly(SEED, suite.n, suite.q, proto.TAG_POLY))
+    assert np.array_equal(a.coeffs, want.coeffs)
+
+
+@pytest.mark.parametrize("name", ["newhope", "zarzar"])
+def test_ring_respond_to_second_seed_after_cache_hit(name):
+    suite = get_suite(name)
+    other, msg_other = proto.initiate(suite, np.random.default_rng(3))
+    session, msg1 = proto.initiate(suite, np.random.default_rng(4))
+    key_b, msg2 = proto.respond(suite, msg1, np.random.default_rng(5))  # cache hit
+    assert proto.finish(session, msg2) == key_b
+    key_b, msg2 = proto.respond(suite, msg_other, np.random.default_rng(6))  # other seed
+    assert proto.finish(other, msg2) == key_b
+
+
 def test_gen_matrix_deterministic():
     m1 = algebra.gen_matrix(SEED, 8, 8, 2**14)
     m2 = algebra.gen_matrix(SEED, 8, 8, 2**14)
