@@ -2,14 +2,20 @@
 
 Two parties holding close values sigma1, sigma2 in Z_q agree on a value in
 Z_m with the help of a public hint in Z_g.  Six variants are provided: the
-generic OKCN scheme with sampled noise, its two power-of-two
-simplifications, the generic and power-of-two AKCN schemes (where the key
-is chosen rather than produced), and the reconciliation used by Frodo as a
-comparison baseline.
+generic OKCN and AKCN schemes (in AKCN the key is chosen rather than
+produced), their power-of-two forms, and the reconciliation used by Frodo
+as a comparison baseline.
 
-All arithmetic is plain integer arithmetic (round-half-up implemented as
-floor((2a+b)/(2b))), so every function here accepts either Python ints or
-numpy integer arrays and is exact either way.
+`_SCHEMES` has one entry per variant: its correctness condition, Con and
+Rec.  The six reduce to four formulas: generic OKCN, generic AKCN, Frodo,
+and the OKCN_SIMPLE Rec, which rounds half a cell apart.  Generic OKCN
+draws its noise e from [-floor((alpha-1)/2), floor(alpha/2)], alpha =
+lcm(q, m)/q.  Every other condition implies m | q, so alpha = 1 and e = 0,
+and the power-of-two forms are the generic formulas with beta = q/m.
+
+All arithmetic is integer arithmetic in int64 (round-half-up as
+floor((2a+b)/(2b))), so every function here accepts Python ints or numpy
+integer arrays alike and is exact for q up to 2^20.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -48,7 +55,7 @@ class KcVariant(str, Enum):
 
     @property
     def is_akc(self) -> bool:
-        return self in (KcVariant.AKCN_GENERIC, KcVariant.AKCN_POWER2)
+        return _SCHEMES[self].akc
 
 
 def dist_mod(x, t):
@@ -64,18 +71,17 @@ def div_round(a, b):
     return (2 * a + b) // (2 * b)
 
 
-def _is_pow2(x: int) -> bool:
-    return x >= 1 and (x & (x - 1)) == 0
+def _pow2(*xs: int) -> bool:
+    return all(x >= 1 and (x & (x - 1)) == 0 for x in xs)
 
 
 @dataclass(frozen=True)
 class KcParams:
     """Parameters (q, m, g, d) of one consensus instance.
 
-    Derived values for the generic scheme: qp = lcm(q, m), alpha = qp/q,
-    beta = qp/m.  The power-of-two variants use beta = q/m, gamma = beta/g
-    and G = q/m instead; those are exposed as properties and only make
-    sense when the corresponding variant's validation passes.
+    Derived values: qp = lcm(q, m), alpha = qp/q and beta = qp/m for the
+    OKCN formulas; G = q/m (`big_g`) is Frodo's period and only makes sense
+    when Frodo's validation passes.
     """
 
     q: int
@@ -100,10 +106,6 @@ class KcParams:
     @property
     def beta(self) -> int:
         return self.qp // self.m
-
-    @property
-    def gamma(self) -> int:
-        return self.q // self.m // self.g
 
     @property
     def big_g(self) -> int:
@@ -131,42 +133,14 @@ def validate_params(variant: KcVariant, p: KcParams):
     """Check the variant's correctness condition on (q, m, g, d).
 
     Returns True when the condition holds, otherwise a Violation naming the
-    failed inequality.  The generic KC/AKC efficiency upper bounds
-    2md <= q(1-1/g) and 2md <= q(1-m/g) are implied by every condition
-    below; saturation of those bounds is diagnostic only and can be read
-    off with `bound_slack`.
+    first failed inequality.  The generic KC/AKC efficiency upper bounds
+    2md <= q(1-1/g) and 2md <= q(1-m/g) are implied by every condition in
+    `_SCHEMES`; saturation of those bounds is diagnostic only and can be
+    read off with `bound_slack`.
     """
-    q, m, g, d = p.q, p.m, p.g, p.d
-    if variant is KcVariant.OKCN_GENERIC:
-        if not (2 * d + 1) * m * g < q * (g - 1):
-            return Violation("(2d+1)m < q(1-1/g)", f"(2*{d}+1)*{m} >= {q}*(1-1/{g})")
-    elif variant is KcVariant.OKCN_POWER2:
-        if not (_is_pow2(q) and _is_pow2(m) and _is_pow2(g)):
-            return Violation("q, m, g powers of two", f"q={q} m={m} g={g}")
-        if m * g > q:
-            return Violation("mg <= q", f"{m}*{g} > {q}")
-        if not 2 * m * d * g < q * (g - 1):
-            return Violation("2md < q(1-1/g)", f"2*{m}*{d} >= {q}*(1-1/{g})")
-    elif variant is KcVariant.OKCN_SIMPLE:
-        if not (_is_pow2(m) and _is_pow2(g) and q == m * g):
-            return Violation("q = m*g powers of two", f"q={q} m={m} g={g}")
-        if not 2 * m * d < q:
-            return Violation("2md < q", f"2*{m}*{d} >= {q}")
-    elif variant is KcVariant.AKCN_GENERIC:
-        if not (2 * d + 1) * m * g < q * (g - m):
-            return Violation("(2d+1)m < q(1-m/g)", f"(2*{d}+1)*{m} >= {q}*(1-{m}/{g})")
-    elif variant is KcVariant.AKCN_POWER2:
-        if not (_is_pow2(q) and _is_pow2(m) and q == g and m <= q):
-            return Violation("q = g, powers of two", f"q={q} m={m} g={g}")
-        if not 2 * m * d < q:
-            return Violation("2md < q", f"2*{m}*{d} >= {q}")
-    elif variant is KcVariant.FRODO:
-        if not (_is_pow2(q) and _is_pow2(m) and g == 2 and m * 4 <= q):
-            return Violation("q, m powers of two, g = 2", f"q={q} m={m} g={g}")
-        if not 4 * m * d < q:
-            return Violation("4md < q", f"4*{m}*{d} >= {q}")
-    else:  # pragma: no cover
-        raise ValueError(f"unknown variant {variant}")
+    for holds, condition, detail in _SCHEMES[variant].conditions:
+        if not holds(p.q, p.m, p.g, p.d):
+            return Violation(condition, detail.format(q=p.q, m=p.m, g=p.g, d=p.d))
     return True
 
 
@@ -185,112 +159,144 @@ def _check_range(x, bound, what: str):
         raise ValueError(f"{what} out of range [0, {bound})")
 
 
+def _scheme(variant: KcVariant, akc: bool, op: str) -> _Scheme:
+    if _SCHEMES[variant].akc != akc:
+        family = "akc" if _SCHEMES[variant].akc else "kc"
+        raise ValueError(f"{variant.value} takes {family}_{op}")
+    return _SCHEMES[variant]
+
+
+def _e_range(p: KcParams) -> tuple[int, int]:  # half-open; just {0} when alpha = 1
+    return -((p.alpha - 1) // 2), p.alpha // 2 + 1
+
+
 def kc_con(variant: KcVariant, sigma1, params: KcParams, rng=None):
     """Con of a KC-family variant: (key in Z_m, hint in Z_g) from sigma1 in Z_q.
 
-    The generic variant draws its smoothing noise e uniformly from
-    [-floor((alpha-1)/2), floor(alpha/2)] using `rng`; the power-of-two
-    variants and Frodo are deterministic.  Accepts scalars or arrays.
+    When m does not divide q (only generic OKCN accepts that) the smoothing
+    noise e is drawn uniformly from `_e_range` using `rng`; otherwise e = 0
+    and nothing is drawn.  Accepts scalars or arrays.
     """
-    if variant.is_akc:
-        raise ValueError("akc_con takes a chosen key; use it for AKC variants")
-    q, m, g = params.q, params.m, params.g
-    _check_range(sigma1, q, "sigma1")
-    if variant is KcVariant.OKCN_GENERIC:
-        alpha, beta, qp = params.alpha, params.beta, params.qp
-        lo, hi = -((alpha - 1) // 2), alpha // 2
-        if alpha == 1:
-            e = np.zeros(np.shape(sigma1), dtype=np.int64) if np.ndim(sigma1) else 0
-        else:
-            if rng is None:
-                raise ValueError("generic OKCN needs a randomness source")
-            e = rng.integers(lo, hi + 1, size=np.shape(sigma1) or None)
-        sigma_a = (alpha * np.asarray(sigma1, dtype=np.int64) + e) % qp if np.ndim(sigma1) \
-            else (alpha * sigma1 + int(e)) % qp
-        k1 = sigma_a // beta
-        vp = sigma_a % beta
-        v = vp * g // beta
-    elif variant is KcVariant.OKCN_POWER2:
-        beta, gamma = params.beta, params.gamma
-        k1 = sigma1 // beta
-        v = (sigma1 % beta) // gamma
-    elif variant is KcVariant.OKCN_SIMPLE:
-        k1 = sigma1 // g
-        v = sigma1 % g
-    elif variant is KcVariant.FRODO:
-        half = params.big_g // 2  # 2^(Bbar-1)
-        v = (sigma1 // half) % 2
-        k1 = div_round(sigma1, params.big_g) % m
-    else:  # pragma: no cover
-        raise ValueError(f"unknown variant {variant}")
-    if np.ndim(sigma1):
-        return k1, v
-    return ConOutput(int(k1), int(v))
+    con = _scheme(variant, False, "con").con
+    _check_range(sigma1, params.q, "sigma1")
+    e = 0
+    if params.alpha > 1:
+        if rng is None:
+            raise ValueError("Con needs a randomness source when m does not divide q")
+        e = rng.integers(*_e_range(params), size=np.shape(sigma1) or None)
+    k1, v = con(np.asarray(sigma1, dtype=np.int64), e, params)
+    return (k1, v) if np.ndim(sigma1) else ConOutput(int(k1), int(v))
 
 
 def kc_rec(variant: KcVariant, sigma2, v, params: KcParams):
     """Rec of a KC-family variant: recover the key from sigma2 and the hint v."""
-    if variant.is_akc:
-        raise ValueError("use akc_rec for AKC variants")
-    q, m, g = params.q, params.m, params.g
-    _check_range(sigma2, q, "sigma2")
-    _check_range(v, g, "v")
-    if variant in (KcVariant.OKCN_GENERIC, KcVariant.OKCN_POWER2):  # power2: m | q, so alpha = 1
-        alpha, beta = params.alpha, params.beta
-        k2 = div_round(2 * g * alpha * np.asarray(sigma2, dtype=np.int64) - beta * (2 * np.asarray(v, dtype=np.int64) + 1),
-                       2 * beta * g) % m
-    elif variant is KcVariant.OKCN_SIMPLE:
-        k2 = div_round(np.asarray(sigma2, dtype=np.int64) - v, g) % m
-    elif variant is KcVariant.FRODO:
-        k2 = _frodo_rec(sigma2, v, params)
-    else:  # pragma: no cover
-        raise ValueError(f"unknown variant {variant}")
-    return k2 if np.ndim(sigma2) else int(k2)
+    return _rec(_scheme(variant, False, "rec"), sigma2, v, params)
 
 
-def _frodo_rec(sigma2, v, params: KcParams):
+def akc_con(variant: KcVariant, sigma1, k1, params: KcParams):
+    """Con of an AKC-family variant: hint in Z_g transporting the chosen key k1."""
+    con = _scheme(variant, True, "con").con
+    _check_range(sigma1, params.q, "sigma1")
+    _check_range(k1, params.m, "k1")
+    v = con(np.asarray(sigma1, dtype=np.int64), np.asarray(k1, dtype=np.int64), params)
+    return v if np.ndim(v) else int(v)
+
+
+def akc_rec(variant: KcVariant, sigma2, v, params: KcParams):
+    """Rec of an AKC-family variant: recover the transported key from (sigma2, v)."""
+    return _rec(_scheme(variant, True, "rec"), sigma2, v, params)
+
+
+def _rec(scheme: _Scheme, sigma2, v, params: KcParams):
+    _check_range(sigma2, params.q, "sigma2")
+    _check_range(v, params.g, "v")
+    k2 = scheme.rec(np.asarray(sigma2, dtype=np.int64), np.asarray(v, dtype=np.int64), params)
+    return k2 if np.ndim(k2) else int(k2)
+
+
+# The formulas, on int64 arrays (0-d for scalars): a KC Con maps (sigma1, e)
+# to (k1, v), an AKC Con (sigma1, k1) to v, and a Rec (sigma2, v) to the key.
+
+def _okcn_con(sigma1, e, p: KcParams):
+    beta = p.beta
+    sigma_a = (p.alpha * sigma1 + e) % p.qp
+    return sigma_a // beta, (sigma_a % beta) * p.g // beta
+
+
+def _okcn_rec(sigma2, v, p: KcParams):
+    return div_round(2 * p.g * p.alpha * sigma2 - p.beta * (2 * v + 1), 2 * p.beta * p.g) % p.m
+
+
+def _okcn_simple_rec(sigma2, v, p: KcParams):
+    return div_round(sigma2 - v, p.g) % p.m
+
+
+def _frodo_con(sigma1, e, p: KcParams):  # e = 0: Frodo's condition implies m | q
+    return div_round(sigma1, p.big_g) % p.m, (sigma1 // (p.big_g // 2)) % 2
+
+
+def _frodo_rec(sigma2, v, p: KcParams):
     # Nearest x to sigma2 with floor(x / 2^(Bbar-1)) mod 2 = v, then round.
-    period = params.big_g  # 2^Bbar
+    period = p.big_g  # 2^Bbar
     half = period // 2
-    sigma2 = np.asarray(sigma2, dtype=np.int64)
-    v = np.asarray(v, dtype=np.int64)
     r = sigma2 % period
     lo = v * half
     inside = (r >= lo) & (r < lo + half)
     up = np.where(r < lo, lo - r, lo + 2 * half - r)
     down = np.where(r < lo, r - lo + half + 1, r - (lo + half - 1))
     x = np.where(inside, sigma2, np.where(up < down, sigma2 + up, sigma2 - down))
-    return div_round(x, period) % params.m
+    return div_round(x, period) % p.m
 
 
-def akc_con(variant: KcVariant, sigma1, k1, params: KcParams):
-    """Con of an AKC-family variant: hint in Z_g transporting the chosen key k1."""
-    if not variant.is_akc:
-        raise ValueError("use kc_con for KC variants")
-    q, m, g = params.q, params.m, params.g
-    _check_range(sigma1, q, "sigma1")
-    _check_range(k1, m, "k1")
-    sigma1 = np.asarray(sigma1, dtype=np.int64) if np.ndim(sigma1) else sigma1
-    if variant is KcVariant.AKCN_GENERIC:
-        v = div_round(g * (sigma1 + div_round(np.asarray(k1, dtype=np.int64) * q, m)), q) % g
-    else:  # AKCN_POWER2
-        v = (sigma1 + np.asarray(k1, dtype=np.int64) * params.big_g) % q
-    return v if np.ndim(v) else int(v)
+def _akcn_con(sigma1, k1, p: KcParams):
+    return div_round(p.g * (sigma1 + div_round(k1 * p.q, p.m)), p.q) % p.g
 
 
-def akc_rec(variant: KcVariant, sigma2, v, params: KcParams):
-    """Rec of an AKC-family variant: recover the transported key from (sigma2, v)."""
-    if not variant.is_akc:
-        raise ValueError("use kc_rec for KC variants")
-    q, m, g = params.q, params.m, params.g
-    _check_range(sigma2, q, "sigma2")
-    _check_range(v, g, "v")
-    sigma2 = np.asarray(sigma2, dtype=np.int64) if np.ndim(sigma2) else sigma2
-    if variant is KcVariant.AKCN_GENERIC:
-        k2 = div_round(m * (np.asarray(v, dtype=np.int64) * q - g * sigma2), g * q) % m
-    else:  # AKCN_POWER2
-        k2 = div_round(np.asarray(v, dtype=np.int64) - sigma2, params.big_g) % m
-    return k2 if np.ndim(k2) else int(k2)
+def _akcn_rec(sigma2, v, p: KcParams):
+    return div_round(p.m * (v * p.q - p.g * sigma2), p.g * p.q) % p.m
+
+
+class _Scheme(NamedTuple):
+    akc: bool  # the responder chooses the key
+    # (test on q, m, g, d; inequality; detail template), checked in order
+    conditions: tuple[tuple[Callable[..., bool], str, str], ...]
+    con: Callable
+    rec: Callable
+
+
+_2MD_LT_Q = (lambda q, m, g, d: 2 * m * d < q, "2md < q", "2*{m}*{d} >= {q}")
+
+_SCHEMES = {
+    KcVariant.OKCN_GENERIC: _Scheme(False, (
+        (lambda q, m, g, d: (2 * d + 1) * m * g < q * (g - 1),
+         "(2d+1)m < q(1-1/g)", "(2*{d}+1)*{m} >= {q}*(1-1/{g})"),
+    ), _okcn_con, _okcn_rec),
+    KcVariant.OKCN_POWER2: _Scheme(False, (
+        (lambda q, m, g, d: _pow2(q, m, g), "q, m, g powers of two", "q={q} m={m} g={g}"),
+        (lambda q, m, g, d: m * g <= q, "mg <= q", "{m}*{g} > {q}"),
+        (lambda q, m, g, d: 2 * m * d * g < q * (g - 1),
+         "2md < q(1-1/g)", "2*{m}*{d} >= {q}*(1-1/{g})"),
+    ), _okcn_con, _okcn_rec),
+    KcVariant.OKCN_SIMPLE: _Scheme(False, (
+        (lambda q, m, g, d: _pow2(m, g) and q == m * g,
+         "q = m*g powers of two", "q={q} m={m} g={g}"),
+        _2MD_LT_Q,
+    ), _okcn_con, _okcn_simple_rec),
+    KcVariant.AKCN_GENERIC: _Scheme(True, (
+        (lambda q, m, g, d: (2 * d + 1) * m * g < q * (g - m),
+         "(2d+1)m < q(1-m/g)", "(2*{d}+1)*{m} >= {q}*(1-{m}/{g})"),
+    ), _akcn_con, _akcn_rec),
+    KcVariant.AKCN_POWER2: _Scheme(True, (
+        (lambda q, m, g, d: _pow2(q, m) and q == g and m <= q,
+         "q = g, powers of two", "q={q} m={m} g={g}"),
+        _2MD_LT_Q,
+    ), _akcn_con, _akcn_rec),
+    KcVariant.FRODO: _Scheme(False, (
+        (lambda q, m, g, d: _pow2(q, m) and g == 2 and m * 4 <= q,
+         "q, m powers of two, g = 2", "q={q} m={m} g={g}"),
+        (lambda q, m, g, d: 4 * m * d < q, "4md < q", "4*{m}*{d} >= {q}"),
+    ), _frodo_con, _frodo_rec),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -302,20 +308,13 @@ def con_grid(variant: KcVariant, params: KcParams):
     """All Con evaluations of a KC-family variant.
 
     Returns (sigma1, k1, v) as flat int64 arrays covering every sigma1 in Z_q
-    and, for the generic variant, every admissible noise value e.
+    and every admissible noise value e (only e = 0 when m divides q).
     """
-    q = params.q
-    sigma1 = np.arange(q, dtype=np.int64)
-    if variant is KcVariant.OKCN_GENERIC:
-        alpha, beta, qp = params.alpha, params.beta, params.qp
-        e = np.arange(-((alpha - 1) // 2), alpha // 2 + 1, dtype=np.int64)
-        sigma_a = (alpha * sigma1[:, None] + e[None, :]) % qp
-        k1 = sigma_a // beta
-        vp = sigma_a % beta
-        v = vp * params.g // beta
-        return (np.repeat(sigma1, alpha), k1.ravel(), v.ravel())
-    k1, v = kc_con(variant, sigma1, params)
-    return sigma1, np.asarray(k1), np.asarray(v)
+    con = _scheme(variant, False, "con").con
+    sigma1, e = np.broadcast_arrays(np.arange(params.q, dtype=np.int64)[:, None],
+                                    np.arange(*_e_range(params), dtype=np.int64))
+    k1, v = con(sigma1, e, params)
+    return sigma1.ravel(), k1.ravel(), v.ravel()
 
 
 def akc_hint_counts(variant: KcVariant, params: KcParams) -> np.ndarray:

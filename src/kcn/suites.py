@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable, NamedTuple
 
 from kcn import noise as noise_mod
 from kcn.kc import KcParams, KcVariant, validate_params
@@ -22,59 +23,54 @@ __all__ = ["NoiseSpec", "Suite", "SUITES", "get_suite", "suite_names"]
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    kind: str  # "table" | "psi16" | "bab" | "gauss" | "binary"
+    kind: str  # a key of _NOISE_KINDS
     name: str = ""
     a: int = 0
     b: int = 0
     var: float = 0.0
 
+    def __post_init__(self):
+        if self.kind not in _NOISE_KINDS:
+            known = ", ".join(_NOISE_KINDS)
+            raise ValueError(f"unknown noise kind {self.kind!r}; known kinds: {known}")
+
     def pmf(self) -> noise_mod.Pmf:
-        if self.kind == "table":
-            return noise_mod.table_pmf(self.name)
-        if self.kind == "psi16":
-            return noise_mod.psi16_pmf()
-        if self.kind == "bab":
-            return noise_mod.bab_pmf(self.a, self.b)
-        if self.kind == "gauss":
-            return noise_mod.rounded_gaussian_pmf(math.sqrt(self.var))
-        if self.kind == "binary":
-            return noise_mod.uniform_pmf(0, 1)
-        raise ValueError(self.kind)
+        return _NOISE_KINDS[self.kind].pmf(self)
 
     def variance(self) -> float:
-        if self.kind == "table":
-            return noise_mod.TABLES[self.name].variance
-        if self.kind == "psi16":
-            return 8.0
-        if self.kind == "bab":
-            return self.a / 4 + self.b
-        if self.kind == "binary":
-            return 0.25
-        return self.var
+        return _NOISE_KINDS[self.kind].variance(self)
 
     def sample(self, rng, size):
-        if self.kind == "table":
-            return noise_mod.sample_table(noise_mod.TABLES[self.name], rng, size)
-        if self.kind == "psi16":
-            return noise_mod.sample_centered_binomial(rng, size)
-        if self.kind == "bab":
-            return noise_mod.sample_bab(self.a, self.b, rng, size)
-        if self.kind == "gauss":
-            return noise_mod.sample_table(_gauss_table(self.var), rng, size)
-        if self.kind == "binary":
-            return rng.integers(0, 2, size=size)
-        raise ValueError(self.kind)
+        return _NOISE_KINDS[self.kind].sample(self, rng, size)
 
     def describe(self) -> str:
-        if self.kind == "table":
-            return self.name
-        if self.kind == "psi16":
-            return "Psi16"
-        if self.kind == "bab":
-            return f"B^({self.a},{self.b})"
-        if self.kind == "binary":
-            return "U({0,1})"
-        return f"gauss(var={self.var})"
+        return _NOISE_KINDS[self.kind].describe.format_map(vars(self))
+
+
+class _NoiseKind(NamedTuple):
+    pmf: Callable[[NoiseSpec], noise_mod.Pmf]
+    variance: Callable[[NoiseSpec], float]
+    sample: Callable[..., object]  # (spec, rng, size) -> draws
+    describe: str  # formatted with the spec's fields
+
+
+# One entry per noise kind.  Each sampler is looked up in `kcn.noise` when
+# called, so replacing it there (as perfbench/tracer.py does) reaches every
+# suite.
+_NOISE_KINDS = {
+    "table": _NoiseKind(lambda s: noise_mod.table_pmf(s.name), lambda s: noise_mod.TABLES[s.name].variance,
+                        lambda s, rng, n: noise_mod.sample_table(noise_mod.TABLES[s.name], rng, n),
+                        "{name}"),
+    "psi16": _NoiseKind(lambda s: noise_mod.psi16_pmf(), lambda s: 8.0,
+                        lambda s, rng, n: noise_mod.sample_centered_binomial(rng, n), "Psi16"),
+    "bab": _NoiseKind(lambda s: noise_mod.bab_pmf(s.a, s.b), lambda s: s.a / 4 + s.b,
+                      lambda s, rng, n: noise_mod.sample_bab(s.a, s.b, rng, n), "B^({a},{b})"),
+    "gauss": _NoiseKind(lambda s: noise_mod.rounded_gaussian_pmf(math.sqrt(s.var)), lambda s: s.var,
+                        lambda s, rng, n: noise_mod.sample_table(_gauss_table(s.var), rng, n),
+                        "gauss(var={var})"),
+    "binary": _NoiseKind(lambda s: noise_mod.uniform_pmf(0, 1), lambda s: 0.25,
+                         lambda s, rng, n: rng.integers(0, 2, size=n), "U({{0,1}})"),
+}
 
 
 @lru_cache(maxsize=None)

@@ -153,3 +153,10 @@ def test_uniform_pmf(width, lo):
     p = noise.uniform_pmf(lo - width, lo)
     assert abs(p.mass - 1.0) < 1e-12
     assert abs(p.mean() - (2 * lo - width) / 2) < 1e-9
+
+
+def test_noise_spec_rejects_unknown_kind():
+    from kcn.suites import NoiseSpec
+
+    with pytest.raises(ValueError, match="'tabel'.*table, psi16, bab, gauss, binary"):
+        NoiseSpec("tabel", name="D1")
