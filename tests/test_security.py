@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from kcn.analysis.security import (
@@ -6,7 +9,7 @@ from kcn.analysis.security import (
     security_estimate,
     suite_security,
 )
-from kcn.suites import get_suite
+from kcn.suites import get_suite, suite_names
 
 
 def test_estimate_shape_and_invariants():
@@ -43,6 +46,21 @@ def test_suite_security_dispatch():
     rows = suite_security(get_suite("okcn-t2"))
     assert rows[0][0] == "lwe" and len(rows) == 1
     assert suite_security(get_suite("zarzar"))[0][0] == "rlwe"
+
+
+# SHA-256 of the JSON of every suite's suite_security rows, as
+# {suite: [[problem, primal.rounded(), dual.rounded()], ...]} over all 30 suites
+SECURITY_ROWS_DIGEST = "996731ce52fe05377104990c064935ab44acae269ab8ec2a1d83941296f2d4b8"
+
+
+def test_suite_security_digest():
+    rows = {
+        name: [[label, list(primal.rounded()), list(dual.rounded())]
+               for label, primal, dual in suite_security(get_suite(name))]
+        for name in suite_names()
+    }
+    assert len(rows) == 30
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == SECURITY_ROWS_DIGEST
 
 
 def test_post_reduction_adjustment():

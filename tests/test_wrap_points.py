@@ -1,7 +1,8 @@
 """The call sites that perfbench/tracer.py wraps from outside.
 
-The tracer replaces module attributes: the noise samplers in `kcn.noise`
-and the consensus functions in `kcn.protocols`.  Callers must look those
+The tracer replaces module attributes: the noise samplers in `kcn.noise`,
+the consensus functions in `kcn.protocols`, and the failure and attack
+models in `kcn.analysis`.  Callers must look those
 names up at call time, or a traced run silently records nothing.
 """
 
@@ -10,8 +11,9 @@ import pytest
 
 from kcn import noise
 from kcn import protocols as proto
+from kcn.analysis import error_rates, security
 from kcn.kc import KcParams, KcVariant
-from kcn.suites import NoiseSpec, Suite
+from kcn.suites import NoiseSpec, Suite, get_suite
 
 
 def _spy(monkeypatch, module, name, calls):
@@ -57,3 +59,43 @@ def test_exchange_reaches_consensus_through_module_attributes(monkeypatch, suite
     key_b, msg2 = proto.respond(suite, msg1, rng)
     assert proto.finish(sess, msg2) == key_b
     assert calls == [con, rec]
+
+
+# The analysis models, which the tracer wraps in `kcn.analysis.error_rates`
+# and `kcn.analysis.security`.
+
+@pytest.mark.parametrize("name, model", [
+    ("lwr-recommended", "lwr_error_rate"),
+    ("lwe-challenge", "lwe_error_rate"),
+    ("okcn-t2", "lwe_error_rate"),
+    ("hybrid-recommended", "hybrid_error_rate"),
+    ("okcn-rlwe-16", "rlwe_error_rate"),
+    ("okcn-sec-837", "rlwe_error_rate"),
+    ("zarzar", "zarzar_error_rate"),
+])
+def test_error_rate_reaches_model_through_module_attribute(monkeypatch, name, model):
+    calls = []
+    for fn in ("lwr_error_rate", "lwe_error_rate", "hybrid_error_rate", "rlwe_error_rate",
+               "zarzar_error_rate"):
+        monkeypatch.setattr(error_rates, fn, lambda *args, fn=fn: calls.append(fn) or fn)
+    assert error_rates.error_rate(get_suite(name)) == model
+    assert calls == [model]
+
+
+@pytest.mark.parametrize("name, problems", [
+    ("lwr-recommended", [("lwr", 680)]),
+    ("okcn-t2", [("lwe", 712)]),
+    ("hybrid-recommended", [("lwe", 712), ("lwr", 704)]),
+    ("zarzar", [("rlwe", 512)]),
+])
+def test_suite_security_estimates_through_module_attribute(monkeypatch, name, problems):
+    calls = []
+
+    def stub(n, q, sigma_s_sq, sigma_e_sq, **kwargs):
+        calls.append(n)
+        return ("primal", n), ("dual", n)
+
+    monkeypatch.setattr(security, "security_estimate", stub)
+    rows = security.suite_security(get_suite(name))
+    assert [(label, primal[1]) for label, primal, _ in rows] == problems
+    assert calls == [n for _, n in problems]
