@@ -1,18 +1,1 @@
 """Numerical analysis: failure probabilities, attack costs, bandwidth."""
-
-from kcn.analysis.pmf import (  # noqa: F401
-    StepPmf,
-    discretize_chisq,
-    pmf_add,
-    pmf_merge,
-    pmf_product_var,
-)
-from kcn.analysis.error_rates import (  # noqa: F401
-    hybrid_error_rate,
-    lwe_error_rate,
-    lwr_error_rate,
-    rlwe_error_rate,
-    zarzar_error_rate,
-)
-from kcn.analysis.security import AttackEstimate, security_estimate, suite_security  # noqa: F401
-from kcn.analysis.bandwidth import bandwidth  # noqa: F401

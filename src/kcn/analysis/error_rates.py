@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from kcn import algebra
 from kcn.noise import Pmf, uniform_pmf
 from kcn.analysis import pmf as pm
 from kcn.codes import SecCode
@@ -134,28 +135,8 @@ def _joint_conv(a, b, w: int):
     for r1 in range(w):
         for r2 in range(w):
             out[(r1 + r2) % w] += np.convolve(pa[r1], pb[r2])
-    return _joint_trim(out, oa + ob)
-
-
-def _joint_trim(arr: np.ndarray, offset: int):
-    col = arr.sum(axis=0)
-    c = np.cumsum(col)
-    lo = int(np.searchsorted(c, pm.PROB_FLOOR))
-    hi = len(col) - int(np.searchsorted(np.cumsum(col[::-1]), pm.PROB_FLOOR))
-    lo = max(0, min(lo, hi - 1))
-    return arr[:, lo:hi].copy(), offset + lo
-
-
-def _joint_power(coord, n: int, w: int):
-    acc = None
-    sq = coord
-    while n:
-        if n & 1:
-            acc = sq if acc is None else _joint_conv(acc, sq, w)
-        n >>= 1
-        if n:
-            sq = _joint_conv(sq, sq, w)
-    return acc
+    lo, hi = pm.kept(out.sum(axis=0), pm.PROB_FLOOR)
+    return out[:, lo:hi].copy(), oa + ob + lo
 
 
 def _zero_divisor_part(chi: Pmf, w: int) -> Pmf:
@@ -183,7 +164,7 @@ def lwr_diff_distribution(n: int, q: int, p: int, chi: Pmf,
     def one_sided(x_chi: Pmf):
         t1 = pm.trim(pm.product_pmf(x_chi, uniform_pmf(-w // 2, w // 2 - 1)))
         side1 = pm.iid_sum(t1, n)  # c1 = X^T y2; residue = c1 mod w
-        side2 = _joint_power(_residue_value_joint(x_chi, w), n, w)
+        side2 = pm.power(_residue_value_joint(x_chi, w), n, lambda a, b: _joint_conv(a, b, w))
         return side1, side2
 
     f1, f2 = one_sided(chi)
@@ -212,14 +193,13 @@ def lwr_diff_distribution(n: int, q: int, p: int, chi: Pmf,
     return folded
 
 
-def lwr_error_rate(suite: Suite, condition_units: bool = False) -> ErrorReport:
+def lwr_error_rate(suite: Suite) -> ErrorReport:
     """|Sigma1 - Sigma2|_p > d failure, union over the l_A l_B coordinates."""
     if suite.family != "lwr":
         raise ValueError("lwr suite required")
     q, p, d = suite.q, suite.p, suite.kc.d
-    folded = lwr_diff_distribution(suite.n, q, p, suite.noise.pmf(), condition_units)
-    r = np.arange(q)
-    s = (2 * p * r + q) // (2 * q) % p
+    folded = lwr_diff_distribution(suite.n, q, p, suite.noise.pmf())
+    s = algebra.lwr_round(np.arange(q), q, p)
     bad = np.minimum(s, p - s) > d
     p_coord = float(np.sum(folded[bad]))
     return ErrorReport(p_coord, _union(p_coord, suite.l_a * suite.l_b))
@@ -248,8 +228,7 @@ def hybrid_error_rate(suite: Suite, exact_region: bool = False) -> ErrorReport:
     xu = pm.iid_sum(pm.trim(pm.product_pmf(chi, uniform_pmf(-w // 2, w // 2 - 1))), suite.n)
     dist = pm.conv(ex, xu)
     folded = pm.fold_mod(dist, q)
-    r = np.arange(q)
-    s = (2 * p * r + q) // (2 * q) % p
+    s = algebra.lwr_round(np.arange(q), q, p)
     if exact_region:
         # hint offset (q_kc/g) eps2 ranges over [-(q_kc/2g - 1), q_kc/2g]
         s_c = np.where(s < p // 2, s, s - p)
@@ -325,18 +304,21 @@ def zarzar_error_rate(sigma_sq: float, q: int, g: int, n: int) -> ZarzarReport:
     return ZarzarReport(norm_bound, threshold, tail, overall)
 
 
+# One failure model per (family, mode), looked up in this module when called,
+# so replacing a model here (as perfbench/tracer.py does) reaches error_rate.
+_MODELS = {
+    ("lwr", "plain"): lambda s: lwr_error_rate(s),
+    ("lwe", "plain"): lambda s: lwe_error_rate(s),
+    ("hybrid", "plain"): lambda s: hybrid_error_rate(s),
+    ("rlwe", "plain"): lambda s: rlwe_error_rate(s),
+    ("rlwe", "sec"): lambda s: rlwe_error_rate(s),
+    ("rlwe", "e8"): lambda s: zarzar_error_rate(s.noise.variance(), s.q, s.code_g, s.n),
+}
+
+
 def error_rate(suite: Suite):
-    """Dispatch on the suite family; returns ErrorReport or ZarzarReport."""
-    if suite.family == "lwr":
-        return lwr_error_rate(suite)
-    if suite.family == "lwe":
-        return lwe_error_rate(suite)
-    if suite.family == "hybrid":
-        return hybrid_error_rate(suite)
-    if suite.family == "rlwe":
-        if suite.mode in ("plain", "sec"):
-            return rlwe_error_rate(suite)
-        if suite.mode == "e8":
-            return zarzar_error_rate(suite.noise.variance(), suite.q, suite.code_g, suite.n)
+    """The suite's failure model; returns ErrorReport or ZarzarReport."""
+    model = _MODELS.get((suite.family, suite.mode))
+    if model is None:
         raise ValueError(f"no numerical error model for mode {suite.mode}")
-    raise ValueError(suite.family)
+    return model(suite)

@@ -64,14 +64,19 @@ def iid_sum(p: Pmf, n: int) -> Pmf:
     if n < 1:
         raise ValueError("n >= 1")
     floor = PROB_FLOOR / n
+    return power(p, n, lambda a, b: trim(conv(a, b), floor))
+
+
+def power(x, n: int, add):
+    """The n-fold sum of x by binary doubling, where add(a, b) is the law of
+    the sum of independent a and b; n >= 1."""
     acc = None
-    sq = p
     while n:
         if n & 1:
-            acc = sq if acc is None else trim(conv(acc, sq), floor)
+            acc = x if acc is None else add(acc, x)
         n >>= 1
         if n:
-            sq = trim(conv(sq, sq), floor)
+            x = add(x, x)
     return acc
 
 
@@ -107,16 +112,21 @@ def cyclic_fail_prob(folded: np.ndarray, d: int) -> float:
     return float(np.sum(folded[bad]))
 
 
+def kept(probs: np.ndarray, floor: float) -> tuple[int, int]:
+    """The [lo, hi) support left after cutting each tail whose mass is below
+    floor; at least one point is kept."""
+    lo = int(np.searchsorted(np.cumsum(probs), floor))
+    hi = len(probs) - int(np.searchsorted(np.cumsum(probs[::-1]), floor))
+    return max(0, min(lo, hi - 1)), hi
+
+
 def trim(p: Pmf, floor: float = PROB_FLOOR) -> Pmf:
     """Drop leading/trailing support whose one-sided tail mass is below floor.
 
     The cut tails are summed directly into `dropped`: 1 - mass would be
     swamped by rounding.
     """
-    c = np.cumsum(p.probs)
-    lo = int(np.searchsorted(c, floor))
-    hi = len(p.probs) - int(np.searchsorted(np.cumsum(p.probs[::-1]), floor))
-    lo = max(0, min(lo, hi - 1))
+    lo, hi = kept(p.probs, floor)
     cut = float(np.sum(p.probs[:lo]) + np.sum(p.probs[hi:]))
     return Pmf(p.offset + lo, p.probs[lo:hi].copy(), p.dropped + cut)
 
@@ -220,10 +230,7 @@ def tail_ge(p: StepPmf, threshold: float) -> float:
 
 def step_trim(p: StepPmf, floor: float = PROB_FLOOR) -> StepPmf:
     """Drop grid tails carrying less than `floor` mass on each side."""
-    c = np.cumsum(p.probs)
-    lo = int(np.searchsorted(c, floor))
-    hi = len(p.probs) - int(np.searchsorted(np.cumsum(p.probs[::-1]), floor))
-    lo = max(0, min(lo, hi - 1))
+    lo, hi = kept(p.probs, floor)
     return StepPmf(p.step, p.offset + lo, p.probs[lo:hi].copy())
 
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from kcn.protocols import assumptions
 from kcn.suites import Suite
 
 __all__ = ["AttackEstimate", "security_estimate", "suite_security", "post_reduction_costs"]
@@ -111,16 +112,13 @@ def _dual(n, q, ss, se, m_grid, b_grid, model):
     )
 
 
-def security_estimate(n: int, q: int, sigma_s_sq: float, sigma_e_sq: float,
-                      max_samples: int | None = None, model: str = "matrix"):
-    """(primal, dual) attack estimates for an LWE-shaped problem.
+def security_estimate(n: int, q: int, sigma_s_sq: float, sigma_e_sq: float, model: str = "matrix"):
+    """(primal, dual) attack estimates for an LWE-shaped problem, from up to 2n samples.
 
     sigma_e_sq for an LWR instance is the variance of the implicit uniform
     rounding noise; distribution shape beyond the variance is ignored.
     """
-    if max_samples is None:
-        max_samples = 2 * n
-    m_grid = np.arange(max(40, n // 4), max_samples + 1)
+    m_grid = np.arange(max(40, n // 4), 2 * n + 1)
     b_grid = np.arange(60, 1400)
     return (
         _primal(n, q, sigma_s_sq, sigma_e_sq, m_grid, b_grid, model),
@@ -129,24 +127,9 @@ def security_estimate(n: int, q: int, sigma_s_sq: float, sigma_e_sq: float,
 
 
 def suite_security(suite: Suite) -> list[tuple[str, AttackEstimate, AttackEstimate]]:
-    """Attack estimates for every hardness assumption a suite rests on."""
-    var = suite.noise.variance()
-    rows = []
-    if suite.family == "lwr":
-        w = suite.q // suite.p
-        se = (w**2 - 1) / 12.0
-        rows.append(("lwr",) + security_estimate(suite.n, suite.q, var, se))
-    elif suite.family == "lwe":
-        rows.append(("lwe",) + security_estimate(suite.n, suite.q, var, var))
-    elif suite.family == "hybrid":
-        w = suite.q // suite.p
-        rows.append(("lwe",) + security_estimate(suite.n, suite.q, var, var))
-        rows.append(("lwr",) + security_estimate(suite.n_b, suite.q, var, (w**2 - 1) / 12.0))
-    elif suite.family == "rlwe":
-        rows.append(("rlwe",) + security_estimate(suite.n, suite.q, var, var, model="core"))
-    else:
-        raise ValueError(suite.family)
-    return rows
+    """Attack estimates for every hardness problem in `kcn.protocols.assumptions`."""
+    return [(a.problem,) + security_estimate(a.n, a.q, a.sigma_s_sq, a.sigma_e_sq, model=a.model)
+            for a in assumptions(suite)]
 
 
 def post_reduction_costs(cost_bits: float, order: float, divergence: float,

@@ -124,7 +124,11 @@ def cmd_bench(args) -> int:
 
 def cmd_error_rate(args) -> int:
     s = _resolve(args.suite)
-    rep = error_rates.error_rate(s)
+    try:
+        rep = error_rates.error_rate(s)
+    except ValueError as exc:  # no model for the suite's mode
+        print(f"error: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
     if isinstance(rep, error_rates.ZarzarReport):
         payload = {
             "suite": s.name,

@@ -10,8 +10,10 @@ The matrix families are compositions of two step kinds, LWR and LWE: a
 family is a (key step, response) pair, with LWR = (LWR, LWR), LWE = (LWE,
 LWE) and hybrid = (LWE, LWR).  RLWE runs its own NTT path.  Every family
 states its messages once, as the `kcn.wire.Layout` pair from `layouts`,
-which packs, unpacks (canonically) and sizes them.  Consensus is `MODES`,
-one entry per mode (plain, sec, newhope, akcn41, e8), for every family.
+which packs, unpacks (canonically) and sizes them.  Each step kind owns
+its hardness problem, so `assumptions` finds hybrid resting on LWE and
+LWR.  Consensus is `MODES`, one entry per mode (plain, sec, newhope,
+akcn41, e8), for every family.
 
 The consensus output is returned as packed key bits (before any KDF);
 `derive_key` applies the SHAKE-256 KDF with a suite-name prefix.
@@ -22,7 +24,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -40,6 +42,8 @@ __all__ = [
     "derive_key",
     "layouts",
     "public_element",
+    "Assumption",
+    "assumptions",
     "MODES",
     "hybrid_keygen",
     "hybrid_encaps",
@@ -51,6 +55,18 @@ TAG_MATRIX = 0
 TAG_POLY = 1
 
 _SEED = wire.Field("seed", (algebra.SEED_BYTES,), (256,))
+
+
+class Assumption(NamedTuple):
+    """A hardness problem over n secret coordinates mod q, priced under a
+    `kcn.analysis.security` cost model ("matrix" or "core")."""
+
+    problem: str  # "lwr" | "lwe" | "rlwe"
+    n: int
+    q: int
+    sigma_s_sq: float
+    sigma_e_sq: float
+    model: str
 
 
 @dataclass
@@ -77,6 +93,10 @@ class _Lwr:
     def modulus(self, suite: Suite) -> int:
         return suite.p
 
+    def assumption(self, suite: Suite, n: int) -> Assumption:
+        w = suite.q // suite.p  # the rounded-off part is uniform noise of width w
+        return Assumption("lwr", n, suite.q, suite.noise.variance(), (w**2 - 1) / 12.0, "matrix")
+
     def cut(self, suite: Suite) -> int:
         return 0
 
@@ -95,6 +115,9 @@ class _Lwe:
 
     def modulus(self, suite: Suite) -> int:
         return suite.q
+
+    def assumption(self, suite: Suite, n: int) -> Assumption:
+        return Assumption("lwe", n, suite.q, suite.noise.variance(), suite.noise.variance(), "matrix")
 
     def cut(self, suite: Suite) -> int:
         return suite.t
@@ -122,6 +145,11 @@ class _Matrix:
 
     def sigma_shape(self, suite: Suite) -> tuple[int, ...]:
         return (suite.l_a, suite.l_b)
+
+    def assumptions(self, suite: Suite) -> list[Assumption]:
+        """The key step over the rows of X1, then the response over those of X2."""
+        return list(dict.fromkeys((self.key.assumption(suite, suite.n),
+                                   self.response.assumption(suite, suite.n_b or suite.n))))
 
     def layouts(self, suite: Suite) -> tuple[wire.Layout, wire.Layout]:
         rows, n = self.public(suite).shape
@@ -167,6 +195,9 @@ class _Ring:
 
     def sigma_shape(self, suite: Suite) -> tuple[int, ...]:
         return (suite.n,)
+
+    def assumptions(self, suite: Suite) -> list[Assumption]:
+        return [Assumption("rlwe", suite.n, suite.q, suite.noise.variance(), suite.noise.variance(), "core")]
 
     def layouts(self, suite: Suite) -> tuple[wire.Layout, wire.Layout]:
         y = wire.Field("y1", (suite.n,), (suite.q,))
@@ -380,6 +411,11 @@ def layouts(suite: Suite) -> tuple[wire.Layout, wire.Layout]:
 def public_element(suite: Suite) -> wire.Field:
     """The public matrix or ring element the msg1 seed expands into, as a field."""
     return _FAMILIES[suite.family].public(suite)
+
+
+def assumptions(suite: Suite) -> list[Assumption]:
+    """The hardness assumptions the suite rests on, each distinct one once."""
+    return _FAMILIES[suite.family].assumptions(suite)
 
 
 def initiate(suite: Suite, rng) -> tuple[Session, bytes]:

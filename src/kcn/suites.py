@@ -33,6 +33,9 @@ class NoiseSpec:
         if self.kind not in _NOISE_KINDS:
             known = ", ".join(_NOISE_KINDS)
             raise ValueError(f"unknown noise kind {self.kind!r}; known kinds: {known}")
+        if self.kind == "table" and self.name not in noise_mod.TABLES:
+            known = ", ".join(noise_mod.TABLES)
+            raise ValueError(f"unknown noise table {self.name!r}; known tables: {known}")
 
     def pmf(self) -> noise_mod.Pmf:
         return _NOISE_KINDS[self.kind].pmf(self)

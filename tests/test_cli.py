@@ -1,8 +1,12 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import kcn
 from kcn.cli import main
 
 
@@ -62,6 +66,18 @@ def test_kx_reports_key_length(capsys):
 def test_error_rate(capsys):
     assert main(["error-rate", "lwe-challenge"]) == 0
     assert "2^-47.9" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("suite", ["newhope", "akcn-4to1"])
+def test_error_rate_without_model_is_a_usage_error(suite):
+    src = os.path.dirname(os.path.dirname(kcn.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-m", "kcn.cli", "error-rate", suite],
+                         capture_output=True, text=True, env=env)
+    mode = {"newhope": "newhope", "akcn-4to1": "akcn41"}[suite]
+    assert run.returncode == 2
+    assert run.stderr == f"error: no numerical error model for mode {mode}\n"
+    assert "Traceback" not in run.stderr and run.stdout == ""
 
 
 def test_sec_est(capsys):

@@ -160,3 +160,11 @@ def test_noise_spec_rejects_unknown_kind():
 
     with pytest.raises(ValueError, match="'tabel'.*table, psi16, bab, gauss, binary"):
         NoiseSpec("tabel", name="D1")
+
+
+def test_noise_spec_rejects_unknown_table():
+    from kcn.suites import NoiseSpec
+
+    with pytest.raises(ValueError, match="'D9'.*D_R, D_P, D1"):
+        NoiseSpec("table", name="D9")
+    assert NoiseSpec("table", name="D1").variance() == TABLES["D1"].variance
