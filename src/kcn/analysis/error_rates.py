@@ -273,6 +273,9 @@ class ZarzarReport:
     threshold: int  # floor of norm_bound^2 / (4 sigma^4)
     tail: float  # P(distr > threshold - 64)
     overall: float
+    # Bound on the mass lost to truncation and trimming: the exact tail
+    # lies in [tail, tail + dropped].
+    dropped: float
 
     @property
     def log2_tail(self) -> float:
@@ -285,23 +288,24 @@ class ZarzarReport:
 
 def zarzar_error_rate(sigma_sq: float, q: int, g: int, n: int) -> ZarzarReport:
     """Tail bound for the E8-coded ring protocol via the chi-square pipeline:
-    discretize chi^2(2) at 0.02 and chi^2(n/2) at 0.1, multiply, merge at 4,
-    add twice, then evaluate the norm-bound tail and the block union bound.
+    discretize chi^2(2) at 0.02 and chi^2(n/2) at 0.1, multiply onto the
+    grid of step 4, add twice, then evaluate the norm-bound tail and the
+    block union bound.
     """
     if n % 8:
         raise ValueError("n must be divisible by 8")
+    step = 4.0
     d2 = pm.discretize_chisq(2, 0.02)
     dbig = pm.discretize_chisq(n // 2, 0.1)
-    prod = pm.pmf_product_var(d2, dbig, merge_step=4.0)
-    prod = pm.step_trim(prod, 2.0**-160)
-    distr = pm.step_trim(pm.pmf_add(prod, prod), 2.0**-160)
-    distr = pm.pmf_add(distr, distr)
+    prod = pm.trim(pm.product_pmf(d2, dbig, 0.02 * 0.1 / step), 2.0**-160)
+    distr = pm.trim(pm.conv(prod, prod), 2.0**-160)
+    distr = pm.conv(distr, distr)
     sigma = math.sqrt(sigma_sq)
     norm_bound = math.floor((q - 1) / 2 - math.sqrt(2) * (q / g + 1) - 10 * sigma)
     threshold = math.floor(norm_bound**2 / (4 * sigma_sq**2))
-    tail = pm.tail_ge(distr, threshold - 64)
+    tail = float(np.sum(distr.probs[step * distr.support > threshold - 64]))
     overall = _union(tail, n // 8)
-    return ZarzarReport(norm_bound, threshold, tail, overall)
+    return ZarzarReport(norm_bound, threshold, tail, overall, distr.dropped)
 
 
 # One failure model per (family, mode), looked up in this module when called,

@@ -187,6 +187,13 @@ def cmd_tables(args) -> int:
     return 0 if ok_all else 1
 
 
+def positive_int(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="kcn", description="lattice key-consensus toolkit")
     ap.add_argument("--json", action="store_true", help="machine-readable output")
@@ -204,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help="run full key exchanges" if name == "kx" else
                            "time the protocol phases")
         p.add_argument("suite")
-        p.add_argument("--trials", type=int, default=100 if name == "kx" else 25)
+        p.add_argument("--trials", type=positive_int, default=100 if name == "kx" else 25)
         p.add_argument("--seed", type=int, default=None)
         p.set_defaults(func=fn)
 

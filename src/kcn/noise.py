@@ -36,10 +36,12 @@ __all__ = [
 class Pmf:
     """Probability mass function over a contiguous integer support.
 
-    `probs[i]` is the probability of `offset + i`.  Total mass is kept
-    within 2^-40 of 1 by construction everywhere in this package.
-    `dropped` bounds the mass that trimming removed on the way here, so an
-    event's true probability lies in [P, P + dropped].
+    `probs[i]` is the probability of `offset + i`.  A distribution's total
+    mass is within 2^-40 of 1 by construction; the one exception is a
+    sub-measure built on purpose (the zero-divisor part of an LWR secret
+    law), whose mass is that of its event.  `dropped` bounds the mass that
+    trimming and truncation removed on the way here, so an event's true
+    probability lies in [P, P + dropped].
     """
 
     offset: int

@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-__all__ = ["Field", "Layout", "pack", "unpack", "pack_bits", "unpack_bits"]
+__all__ = ["Field", "Layout", "pack", "unpack"]
 
 
 def pack(values: np.ndarray, bits: int) -> bytes:
@@ -41,14 +41,6 @@ def unpack(data: bytes, bits: int, count: int) -> np.ndarray:
     raw = np.unpackbits(np.frombuffer(data, dtype=np.uint8), bitorder="little")
     bitmat = raw[: count * bits].reshape(count, bits).astype(np.int64)
     return bitmat @ (1 << np.arange(bits, dtype=np.int64))
-
-
-def pack_bits(bits_arr: np.ndarray) -> bytes:
-    return pack(np.asarray(bits_arr, dtype=np.int64), 1)
-
-
-def unpack_bits(data: bytes, count: int) -> np.ndarray:
-    return unpack(data, 1, count)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from scipy.stats import chi2
+from scipy.stats import binom, chi2
 
 from kcn.analysis import pmf as pm
 from kcn.analysis.error_rates import (
@@ -29,50 +29,62 @@ from kcn.suites import SUITES, NoiseSpec, Suite
 # --- pmf operations ----------------------------------------------------------
 
 def test_point_mass_arithmetic():
-    p2 = pm.StepPmf(1.0, 2, np.array([1.0]))
-    p3 = pm.StepPmf(1.0, 3, np.array([1.0]))
-    s = pm.pmf_add(p2, p3)
-    assert s.values[np.argmax(s.probs)] == 5.0
-    prod = pm.pmf_product_var(pm.StepPmf(1.0, 0, np.array([1.0])), p3)
-    assert prod.values[np.argmax(prod.probs)] == 0.0
+    p2 = Pmf(2, np.array([1.0]))
+    p3 = Pmf(3, np.array([1.0]))
+    s = pm.conv(p2, p3)
+    assert s.support[np.argmax(s.probs)] == 5
+    prod = pm.product_pmf(Pmf(0, np.array([1.0])), p3)
+    assert prod.support[np.argmax(prod.probs)] == 0
 
 
 def test_mass_conservation():
-    a = pm.StepPmf(0.5, 0, np.array([0.25, 0.5, 0.25]))
-    b = pm.StepPmf(0.5, -1, np.array([0.5, 0.25, 0.25]))
-    assert abs(pm.pmf_add(a, b).mass - 1.0) < 2**-40
-    assert abs(pm.pmf_product_var(a, b).mass - 1.0) < 2**-40
-    assert abs(pm.pmf_merge(pm.pmf_product_var(a, b), 2.0).mass - 1.0) < 2**-40
+    a = Pmf(0, np.array([0.25, 0.5, 0.25]))
+    b = Pmf(-1, np.array([0.5, 0.25, 0.25]))
+    assert abs(pm.conv(a, b).mass - 1.0) < 2**-40
+    assert abs(pm.product_pmf(a, b).mass - 1.0) < 2**-40
+    # steps 0.5 and 0.5 onto the grid of step 2
+    assert abs(pm.product_pmf(a, b, 0.5 * 0.5 / 2.0).mass - 1.0) < 2**-40
 
 
 def test_non_normalized_rejected():
-    bad = pm.StepPmf(1.0, 0, np.array([0.7, 0.7]))
-    good = pm.StepPmf(1.0, 0, np.array([1.0]))
+    bad = Pmf(0, np.array([0.7, 0.7]))
+    good = Pmf(0, np.array([1.0]))
     with pytest.raises(ValueError):
-        pm.pmf_add(bad, good)
+        pm.product_pmf(bad, good)
     with pytest.raises(ValueError):
-        pm.pmf_product_var(bad, good)
+        pm.product_pmf(good, bad)
 
 
 def test_merge_matches_exact_product():
     a = pm.discretize_chisq(2, 0.5)
     b = pm.discretize_chisq(4, 0.5)
-    exact = pm.pmf_merge(pm.pmf_product_var(a, b), 2.0)
-    merged = pm.pmf_product_var(a, b, merge_step=2.0)
-    assert exact.step == merged.step and exact.offset == merged.offset
-    assert np.allclose(exact.probs, merged.probs, rtol=0, atol=1e-15)
+    scale = 0.125  # steps 0.5 and 0.5 onto the grid of step 2
+    want = {}
+    for x, px in zip(a.support.tolist(), a.probs.tolist()):
+        for y, py in zip(b.support.tolist(), b.probs.tolist()):
+            k = math.floor(scale * x * y + 0.5)
+            want[k] = want.get(k, 0.0) + px * py
+    got = pm.product_pmf(a, b, scale)
+    assert got.offset == min(want) and len(got.probs) == max(want) - min(want) + 1
+    assert np.allclose(got.probs, [want.get(k, 0.0) for k in got.support.tolist()],
+                       rtol=0, atol=1e-15)
 
 
 def test_discretize_chisq_moments():
     d = pm.discretize_chisq(256, 0.1)
-    assert abs(d.mean() - 256) < 0.1
+    assert abs(0.1 * d.mean() - 256) < 0.1
     assert abs(d.mass - 1.0) < 2**-60
     d2 = pm.discretize_chisq(2, 0.02)
-    assert abs(d2.mean() - 2) < 0.02
+    assert abs(0.02 * d2.mean() - 2) < 0.02
     # grid probabilities agree with the chi-square cdf cell by cell
     k = 50
     want = chi2.cdf(0.02 * (k + 0.5), 2) - chi2.cdf(0.02 * (k - 0.5), 2)
     assert abs(d2.probs[k] - want) < 1e-15
+    # the survival mass past the last cell is carried as the error bar
+    for dist, df, step in ((d, 256, 0.1), (d2, 2, 0.02)):
+        sf = chi2.sf(step * (len(dist.probs) - 0.5), df)
+        assert math.isclose(dist.dropped, sf, rel_tol=1e-12)
+        assert 0 < dist.dropped <= pm.PROB_FLOOR
 
 
 def test_integer_pmf_helpers():
@@ -80,15 +92,16 @@ def test_integer_pmf_helpers():
     s = pm.iid_sum(p, 4)
     assert s.offset == -4 and abs(s.mass - 1) < 1e-12
     assert abs(pm.iid_sum(p, 5).variance() - 5 * p.variance()) < 1e-9
-    folded = pm.iid_sum_mod(p, 100, 7)
-    direct = pm.fold_mod(pm.iid_sum(p, 100), 7)
+    folded = pm.fold_mod(pm.iid_sum(p, 100), 7)
+    # the 100-fold sum of p is Binomial(200, 1/2) - 100
+    direct = pm.fold_mod(Pmf(-100, binom.pmf(np.arange(201), 200, 0.5)), 7)
     assert np.allclose(folded, direct, atol=1e-14)
     prod = pm.product_pmf(p, Pmf(2, np.array([1.0])))
     assert prod.offset == -2 and abs(prod.variance() - 4 * p.variance()) < 1e-12
 
 
 def _fold_every_doubling(p, n, q):
-    """The old iid_sum_mod: fold onto Z_q, then cyclic convolutions."""
+    """Fold onto Z_q first, then take cyclic convolutions."""
     def cyclic(a, b):
         full = np.convolve(a, b)
         out = full[:q].copy()
@@ -113,7 +126,7 @@ def test_iid_sum_mod_matches_fold_every_doubling(n, q):
         chi = SUITES["okcn-sec-837"].noise.pmf()
         p = pm.trim(pm.product_pmf(chi, chi))
     want = _fold_every_doubling(p, n, q)
-    got = pm.iid_sum_mod(p, n, q)
+    got = pm.fold_mod(pm.iid_sum(p, n), q)
     assert len(got) == q
     assert np.allclose(got, want, rtol=1e-12, atol=2.0**-190)
 
@@ -163,6 +176,11 @@ def test_error_reports_carry_dropped_mass():
         elif suite.family in ("lwe", "hybrid") or suite.mode in ("plain", "sec"):
             rep = error_rate(suite)
             assert 0 < rep.dropped <= 2.0**-190, name
+
+
+def test_zarzar_report_carries_dropped_mass():
+    rep = error_rate(SUITES["zarzar"])
+    assert 0 < rep.dropped < 2.0**-150
 
 
 def test_trim_sums_the_cut_tails():

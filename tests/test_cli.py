@@ -68,12 +68,17 @@ def test_error_rate(capsys):
     assert "2^-47.9" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("suite", ["newhope", "akcn-4to1"])
-def test_error_rate_without_model_is_a_usage_error(suite):
+def _kcn(*argv):
+    """Run the CLI in a fresh interpreter, so a traceback would reach stderr."""
     src = os.path.dirname(os.path.dirname(kcn.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    run = subprocess.run([sys.executable, "-m", "kcn.cli", "error-rate", suite],
-                         capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, "-m", "kcn.cli", *argv],
+                          capture_output=True, text=True, env=env)
+
+
+@pytest.mark.parametrize("suite", ["newhope", "akcn-4to1"])
+def test_error_rate_without_model_is_a_usage_error(suite):
+    run = _kcn("error-rate", suite)
     mode = {"newhope": "newhope", "akcn-4to1": "akcn41"}[suite]
     assert run.returncode == 2
     assert run.stderr == f"error: no numerical error model for mode {mode}\n"
@@ -90,6 +95,15 @@ def test_tables(capsys):
     assert main(["tables"]) == 0
     out = capsys.readouterr().out
     assert out.count("PASS") == 11 and "FAIL" not in out
+
+
+@pytest.mark.parametrize("command", ["kx", "bench"])
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_trial_count_below_one_is_a_usage_error(command, trials):
+    run = _kcn(command, "okcn-t2", "--trials", trials)
+    assert run.returncode == 2
+    assert "--trials" in run.stderr and "must be at least 1" in run.stderr
+    assert "Traceback" not in run.stderr and run.stdout == ""
 
 
 def test_bench(capsys):

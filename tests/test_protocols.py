@@ -187,7 +187,7 @@ def test_chosen_key_transport(rng):
         ones = np.ones(rlwe.key_bits, dtype=np.int64)
         sess, m1 = proto.initiate(rlwe, rng)
         kb, m2 = proto.respond(rlwe, m1, rng, key_in=ones)
-        assert proto.finish(sess, m2) == kb == wire.pack_bits(ones), name
+        assert proto.finish(sess, m2) == kb == wire.pack(ones, 1), name
 
 
 @pytest.mark.parametrize("name", ["lwr-recommended", "okcn-rlwe-16", "okcn-sec-765", "newhope"])
