@@ -1,11 +1,13 @@
 """Integer-lattice arithmetic shared by the protocols.
 
 Matrices over Z_q are int64 ndarrays with elements in [0, q-1], except the
-public matrix, which `gen_matrix` returns read-only as uint16 from a
+public matrix, which `gen_matrix` returns read-only as float64 from a
 one-entry cache, so both parties of an exchange, or all sessions to one
-public key, expand it once.  Polynomials in Z_q[x]/(x^n + 1) are RingPoly
-values carrying a domain flag so coefficient- and NTT-domain data cannot
-be mixed silently.  The public matrix / ring element is expanded
+public key, expand and convert it once.  `matmul` takes the exactness
+bound of that matrix, and of its views such as A^T, from its q instead of
+scanning it.  Polynomials in Z_q[x]/(x^n + 1) are RingPoly values
+carrying a domain flag so coefficient- and NTT-domain data cannot be
+mixed silently.  The public matrix / ring element is expanded
 deterministically from a 32-byte seed with SHAKE-128, domain-separated by
 a one-byte role tag.
 
@@ -50,8 +52,9 @@ def gen_matrix(seed: bytes, rows: int, cols: int, q: int, tag: int = 0) -> np.nd
 
     Each element masks the low log2(q) bits of one 16-bit stream word for
     q <= 2^16; wider-than-16-bit moduli are not used by any suite.  The
-    result is read-only uint16, shared by all callers until another
-    (seed, rows, cols, q, tag) is expanded.
+    result is read-only float64 holding integers in [0, q), ready for
+    BLAS, and is shared by all callers until another (seed, rows, cols, q,
+    tag) is expanded.
     """
     seed = bytes(memoryview(seed))  # any bytes-like seed; bytes(32) would be 32 zeros
     if len(seed) != SEED_BYTES:
@@ -63,12 +66,20 @@ def gen_matrix(seed: bytes, rows: int, cols: int, q: int, tag: int = 0) -> np.nd
 
 # One entry serves both reuse patterns (the responder right after the
 # initiator, and a run of sessions to one public key); more found no hits.
-@lru_cache(maxsize=1)
+# The slot holds (key, matrix) and is emptied before the next expansion,
+# so two float64 matrices are never alive in it at once.
+_matrix_slot: list = [None, None]
+
+
 def _expand_matrix(seed: bytes, rows: int, cols: int, q: int, tag: int) -> np.ndarray:
-    raw = hashlib.shake_128(seed + bytes([tag])).digest(2 * rows * cols)
-    a = np.frombuffer(raw, dtype="<u2").reshape(rows, cols) & np.uint16(q - 1)
-    a.flags.writeable = False
-    return a
+    key = (seed, rows, cols, q, tag)
+    if _matrix_slot[0] != key:
+        _matrix_slot[:] = None, None
+        raw = hashlib.shake_128(seed + bytes([tag])).digest(2 * rows * cols)
+        a = (np.frombuffer(raw, dtype="<u2").reshape(rows, cols) & np.uint16(q - 1)).astype(np.float64)
+        a.flags.writeable = False
+        _matrix_slot[:] = key, a
+    return _matrix_slot[1]
 
 
 def gen_poly(seed: bytes, n: int, q: int, tag: int = 0) -> "RingPoly":
@@ -128,23 +139,31 @@ def uncut(y_cut, t: int):
 def matmul(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
     """a @ b mod q, as int64.
 
-    Each operand is converted once from its own dtype (uint16 for the
-    public matrix) to float64 for BLAS when the exact product bound fits
-    in 2^53, which holds for every shipped parameter set, and to int64
-    otherwise.  Results are exact either way.
+    Each operand is converted to float64 for BLAS when the exact product
+    bound fits in 2^53, which holds for every shipped parameter set, and to
+    int64 otherwise.  Results are exact either way.  The cached public
+    matrix and its views are float64 already, so they are neither copied
+    nor scanned: their bound is q - 1 from the cache key.  A transposed a
+    (the responder's A^T) is multiplied as (b^T a^T)^T, so BLAS reads A in
+    its stored row order.
     """
     a, b = np.asarray(a), np.asarray(b)
     if a.shape[-1] != b.shape[0]:
         raise ValueError(f"dimension mismatch {a.shape} @ {b.shape}")
     bound = a.shape[-1] * _max_abs(a) * _max_abs(b)
     if bound < 2**53:
-        prod = a.astype(np.float64, copy=False) @ b.astype(np.float64, copy=False)
+        a, b = a.astype(np.float64, copy=False), b.astype(np.float64, copy=False)
+        prod = (b.T @ a.T).T if a.flags.f_contiguous and not a.flags.c_contiguous else a @ b
         return np.rint(prod).astype(np.int64) % q
     return (a.astype(np.int64, copy=False) @ b.astype(np.int64, copy=False)) % q
 
 
 def _max_abs(x: np.ndarray) -> int:
-    """max(1, max |x|) in Python ints, so no dtype minimum can wrap."""
+    """max(1, max |x|) in Python ints, so no dtype minimum can wrap; q - 1
+    for the cached public matrix or a view of it, whose entries lie in [0, q)."""
+    key, a = _matrix_slot
+    if a is not None and (x is a or x.base is a):
+        return key[3] - 1
     if not x.size:
         return 1
     return max(1, -int(x.min()), int(x.max()))

@@ -101,7 +101,7 @@ class _Lwr:
         return 0
 
     def sample(self, suite: Suite, m, x, rng) -> np.ndarray:
-        return algebra.lwr_round(algebra.matmul(m, x, 1 << 62), suite.q, suite.p)
+        return algebra.lwr_round(algebra.matmul(m, x, suite.q), suite.q, suite.p)
 
     def lift(self, suite: Suite, y1, rng) -> np.ndarray:
         """y1 back into Z_q, with uniform eps standing in for the rounded-off part."""

@@ -1,4 +1,5 @@
 import hashlib
+import weakref
 
 import numpy as np
 import pytest
@@ -184,7 +185,7 @@ def test_gen_uniformity():
     big = algebra.gen_poly(SEED, 1 << 15, 12289, tag=3).coeffs
     assert chisquare(np.bincount(big % 64, minlength=64)).pvalue > 0.001
     mat = algebra.gen_matrix(SEED, 128, 128, 2**14, tag=4)
-    assert chisquare(np.bincount(mat.ravel() % 64, minlength=64)).pvalue > 0.001
+    assert chisquare(np.bincount(mat.ravel().astype(np.int64) % 64, minlength=64)).pvalue > 0.001
 
 
 def test_matmul_identity_and_oracle(rng):
@@ -210,7 +211,8 @@ def _oracle(a, b, q):
 
 def test_gen_matrix_is_read_only():
     m = algebra.gen_matrix(SEED, 4, 4, 2**14)
-    assert m.dtype == np.uint16
+    assert m.dtype == np.float64
+    assert np.array_equal(m, np.floor(m)) and m.min() >= 0 and m.max() < 2**14
     with pytest.raises(ValueError):
         m[0, 0] = 1
     with pytest.raises(ValueError):
@@ -257,6 +259,49 @@ def test_matmul_uint16_full_range(rng):
     b = rng.integers(-(2**20), 2**20, (5, 3))
     assert np.array_equal(algebra.matmul(a, b, q), _oracle(a, b, q))
     assert np.array_equal(algebra.matmul(a.T, a, q), _oracle(a.T, a, q))
+
+
+def test_matmul_cached_matrix_exact_at_full_range(rng):
+    q, n = 2**16, 864  # q at the gen_matrix limit, n the largest shipped
+    a = algebra.gen_matrix(SEED, 8, n, q, tag=58)
+    assert a.min() == 0 and a.max() == q - 1  # this tag puts both ends in A
+    for m in (a, a.T):
+        top = 2**53 // (m.shape[1] * (q - 1)) - 1  # the largest |b| on the float path
+        b = rng.integers(-top, top + 1, (m.shape[1], 3))
+        b[:, 0] = top  # column sums reach about 2^52
+        assert np.array_equal(algebra.matmul(m, b, q), _oracle(m, b, q))
+
+
+def test_max_abs_of_cached_matrix_comes_from_q():
+    q = 2**14
+    a = algebra.gen_matrix(SEED, 4, 4, q)
+    assert algebra._max_abs(a) == algebra._max_abs(a.T) == q - 1
+    copy = a.copy()  # writable, not the cached array: scanned
+    assert algebra._max_abs(copy) == int(a.max()) < q - 1
+
+
+def test_gen_matrix_drops_previous_before_expanding(monkeypatch):
+    old = weakref.ref(algebra.gen_matrix(SEED, 16, 16, 2**14, tag=5))
+    shake = hashlib.shake_128
+    alive = []
+
+    def probe(data):
+        alive.append(old() is not None)
+        return shake(data)
+
+    monkeypatch.setattr(algebra.hashlib, "shake_128", probe)
+    algebra.gen_matrix(bytes(32), 16, 16, 2**14, tag=5)
+    assert alive == [False]
+
+
+def test_lwr_sample_matches_big_integer_oracle(rng):
+    suite = get_suite("lwr-paranoid")
+    q, p = suite.q, suite.p
+    a = algebra.gen_matrix(SEED, 6, suite.n, q)
+    for m in (a, a.T):
+        x = rng.integers(-5, 6, (m.shape[1], 3))  # negative wherever the noise is
+        want = [[(2 * p * int(v) + q) // (2 * q) % p for v in row] for row in _oracle(m, x, q)]
+        assert np.array_equal(proto.LWR.sample(suite, m, x, rng), want)
 
 
 def test_matmul_wide_bound_stays_exact(rng):
