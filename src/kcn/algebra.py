@@ -66,20 +66,23 @@ def gen_matrix(seed: bytes, rows: int, cols: int, q: int, tag: int = 0) -> np.nd
 
 # One entry serves both reuse patterns (the responder right after the
 # initiator, and a run of sessions to one public key); more found no hits.
-# The slot holds (key, matrix) and is emptied before the next expansion,
-# so two float64 matrices are never alive in it at once.
-_matrix_slot: list = [None, None]
+# The slot is one (key, matrix) tuple, replaced whole so a reader never
+# pairs one matrix with another's key, and emptied before the next
+# expansion so two float64 matrices are never alive in it at once.
+_matrix_slot: tuple | None = None
 
 
 def _expand_matrix(seed: bytes, rows: int, cols: int, q: int, tag: int) -> np.ndarray:
+    global _matrix_slot
     key = (seed, rows, cols, q, tag)
-    if _matrix_slot[0] != key:
-        _matrix_slot[:] = None, None
+    slot = _matrix_slot
+    if slot is None or slot[0] != key:
+        _matrix_slot = slot = None
         raw = hashlib.shake_128(seed + bytes([tag])).digest(2 * rows * cols)
         a = (np.frombuffer(raw, dtype="<u2").reshape(rows, cols) & np.uint16(q - 1)).astype(np.float64)
         a.flags.writeable = False
-        _matrix_slot[:] = key, a
-    return _matrix_slot[1]
+        _matrix_slot = slot = (key, a)
+    return slot[1]
 
 
 def gen_poly(seed: bytes, n: int, q: int, tag: int = 0) -> "RingPoly":
@@ -161,9 +164,9 @@ def matmul(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
 def _max_abs(x: np.ndarray) -> int:
     """max(1, max |x|) in Python ints, so no dtype minimum can wrap; q - 1
     for the cached public matrix or a view of it, whose entries lie in [0, q)."""
-    key, a = _matrix_slot
-    if a is not None and (x is a or x.base is a):
-        return key[3] - 1
+    slot = _matrix_slot
+    if slot is not None and (x is slot[1] or x.base is slot[1]):
+        return slot[0][3] - 1  # the key is (seed, rows, cols, q, tag)
     if not x.size:
         return 1
     return max(1, -int(x.min()), int(x.max()))
