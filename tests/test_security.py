@@ -63,6 +63,24 @@ def test_suite_security_digest():
     assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == SECURITY_ROWS_DIGEST
 
 
+# SHA-256 of the JSON of every field of every suite's suite_security rows at
+# full precision, as {suite: [[problem, fields(primal), fields(dual)], ...]}
+# over all 30 suites, with fields(e) = [attack, m, b, c, q, p] and each cost
+# written by float.hex
+SECURITY_FULL_DIGEST = "8960f9792eb10db2f306b03488c7b8a59d759d192628b4e3d1319abb7ea290db"
+
+
+def test_suite_security_full_precision_digest():
+    def fields(e):
+        return [e.attack, e.m, e.b, e.c_bits.hex(), e.q_bits.hex(), e.p_bits.hex()]
+
+    rows = {name: [[label, fields(primal), fields(dual)]
+                   for label, primal, dual in suite_security(get_suite(name))]
+            for name in suite_names()}
+    assert len(rows) == 30
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == SECURITY_FULL_DIGEST
+
+
 def test_post_reduction_adjustment():
     # OKCN-T2 published: rounded-Gaussian Q=136/135 -> post-reduction 135/134
     adj = post_reduction_costs(136.0, 500.0, 1.0000337, 712, 8, 8)
