@@ -2,13 +2,9 @@
 """Regenerate the parameter-table numbers: failure rates, attack costs,
 bandwidth, and the noise-table divergences.
 
-Usage: python scripts/reproduce_tables.py [--fast]
-
---fast skips the slow failure-probability integrations (LWR/hybrid take a
-few minutes together).
+Usage: python scripts/reproduce_tables.py
 """
 
-import argparse
 import math
 import sys
 import time
@@ -31,9 +27,6 @@ def section(title):
 
 
 def main():
-    ap = argparse.ArgumentParser()
-    ap.add_argument("--fast", action="store_true", help="skip the slow integrations")
-    args = ap.parse_args()
     t0 = time.time()
 
     section("Noise tables and Renyi divergences")
@@ -62,19 +55,18 @@ def main():
                  "okcn-sec-765", "okcn-sec-837", "akcn-sec-765", "akcn-sec-837"]:
         rep = rlwe_error_rate(get_suite(name))
         print(f"{name:26s} per 2^{rep.log2_per_symbol:7.2f}  overall 2^{rep.log2_overall:7.2f}")
-    if not args.fast:
-        for name in ("lwr-recommended", "lwr-paranoid"):
-            rep = lwr_error_rate(get_suite(name))
-            print(f"{name:26s} per 2^{rep.log2_per_symbol:7.2f}  overall 2^{rep.log2_overall:7.2f}")
-        for name in ("hybrid-recommended", "hybrid-paranoid"):
-            rep = hybrid_error_rate(get_suite(name))
-            rex = hybrid_error_rate(get_suite(name), exact_region=True)
-            print(f"{name:26s} table-convention 2^{rep.log2_overall:7.2f}  "
-                  f"exact-region 2^{rex.log2_overall:7.2f}")
-        z = zarzar_error_rate(22.0, 12289, 2**6, 512)
-        print(f"{'zarzar':26s} bound {z.norm_bound} T {z.threshold} "
-              f"tail 2^{z.log2_tail:.2f} overall 2^{z.log2_overall:.2f} "
-              "(published tail < 2^-64.6 is not reproducible; see README)")
+    for name in ("lwr-recommended", "lwr-paranoid"):
+        rep = lwr_error_rate(get_suite(name))
+        print(f"{name:26s} per 2^{rep.log2_per_symbol:7.2f}  overall 2^{rep.log2_overall:7.2f}")
+    for name in ("hybrid-recommended", "hybrid-paranoid"):
+        rep = hybrid_error_rate(get_suite(name))
+        rex = hybrid_error_rate(get_suite(name), exact_region=True)
+        print(f"{name:26s} table-convention 2^{rep.log2_overall:7.2f}  "
+              f"exact-region 2^{rex.log2_overall:7.2f}")
+    z = zarzar_error_rate(22.0, 12289, 2**6, 512)
+    print(f"{'zarzar':26s} bound {z.norm_bound} T {z.threshold} "
+          f"tail 2^{z.log2_tail:.2f} overall 2^{z.log2_overall:.2f} "
+          "(published tail < 2^-64.6 is not reproducible; see README)")
 
     section("Attack cost estimates (m', b, C, Q, P)")
     for name in suite_names():

@@ -22,14 +22,8 @@ from scipy.stats import chi2
 
 from kcn.noise import Pmf
 
-__all__ = [
-    "discretize_chisq",
-    "conv",
-    "iid_sum",
-    "product_pmf",
-    "fold_mod",
-    "cyclic_fail_prob",
-]
+__all__ = ["discretize_chisq", "conv", "negate", "iid_sum", "power", "product_pmf", "fold_mod",
+           "cyclic_fail_prob", "kept", "trim"]
 
 PROB_FLOOR = 2.0**-200  # mass below this is flushed when trimming supports
 

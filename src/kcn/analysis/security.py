@@ -6,6 +6,12 @@ line of work additionally carry a small per-call accounting overhead that
 is numerically indistinguishable from log2(b) extra bits across all
 published rows (fit within +/-1 everywhere); `model="matrix"` applies it,
 `model="core"` (used for the ring suites) does not.
+
+Each attack scans its (m, b) grid _BLOCK sample counts m at a time and
+carries the best pair, so it holds a few _BLOCK x len(b_grid) float64
+arrays (126 KiB each, under glibc's default 128 KiB mmap threshold, so they
+reuse heap memory), not the whole grid.  Ties go to the first m, as in
+one pass over the grid, so the estimates do not depend on the block size.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ __all__ = ["AttackEstimate", "security_estimate", "suite_security", "post_reduct
 CLASSICAL = 0.292
 QUANTUM = 0.265
 PLAUSIBLE = 0.2075
+_BLOCK = 12  # sample counts per block of the (m, b) scan
 
 
 @dataclass(frozen=True)
@@ -40,38 +47,46 @@ class AttackEstimate:
 
 def _delta0(b):
     """Root Hermite factor delta_0(b) = ((pi b)^(1/b) b / (2 pi e))^(1/(2(b-1)))."""
-    b = np.asarray(b, dtype=np.float64)
     return ((np.pi * b) ** (1.0 / b) * b / (2 * np.pi * np.e)) ** (1.0 / (2.0 * (b - 1.0)))
 
 
-def _overhead(b, model: str):
-    if model == "matrix":
-        return np.log2(b)
-    if model == "core":
-        return np.zeros_like(np.asarray(b, dtype=np.float64))
-    raise ValueError(model)
+def _scan(attack, m_grid, b_grid, model, block):
+    """The estimate at the (m, b) pair of smallest key.
+
+    block(ms) returns the keys of the sample counts ms (rows, whose terms of m
+    alone are Python floats) against every block size, and their log2
+    repetitions (None for none).  Ties go to the earlier block, as argmin
+    gives them to the earlier row; an infinite key is infeasible.
+    """
+    best = None
+    for lo in range(0, len(m_grid), _BLOCK):
+        key, rep = block(m_grid[lo:lo + _BLOCK])
+        i, j = np.unravel_index(np.argmin(key), key.shape)
+        if best is None or key[i, j] < best[0]:
+            best = (key[i, j], int(m_grid[lo + i]), int(b_grid[j]), 0.0 if rep is None else float(rep[i, j]))
+    key, m, b, rep = best
+    if key == np.inf:
+        raise ValueError(f"{attack} attack infeasible on the searched grid")
+    ov = float(np.log2(np.float64(b))) if model == "matrix" else 0.0
+    return AttackEstimate(attack, m, b, CLASSICAL * b + rep + ov, QUANTUM * b + rep + ov,
+                          PLAUSIBLE * b + rep + ov)
 
 
 def _primal(n, q, ss, se, m_grid, b_grid, model):
-    """Smallest feasible block size per sample count, then the best pair."""
+    """Smallest feasible block size over the sample counts, and the first m reaching it."""
     w = math.sqrt(se / ss)
-    ln_delta = np.log(_delta0(b_grid))
-    best = None
-    for m in m_grid:
-        d = m + n + 1
-        lhs = 0.5 * (np.log(b_grid / d) + math.log(n * ss + m * se / w**2 + 1))
-        rhs = (2 * b_grid - d - 1) * ln_delta + (m / d) * math.log(q / w)
-        ok = np.flatnonzero(lhs <= rhs)
-        if len(ok) == 0:
-            continue
-        b = int(b_grid[ok[0]])
-        if best is None or b < best[1]:
-            best = (int(m), b)
-    if best is None:
-        raise ValueError("primal attack infeasible on the searched grid")
-    m, b = best
-    ov = float(_overhead(np.float64(b), model))
-    return AttackEstimate("primal", m, b, CLASSICAL * b + ov, QUANTUM * b + ov, PLAUSIBLE * b + ov)
+    bb = b_grid.astype(np.float64)
+    ln_delta = np.log(_delta0(bb))
+
+    def block(ms):
+        d = ms[:, None] + n + 1.0
+        ln_vol = np.array([[math.log(n * ss + m * se / w**2 + 1)] for m in ms.tolist()])
+        ln_qw = np.array([[(m / (m + n + 1)) * math.log(q / w)] for m in ms.tolist()])
+        lhs = 0.5 * (np.log(bb / d) + ln_vol)
+        rhs = (2 * bb - 1 - d) * ln_delta + ln_qw
+        return np.where(lhs <= rhs, bb, np.inf), None
+
+    return _scan("primal", m_grid, b_grid, model, block)
 
 
 def _dual(n, q, ss, se, m_grid, b_grid, model):
@@ -81,35 +96,24 @@ def _dual(n, q, ss, se, m_grid, b_grid, model):
     attack needs R = max(1, 1 / (2^(0.2075 b) eps^2)) repetitions at
     advantage eps.  The matrix cost model minimizes total cost (svp plus
     repetitions); the core model reports the smallest block size whose
-    advantage already makes one pass sufficient, which is how the ring
-    table was computed.
+    advantage already makes one pass sufficient, and the first m reaching
+    it, which is how the ring table was computed.
     """
     c = math.sqrt(se / ss)
-    # rows are sample counts m, columns block sizes b; terms of b alone
-    # are computed once per b and broadcast
     bb = b_grid.astype(np.float64)
-    d = m_grid.astype(np.float64)[:, None] + n
-    ln_l = d * np.log(_delta0(bb)) + (n / d) * math.log(q / c)
-    ln_tau = ln_l + 0.5 * math.log(se) - math.log(q)
-    log2_eps = (math.log(4) - 2 * math.pi**2 * np.exp(2 * ln_tau)) / math.log(2)
-    log2_rep = np.maximum(0.0, -PLAUSIBLE * bb - 2 * log2_eps)
-    if model == "matrix":
-        cost_c = CLASSICAL * bb + log2_rep + _overhead(bb, model)
-        i, j = np.unravel_index(np.argmin(cost_c), cost_c.shape)
-    else:
-        feasible = log2_rep <= 0.0
-        first = np.where(feasible.any(axis=1), feasible.argmax(axis=1), len(b_grid))
-        i = int(np.argmin(first))
-        if first[i] == len(b_grid):
-            raise ValueError("dual attack infeasible on the searched grid")
-        j = int(first[i])
-    m, b = int(m_grid[i]), int(b_grid[j])
-    rep = float(log2_rep[i, j])
-    ov = float(_overhead(np.float64(b), model))
-    return AttackEstimate(
-        "dual", m, b,
-        CLASSICAL * b + rep + ov, QUANTUM * b + rep + ov, PLAUSIBLE * b + rep + ov,
-    )
+    ln_delta = np.log(_delta0(bb))
+
+    def block(ms):
+        ln_qc = np.array([[(n / (m + n)) * math.log(q / c)] for m in ms.tolist()])
+        ln_l = (ms[:, None] + float(n)) * ln_delta + ln_qc
+        ln_tau = ln_l + 0.5 * math.log(se) - math.log(q)
+        log2_eps = (math.log(4) - 2 * math.pi**2 * np.exp(2 * ln_tau)) / math.log(2)
+        log2_rep = np.maximum(0.0, -PLAUSIBLE * bb - 2 * log2_eps)
+        if model == "matrix":
+            return CLASSICAL * bb + log2_rep + np.log2(bb), log2_rep
+        return np.where(log2_rep <= 0.0, bb, np.inf), log2_rep
+
+    return _scan("dual", m_grid, b_grid, model, block)
 
 
 def security_estimate(n: int, q: int, sigma_s_sq: float, sigma_e_sq: float, model: str = "matrix"):
@@ -118,6 +122,8 @@ def security_estimate(n: int, q: int, sigma_s_sq: float, sigma_e_sq: float, mode
     sigma_e_sq for an LWR instance is the variance of the implicit uniform
     rounding noise; distribution shape beyond the variance is ignored.
     """
+    if model not in ("matrix", "core"):
+        raise ValueError(model)
     m_grid = np.arange(max(40, n // 4), 2 * n + 1)
     b_grid = np.arange(60, 1400)
     return (

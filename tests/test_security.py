@@ -1,8 +1,11 @@
 import hashlib
 import json
+import tracemalloc
 
+import numpy as np
 import pytest
 
+from kcn.analysis import security
 from kcn.analysis.security import (
     AttackEstimate,
     post_reduction_costs,
@@ -79,6 +82,51 @@ def test_suite_security_full_precision_digest():
             for name in suite_names()}
     assert len(rows) == 30
     assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == SECURITY_FULL_DIGEST
+
+
+def _grids(n):
+    """The (m, b) grids that security_estimate searches for dimension n."""
+    return np.arange(max(40, n // 4), 2 * n + 1), np.arange(60, 1400)
+
+
+# (n, q, sigma_s^2, sigma_e^2, model): lwr-recommended's rows and zarzar's.
+# Many consecutive m reach the smallest primal block size in both, so small
+# blocks split those ties across block boundaries.
+BLOCK_CASES = [(680, 2**15, 1.70, 5.25, "matrix"), (512, 12289, 22.0, 22.0, "core")]
+
+
+@pytest.mark.parametrize("n, q, ss, se, model", BLOCK_CASES)
+def test_estimates_do_not_depend_on_block_size(monkeypatch, n, q, ss, se, model):
+    m_grid, b_grid = _grids(n)
+    expected = [attack(n, q, ss, se, m_grid, b_grid, model)
+                for attack in (security._primal, security._dual)]
+    for block in (1, 7, len(m_grid), len(m_grid) + 5):
+        monkeypatch.setattr(security, "_BLOCK", block)
+        got = [attack(n, q, ss, se, m_grid, b_grid, model)
+               for attack in (security._primal, security._dual)]
+        assert got == expected, block
+
+
+def test_infeasible_grid_raises():
+    # no lattice attack on n = 680 succeeds at block size 60 alone
+    m_grid, _ = _grids(680)
+    b_grid = np.arange(60, 61)
+    with pytest.raises(ValueError, match="primal attack infeasible"):
+        security._primal(680, 2**15, 1.70, 5.25, m_grid, b_grid, "matrix")
+    with pytest.raises(ValueError, match="dual attack infeasible"):
+        security._dual(680, 2**15, 1.70, 5.25, m_grid, b_grid, "core")
+
+
+def test_suite_security_memory_is_bounded():
+    # hybrid-paranoid has the largest grids; the whole-grid scan peaked at
+    # 92.9 MB of numpy buffers here, the block scan at about 1 MB
+    tracemalloc.start()
+    try:
+        suite_security(get_suite("hybrid-paranoid"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_post_reduction_adjustment():
