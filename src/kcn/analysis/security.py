@@ -8,10 +8,10 @@ published rows (fit within +/-1 everywhere); `model="matrix"` applies it,
 `model="core"` (used for the ring suites) does not.
 
 Each attack scans its (m, b) grid _BLOCK sample counts m at a time and
-carries the best pair, so it holds a few _BLOCK x len(b_grid) float64
-arrays (126 KiB each, under glibc's default 128 KiB mmap threshold, so they
-reuse heap memory), not the whole grid.  Ties go to the first m, as in
-one pass over the grid, so the estimates do not depend on the block size.
+carries the best pair, so it holds a few _BLOCK x 1340 float64 arrays
+(126 KiB each, under glibc's default 128 KiB mmap threshold, so they reuse
+heap memory), not the whole grid.  Ties go to the first m, as in one pass
+over the grid, so the estimates do not depend on the block size.
 """
 
 from __future__ import annotations
@@ -55,8 +55,8 @@ def _scan(attack, m_grid, b_grid, model, block):
 
     block(ms) returns the keys of the sample counts ms (rows, whose terms of m
     alone are Python floats) against every block size, and their log2
-    repetitions (None for none).  Ties go to the earlier block, as argmin
-    gives them to the earlier row; an infinite key is infeasible.
+    repetitions (None for the primal).  Ties go to the earlier block, as
+    argmin gives them to the earlier row; an infinite key is infeasible.
     """
     best = None
     for lo in range(0, len(m_grid), _BLOCK):
