@@ -118,8 +118,8 @@ def test_infeasible_grid_raises():
 
 
 def test_suite_security_memory_is_bounded():
-    # hybrid-paranoid has the largest grids; the whole-grid scan peaked at
-    # 92.9 MiB of numpy buffers here, the block scan at about 1 MiB
+    # hybrid-paranoid has the largest grids; in this call the whole-grid scan
+    # peaked at 92.9 MiB of numpy buffers, the block scan at about 1 MiB
     tracemalloc.start()
     try:
         suite_security(get_suite("hybrid-paranoid"))
