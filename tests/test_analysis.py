@@ -16,6 +16,7 @@ from kcn.analysis import pmf as pm
 from kcn.analysis.error_rates import (
     ZarzarReport,
     error_rate,
+    hybrid_error_rate,
     lwe_error_rate,
     lwr_diff_distribution,
     rlwe_error_rate,
@@ -350,3 +351,20 @@ def test_error_rate_figures_pinned():
     for name in unsupported:
         with pytest.raises(ValueError):
             error_rate(SUITES[name])
+
+
+# (per_symbol, overall, dropped) as float.hex of the protocol's true rate,
+# which averages over the hint offsets instead of the table's threshold.
+PINNED_EXACT_REGION = {
+    "hybrid-recommended": ("0x1.059792367cdfcp-65", "0x1.059792367cdfcp-59",
+                           "0x1.756beac3986fep-200"),
+    "hybrid-paranoid": ("0x1.fee7e7d1cacb6p-56", "0x1.fee7e7d1cacb6p-50",
+                        "0x1.a48d081dc4022p-200"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_EXACT_REGION))
+def test_hybrid_exact_region_pinned(name):
+    rep = hybrid_error_rate(SUITES[name], exact_region=True)
+    got = tuple(x.hex() for x in (rep.per_symbol, rep.overall, rep.dropped))
+    assert got == PINNED_EXACT_REGION[name]
