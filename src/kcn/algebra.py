@@ -28,6 +28,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from kcn.kc import div_round
+
 __all__ = [
     "gen_matrix",
     "gen_poly",
@@ -56,12 +58,17 @@ def gen_matrix(seed: bytes, rows: int, cols: int, q: int, tag: int = 0) -> np.nd
     BLAS, and is shared by all callers until another (seed, rows, cols, q,
     tag) is expanded.
     """
-    seed = bytes(memoryview(seed))  # any bytes-like seed; bytes(32) would be 32 zeros
-    if len(seed) != SEED_BYTES:
-        raise ValueError("seed must be 32 bytes")
+    seed = _check_seed(seed)
     if not (q > 1 and q & (q - 1) == 0 and q <= 1 << 16):
         raise ValueError("gen_matrix needs a power-of-two q <= 2^16")
     return _expand_matrix(seed, rows, cols, q, tag)
+
+
+def _check_seed(seed) -> bytes:
+    seed = bytes(memoryview(seed))  # any bytes-like seed; bytes(32) would be 32 zeros
+    if len(seed) != SEED_BYTES:
+        raise ValueError("seed must be 32 bytes")
+    return seed
 
 
 # One entry serves both reuse patterns (the responder right after the
@@ -89,11 +96,11 @@ def gen_poly(seed: bytes, n: int, q: int, tag: int = 0) -> "RingPoly":
     """Expand seed into a uniform ring element for prime q via rejection.
 
     16-bit chunks below q * floor(2^16 / q) are accepted and reduced mod q,
-    which leaves the residue exactly uniform.
+    which leaves the residue exactly uniform; q above 2^16 would accept none.
     """
-    seed = bytes(memoryview(seed))  # any bytes-like seed, as in gen_matrix
-    if len(seed) != SEED_BYTES:
-        raise ValueError("seed must be 32 bytes")
+    seed = _check_seed(seed)
+    if not 1 < q <= 1 << 16:
+        raise ValueError("gen_poly needs 1 < q <= 2^16")
     lim = q * ((1 << 16) // q)
     out = np.empty(n, dtype=np.int64)
     filled = 0
@@ -115,7 +122,7 @@ def lwr_round(x, q: int, p: int):
     """LWR rounding: round(p x / q) mod p; requires p | q."""
     if q % p:
         raise ValueError("p must divide q")
-    return (2 * p * np.asarray(x, dtype=np.int64) + q) // (2 * q) % p
+    return div_round(p * np.asarray(x, dtype=np.int64), q) % p
 
 
 def frac_part(x, q: int, p: int):
@@ -123,7 +130,7 @@ def frac_part(x, q: int, p: int):
     if q % p:
         raise ValueError("p must divide q")
     x = np.asarray(x, dtype=np.int64)
-    return x - (q // p) * ((2 * p * x + q) // (2 * q))
+    return x - (q // p) * div_round(p * x, q)
 
 
 def cut_bits(y, t: int):
@@ -188,9 +195,6 @@ class RingPoly:
             raise ValueError("coefficient count must equal n")
         if self.domain not in ("coef", "ntt"):
             raise ValueError("domain must be 'coef' or 'ntt'")
-
-    def copy(self) -> "RingPoly":
-        return RingPoly(self.n, self.q, self.coeffs.copy(), self.domain)
 
 
 def _find_generator(q: int) -> int:

@@ -20,7 +20,7 @@ from kcn import algebra
 from kcn.noise import Pmf, uniform_pmf
 from kcn.analysis import pmf as pm
 from kcn.codes import SecCode
-from kcn.kc import KcVariant
+from kcn.kc import KcVariant, dist_mod
 from kcn.suites import Suite
 
 __all__ = [
@@ -45,11 +45,15 @@ class ErrorReport:
 
     @property
     def log2_overall(self) -> float:
-        return math.log2(self.overall) if self.overall > 0 else -math.inf
+        return _log2(self.overall)
 
     @property
     def log2_per_symbol(self) -> float:
-        return math.log2(self.per_symbol) if self.per_symbol > 0 else -math.inf
+        return _log2(self.per_symbol)
+
+
+def _log2(p: float) -> float:
+    return math.log2(p) if p > 0 else -math.inf
 
 
 def _union(p: float, k: int) -> float:
@@ -76,8 +80,7 @@ def _frodo_fail_prob(folded: np.ndarray, q: int, m: int) -> float:
     round back, offsets beyond 3L/2 never do.
     """
     big_l = q // (2 * m)
-    r = np.arange(q)
-    c = np.minimum(r, q - r)
+    c = dist_mod(np.arange(q), q)
     frac = np.clip((c - big_l / 2) / big_l, 0.0, 1.0)
     return float(np.dot(folded, frac))
 
@@ -200,8 +203,7 @@ def lwr_error_rate(suite: Suite) -> ErrorReport:
     q, p, d = suite.q, suite.p, suite.kc.d
     folded = lwr_diff_distribution(suite.n, q, p, suite.noise.pmf())
     s = algebra.lwr_round(np.arange(q), q, p)
-    bad = np.minimum(s, p - s) > d
-    p_coord = float(np.sum(folded[bad]))
+    p_coord = float(np.sum(folded[dist_mod(s, p) > d]))
     return ErrorReport(p_coord, _union(p_coord, suite.l_a * suite.l_b))
 
 
@@ -239,7 +241,7 @@ def hybrid_error_rate(suite: Suite, exact_region: bool = False) -> ErrorReport:
             frac += (s_c + u < -half) | (s_c + u >= half)
         p_coord = float(np.dot(folded, frac / step))
     else:
-        p_coord = float(np.sum(folded[np.minimum(s, p - s) > qk // (2 * m) - 1]))
+        p_coord = float(np.sum(folded[dist_mod(s, p) > qk // (2 * m) - 1]))
     return ErrorReport(p_coord, _union(p_coord, suite.l_a * suite.l_b), dist.dropped)
 
 
@@ -279,11 +281,11 @@ class ZarzarReport:
 
     @property
     def log2_tail(self) -> float:
-        return math.log2(self.tail)
+        return _log2(self.tail)
 
     @property
     def log2_overall(self) -> float:
-        return math.log2(self.overall)
+        return _log2(self.overall)
 
 
 def zarzar_error_rate(sigma_sq: float, q: int, g: int, n: int) -> ZarzarReport:

@@ -20,6 +20,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.stats import chi2
 
+from kcn.kc import dist_mod
 from kcn.noise import Pmf
 
 __all__ = ["discretize_chisq", "conv", "negate", "iid_sum", "power", "product_pmf", "fold_mod",
@@ -96,9 +97,7 @@ def product_pmf(px: Pmf, py: Pmf, scale: float = 1.0) -> Pmf:
 def cyclic_fail_prob(folded: np.ndarray, d: int) -> float:
     """P(|X|_q > d) for a mod-q folded distribution."""
     q = len(folded)
-    r = np.arange(q)
-    bad = np.minimum(r, q - r) > d
-    return float(np.sum(folded[bad]))
+    return float(np.sum(folded[dist_mod(np.arange(q), q) > d]))
 
 
 def kept(probs: np.ndarray, floor: float) -> tuple[int, int]:
@@ -120,16 +119,16 @@ def trim(p: Pmf, floor: float = PROB_FLOOR) -> Pmf:
     return Pmf(p.offset + lo, p.probs[lo:hi].copy(), p.dropped + cut)
 
 
-def discretize_chisq(df: int, step: float, tail: float = PROB_FLOOR) -> Pmf:
+def discretize_chisq(df: int, step: float) -> Pmf:
     """Distribution of round(X / step) for X ~ chi-square(df), a Pmf over k
     standing for the values step * k.
 
-    The grid extends until the survival mass drops below `tail`; that
+    The grid extends until the survival mass drops below PROB_FLOOR; that
     truncated mass is carried as `dropped`.  Cell probabilities are
     survival-function differences, which keeps relative precision in the
     far tail.
     """
-    xmax = float(chi2.isf(tail, df))
+    xmax = float(chi2.isf(PROB_FLOOR, df))
     kmax = int(np.ceil(xmax / step)) + 1
     edges = (np.arange(kmax + 1) + 0.5) * step
     sf = chi2.sf(edges, df)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from kcn.kc import div_round
+from kcn.kc import dist_mod, div_round
 
 __all__ = [
     "SecCode",
@@ -171,7 +171,7 @@ def cvp_d4(num, den: int = 1) -> np.ndarray:
         raise ValueError("denominator must be positive")
     v0 = div_round(num, den)
     v1 = div_round(2 * num - den, 2 * den)  # round(x - g)
-    k = (np.sum(np.abs(num - den * v0), axis=-1) >= den).astype(np.int64)
+    k = (_l1_to_z4(num, den) >= den).astype(np.int64)
     vk = np.where(k[..., None] == 0, v0, v1)
     out = np.empty_like(vk)
     out[..., 0] = vk[..., 0] - vk[..., 3]
@@ -190,11 +190,9 @@ def d4_point(v) -> np.ndarray:
     return out
 
 
-def _decode_d4(num, den: int):
-    """NewHope Decode on x = num/den in R^4/Z^4: 0 iff ||x - round(x)||_1 <= 1."""
-    num = np.asarray(num, dtype=np.int64)
-    r = num - den * div_round(num, den)
-    return (np.sum(np.abs(r), axis=-1) > den).astype(np.int64)
+def _l1_to_z4(num, den: int):
+    """den * ||x - round(x)||_1 for x = num/den: the L1 distance to Z^4 over den."""
+    return np.sum(np.abs(num - den * div_round(num, den)), axis=-1)
 
 
 def newhope_con(sigma1, b, r: int, q: int):
@@ -210,11 +208,11 @@ def newhope_con(sigma1, b, r: int, q: int):
 
 
 def newhope_rec(sigma2, v, r: int, q: int):
-    """Decode(sigma2/q - B v / 2^r); returns the consensus bit(s)."""
+    """Decode(x) for x = sigma2/q - B v / 2^r: bit 0 iff ||x - round(x)||_1 <= 1."""
     sigma2 = np.asarray(sigma2, dtype=np.int64)
-    v = np.asarray(v, dtype=np.int64)
     num = (1 << (r + 1)) * sigma2 - q * d4_point(v)
-    return _decode_d4(num, (1 << (r + 1)) * q)
+    den = (1 << (r + 1)) * q
+    return (_l1_to_z4(num, den) > den).astype(np.int64)
 
 
 def akcn41_con(sigma1, k1, g: int, q: int):
@@ -230,11 +228,9 @@ def akcn41_con(sigma1, k1, g: int, q: int):
 def akcn41_rec(sigma2, v, g: int, q: int):
     """Recover the bit: x = Bv/g - sigma2/q, 0 iff ||x - round(x)||_1 < 1."""
     sigma2 = np.asarray(sigma2, dtype=np.int64)
-    v = np.asarray(v, dtype=np.int64)
-    num = q * d4_point(v) - 2 * g * sigma2  # over den 2 g q
+    num = q * d4_point(v) - 2 * g * sigma2
     den = 2 * g * q
-    r = num - den * div_round(num, den)
-    return (np.sum(np.abs(r), axis=-1) >= den).astype(np.int64)
+    return (_l1_to_z4(num, den) >= den).astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -304,10 +300,7 @@ def decode_e8(x, q: int) -> np.ndarray:
     x = np.asarray(x, dtype=np.int64)
     if x.shape[-1] != 8:
         raise ValueError("need 8-vectors")
-    half = (q - 1) // 2
-    r0 = x % q
-    r1 = (x + half) % q
-    cost = np.stack([np.minimum(r0, q - r0) ** 2, np.minimum(r1, q - r1) ** 2], axis=-1)
+    cost = np.stack([dist_mod(x, q) ** 2, dist_mod(x + (q - 1) // 2, q) ** 2], axis=-1)
     even = cost[..., 0::2, :]
     odd = cost[..., 1::2, :]
     k00, t00 = _decode_c(even[..., 0] + odd[..., 0], even[..., 1] + odd[..., 1])

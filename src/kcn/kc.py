@@ -15,7 +15,9 @@ and the power-of-two forms are the generic formulas with beta = q/m.
 
 All arithmetic is integer arithmetic in int64 (round-half-up as
 floor((2a+b)/(2b))), so every function here accepts Python ints or numpy
-integer arrays alike and is exact for q up to 2^20.
+integer arrays alike and is exact for q up to 2^20.  Con and Rec return
+int64 numpy values shaped like sigma, whatever the input: a scalar sigma
+gives numpy scalars.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ import numpy as np
 __all__ = [
     "KcVariant",
     "KcParams",
-    "ConOutput",
     "Violation",
     "dist_mod",
     "div_round",
@@ -63,7 +64,7 @@ def dist_mod(x, t):
     if np.any(np.asarray(t) < 1):
         raise ValueError("modulus t must be >= 1")
     r = x % t
-    return np.minimum(r, t - r) if isinstance(r, np.ndarray) else min(r, t - r)
+    return np.minimum(r, t - r)
 
 
 def div_round(a, b):
@@ -110,12 +111,6 @@ class KcParams:
     @property
     def big_g(self) -> int:
         return self.q // self.m
-
-
-@dataclass(frozen=True)
-class ConOutput:
-    k1: int
-    v: int
 
 
 @dataclass(frozen=True)
@@ -171,7 +166,8 @@ def _e_range(p: KcParams) -> tuple[int, int]:  # half-open; just {0} when alpha 
 
 
 def kc_con(variant: KcVariant, sigma1, params: KcParams, rng=None):
-    """Con of a KC-family variant: (key in Z_m, hint in Z_g) from sigma1 in Z_q.
+    """Con of a KC-family variant: the pair (key in Z_m, hint in Z_g) from
+    sigma1 in Z_q.
 
     When m does not divide q (only generic OKCN accepts that) the smoothing
     noise e is drawn uniformly from `_e_range` using `rng`; otherwise e = 0
@@ -184,8 +180,7 @@ def kc_con(variant: KcVariant, sigma1, params: KcParams, rng=None):
         if rng is None:
             raise ValueError("Con needs a randomness source when m does not divide q")
         e = rng.integers(*_e_range(params), size=np.shape(sigma1) or None)
-    k1, v = con(np.asarray(sigma1, dtype=np.int64), e, params)
-    return (k1, v) if np.ndim(sigma1) else ConOutput(int(k1), int(v))
+    return con(np.asarray(sigma1, dtype=np.int64), e, params)
 
 
 def kc_rec(variant: KcVariant, sigma2, v, params: KcParams):
@@ -198,8 +193,7 @@ def akc_con(variant: KcVariant, sigma1, k1, params: KcParams):
     con = _scheme(variant, True, "con").con
     _check_range(sigma1, params.q, "sigma1")
     _check_range(k1, params.m, "k1")
-    v = con(np.asarray(sigma1, dtype=np.int64), np.asarray(k1, dtype=np.int64), params)
-    return v if np.ndim(v) else int(v)
+    return con(np.asarray(sigma1, dtype=np.int64), np.asarray(k1, dtype=np.int64), params)
 
 
 def akc_rec(variant: KcVariant, sigma2, v, params: KcParams):
@@ -210,8 +204,7 @@ def akc_rec(variant: KcVariant, sigma2, v, params: KcParams):
 def _rec(scheme: _Scheme, sigma2, v, params: KcParams):
     _check_range(sigma2, params.q, "sigma2")
     _check_range(v, params.g, "v")
-    k2 = scheme.rec(np.asarray(sigma2, dtype=np.int64), np.asarray(v, dtype=np.int64), params)
-    return k2 if np.ndim(k2) else int(k2)
+    return scheme.rec(np.asarray(sigma2, dtype=np.int64), np.asarray(v, dtype=np.int64), params)
 
 
 # The formulas, on int64 arrays (0-d for scalars): a KC Con maps (sigma1, e)

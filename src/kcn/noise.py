@@ -5,7 +5,8 @@ exactly `bits` random bits and maps them through the inverse CDF, so the
 sampled distribution equals the table counts exactly.  Alongside them live
 the centered binomial Psi_16, the bit-counting sampler B^{a,b}, discrete
 Gaussian reference PMFs, and the Renyi divergence used to justify the
-table approximations.
+table approximations.  Every sampler returns int64 draws of shape `size`,
+a numpy scalar when size is None.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ __all__ = [
     "renyi_divergence",
     "psi16_pmf",
     "bab_pmf",
-    "table_pmf",
     "uniform_pmf",
     "table_from_pmf",
 ]
@@ -127,8 +127,7 @@ def sample_table(table: NoiseTable, rng, size=None):
     """Draw from the table: `bits` random bits through the inverse CDF."""
     r = rng.integers(0, 1 << table.bits, size=size, dtype=np.int64)
     idx = np.searchsorted(table._cdf, r, side="right")
-    out = table._values[idx]
-    return out if size is not None else int(out)
+    return table._values[idx]
 
 
 def sample_centered_binomial(rng, size=None):
@@ -136,8 +135,7 @@ def sample_centered_binomial(rng, size=None):
     r = rng.integers(0, 1 << 32, size=size, dtype=np.uint64)
     lo = np.bitwise_count(r & np.uint64(0xFFFF)).astype(np.int64)
     hi = np.bitwise_count(r >> np.uint64(16)).astype(np.int64)
-    out = lo - hi
-    return out if size is not None else int(out)
+    return lo - hi
 
 
 def sample_bab(a: int, b: int, rng, size=None):
@@ -149,8 +147,7 @@ def sample_bab(a: int, b: int, rng, size=None):
     r = rng.integers(0, 1 << (a + b), size=size, dtype=np.uint64)
     ones = np.bitwise_count(r & np.uint64((1 << a) - 1)).astype(np.int64)
     twos = np.bitwise_count(r >> np.uint64(a)).astype(np.int64)
-    out = ones + 2 * twos - (a // 2 + b)
-    return out if size is not None else int(out)
+    return ones + 2 * twos - (a // 2 + b)
 
 
 def rounded_gaussian_pmf(sigma: float, cutoff: int | None = None) -> Pmf:
@@ -205,10 +202,6 @@ def bab_pmf(a: int, b: int) -> Pmf:
     pb = np.zeros(2 * b + 1)
     pb[::2] = np.array([math.comb(b, k) for k in range(b + 1)], dtype=np.float64) / 2.0**b
     return Pmf(-(a // 2 + b), np.convolve(pa, pb))
-
-
-def table_pmf(name: str) -> Pmf:
-    return TABLES[name].pmf()
 
 
 def uniform_pmf(lo: int, hi: int) -> Pmf:

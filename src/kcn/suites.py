@@ -61,7 +61,7 @@ class _NoiseKind(NamedTuple):
 # called, so replacing it there (as perfbench/tracer.py does) reaches every
 # suite.
 _NOISE_KINDS = {
-    "table": _NoiseKind(lambda s: noise_mod.table_pmf(s.name), lambda s: noise_mod.TABLES[s.name].variance,
+    "table": _NoiseKind(lambda s: noise_mod.TABLES[s.name].pmf(), lambda s: noise_mod.TABLES[s.name].variance,
                         lambda s, rng, n: noise_mod.sample_table(noise_mod.TABLES[s.name], rng, n),
                         "{name}"),
     "psi16": _NoiseKind(lambda s: noise_mod.psi16_pmf(), lambda s: 8.0,

@@ -252,6 +252,15 @@ def test_gen_matrix_validates_every_call():
             algebra.gen_matrix(32, 2, 2, 2**14)
 
 
+def test_gen_poly_refuses_q_above_16_bits():
+    # no 16-bit word falls below q * floor(2^16 / q) = 0, so it would never fill
+    with pytest.raises(ValueError):
+        algebra.gen_poly(SEED, 16, 65537)
+    with pytest.raises(ValueError):
+        algebra.gen_poly(SEED[:31], 16, 12289)
+    assert algebra.gen_poly(SEED, 16, 1 << 16).coeffs.max() < 1 << 16
+
+
 def test_matmul_uint16_full_range(rng):
     q = 2**16
     a = algebra.gen_matrix(SEED, 7, 5, q).copy()

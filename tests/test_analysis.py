@@ -301,7 +301,9 @@ def test_zarzar_report_structure():
     assert rep.threshold == math.floor(rep.norm_bound**2 / (4 * 16.0))
     assert 0 <= rep.tail <= 1
     assert rep.overall <= min(1.0, 8 * rep.tail) + 1e-18
-    assert zarzar_error_rate(1e-6, 12289, 2**6, 64).tail == 0.0  # sigma -> 0
+    zero = zarzar_error_rate(1e-6, 12289, 2**6, 64)  # sigma -> 0
+    assert zero.tail == 0.0
+    assert zero.log2_tail == zero.log2_overall == -math.inf
 
 
 # --- pinned figures ------------------------------------------------------------

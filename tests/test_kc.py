@@ -64,16 +64,15 @@ def test_bound_slack_sign():
 
 
 def test_okcn_simple_example():
-    out = kc_con(KcVariant.OKCN_SIMPLE, 13, SIMPLE)
-    assert (out.k1, out.v) == (1, 5)
-    assert kc_con(KcVariant.OKCN_SIMPLE, 0, SIMPLE).k1 == 0
+    k1, v = kc_con(KcVariant.OKCN_SIMPLE, 13, SIMPLE)
+    assert (k1, v) == (1, 5)
+    assert kc_con(KcVariant.OKCN_SIMPLE, 0, SIMPLE)[0] == 0
     assert kc_rec(KcVariant.OKCN_SIMPLE, 0, 5, SIMPLE) == 1  # |13-0|_16 = 3 <= d
 
 
 def test_okcn_generic_example():
     p = KcParams(q=14, m=2, g=2, d=1)  # alpha = 1 forces e = 0
-    out = kc_con(KcVariant.OKCN_GENERIC, 3, p)
-    assert (out.k1, out.v) == (0, 0)
+    assert kc_con(KcVariant.OKCN_GENERIC, 3, p) == (0, 0)
     assert kc_rec(KcVariant.OKCN_GENERIC, 4, 0, p) == 0
 
 
