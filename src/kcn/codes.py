@@ -191,7 +191,7 @@ def d4_point(v) -> np.ndarray:
 
 
 def _l1_to_z4(num, den: int):
-    """den * ||x - round(x)||_1 for x = num/den: the L1 distance to Z^4 over den."""
+    """den times the L1 distance from num/den to Z^4, an exact integer."""
     return np.sum(np.abs(num - den * div_round(num, den)), axis=-1)
 
 
