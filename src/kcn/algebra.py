@@ -122,7 +122,7 @@ def lwr_round(x, q: int, p: int):
     """LWR rounding: round(p x / q) mod p; requires p | q."""
     if q % p:
         raise ValueError("p must divide q")
-    return div_round(p * np.asarray(x, dtype=np.int64), q) % p
+    return div_round(np.asarray(x, dtype=np.int64), q // p) % p  # p x / q = x / (q/p)
 
 
 def frac_part(x, q: int, p: int):
@@ -130,7 +130,7 @@ def frac_part(x, q: int, p: int):
     if q % p:
         raise ValueError("p must divide q")
     x = np.asarray(x, dtype=np.int64)
-    return x - (q // p) * div_round(p * x, q)
+    return x - (q // p) * div_round(x, q // p)
 
 
 def cut_bits(y, t: int):

@@ -169,10 +169,8 @@ def cvp_d4(num, den: int = 1) -> np.ndarray:
         raise ValueError("need 4-vectors")
     if den < 1:
         raise ValueError("denominator must be positive")
-    v0 = div_round(num, den)
-    v1 = div_round(2 * num - den, 2 * den)  # round(x - g)
     k = (_l1_to_z4(num, den) >= den).astype(np.int64)
-    vk = np.where(k[..., None] == 0, v0, v1)
+    vk = div_round(2 * num - k[..., None] * den, 2 * den)  # round(x - k g)
     out = np.empty_like(vk)
     out[..., 0] = vk[..., 0] - vk[..., 3]
     out[..., 1] = vk[..., 1] - vk[..., 3]
@@ -300,7 +298,7 @@ def decode_e8(x, q: int) -> np.ndarray:
     x = np.asarray(x, dtype=np.int64)
     if x.shape[-1] != 8:
         raise ValueError("need 8-vectors")
-    cost = np.stack([dist_mod(x, q) ** 2, dist_mod(x + (q - 1) // 2, q) ** 2], axis=-1)
+    cost = dist_mod(x[..., None] + np.array([0, (q - 1) // 2]), q) ** 2  # (..., 8, b)
     even = cost[..., 0::2, :]
     odd = cost[..., 1::2, :]
     k00, t00 = _decode_c(even[..., 0] + odd[..., 0], even[..., 1] + odd[..., 1])

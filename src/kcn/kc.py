@@ -61,7 +61,7 @@ class KcVariant(str, Enum):
 
 def dist_mod(x, t):
     """Cyclic distance |x|_t = min(x mod t, t - x mod t), mod results in [0, t-1]."""
-    if np.any(np.asarray(t) < 1):
+    if (np.asarray(t) < 1).any():
         raise ValueError("modulus t must be >= 1")
     r = x % t
     return np.minimum(r, t - r)
