@@ -298,7 +298,7 @@ def decode_e8(x, q: int) -> np.ndarray:
     x = np.asarray(x, dtype=np.int64)
     if x.shape[-1] != 8:
         raise ValueError("need 8-vectors")
-    cost = dist_mod(x[..., None] + np.array([0, (q - 1) // 2]), q) ** 2  # (..., 8, b)
+    cost = dist_mod(x[..., None] + np.array([0, (q - 1) // 2]), q) ** 2  # cost[..., i, b]
     even = cost[..., 0::2, :]
     odd = cost[..., 1::2, :]
     k00, t00 = _decode_c(even[..., 0] + odd[..., 0], even[..., 1] + odd[..., 1])
