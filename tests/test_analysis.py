@@ -199,6 +199,18 @@ def test_cyclic_fail_prob():
     assert abs(pm.cyclic_fail_prob(folded, 2) - 3 / 8) < 1e-12
 
 
+@pytest.mark.parametrize("df, step", [(2, 0.02), (256, 0.1)])
+def test_discretize_chisq_pinned_to_scipy_stats(df, step):
+    # the chi-square grid, written out with scipy.stats.chi2
+    kmax = int(np.ceil(float(chi2.isf(pm.PROB_FLOOR, df)) / step)) + 1
+    sf = chi2.sf((np.arange(kmax + 1) + 0.5) * step, df)
+    want = np.concatenate([[1.0 - sf[0]], sf[:-1] - sf[1:]])
+    got = pm.discretize_chisq(df, step)
+    assert got.offset == 0
+    assert np.array_equal(got.probs, want)
+    assert np.array_equal(got.dropped, sf[-1])
+
+
 # --- LWR micro-oracle: exact brute force vs the conditional pipeline ---------
 
 def brute_lwr_folded(n, q, p, chi_vals, chi_wts):

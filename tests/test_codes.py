@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -53,6 +54,23 @@ def test_sec_exhaustive_single_flip(n_h):
         bad = cws.copy()
         bad[:, pos] ^= 1
         assert np.array_equal(codes.sec_decode(bad, c), msgs)
+
+
+@pytest.mark.parametrize("n_h, digest", [
+    (3, "9d6e196e55bdeebed11fb605e44d14a48f4e845238ca8ccca4f51993a6abd1a1"),
+    (4, "0f3b784ddf55983d9d04bcc2ad54135f55ba79435d4f8e2191a539278a43a6d6"),
+])
+def test_sec_decode_every_word_pinned(n_h, digest):
+    # SHA-256 of the decoded bytes of every block word, in counting order
+    c = codes.SecCode(n_h)
+    h = hashlib.sha256()
+    chunk = 1 << 16
+    for start in range(0, 1 << c.block_bits, chunk):
+        w = np.arange(start, min(start + chunk, 1 << c.block_bits))
+        out = codes.sec_decode(((w[:, None] >> np.arange(c.block_bits)) & 1).astype(np.uint8), c)
+        assert out.dtype == np.uint8
+        h.update(out.tobytes())
+    assert h.hexdigest() == digest
 
 
 def test_sec_wrap_bijection_and_flips(rng):

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -156,6 +158,28 @@ def test_frodo_cross_check_q2048():
     for delta in range(-(radius - 1), radius):
         sigma2 = (sigma1 + delta) % q
         assert np.array_equal(kc_rec(KcVariant.FRODO, sigma2, v, params), k1), delta
+
+
+# SHA-256 of rec_table(FRODO, (q, m, 2, 0)) as little-endian int64, for the
+# Frodo suites' (q, m) and every valid m at q = 16 and 64
+FRODO_REC_DIGESTS = {
+    (2048, 2): "fa364da2fe57f7d391d5f342eb6555a98755cd90df582b95f02e04155ffe791d",
+    (4096, 4): "c808df46a42a171ad6f6cd0e25813411f8bea13f3b009709e22aa7f8cb179f53",
+    (32768, 16): "d71c81757b3d57ca32f4da14300ae8ec251106b094d2f7743488a53ddad005c9",
+    (16, 2): "68c9e7afb1cd7116774f70b6b2e44afdc00e860d9ffee533fba1ac1e2b95006d",
+    (16, 4): "90f9f60f4b2cfc893c3ae269d4c8caec2675066c982d9f2c09aff6d76705fb93",
+    (64, 2): "d5a818231e2264dfe97feef7838a7e30cacdc0f9a5fde160cd10993a5d28bb7b",
+    (64, 4): "dcbee7ed5ce04ccf05f5c3637bd5fdaf9c4c81830317e9dc4982fb01273b333c",
+    (64, 8): "9e16a7d551797d35ff45a8ab8a3ca3f6b5077d5e34ebb8d506f3fc1f0eadabf8",
+    (64, 16): "5f81cb1c92731d9a51911a64c565c778afa6db71cc45817b64b9657566cf5ae1",
+}
+
+
+@pytest.mark.parametrize("q, m", sorted(FRODO_REC_DIGESTS))
+def test_frodo_rec_table_pinned(q, m):
+    t = rec_table(KcVariant.FRODO, KcParams(q, m, 2, 0))
+    assert t.dtype == np.int64
+    assert hashlib.sha256(t.astype("<i8").tobytes()).hexdigest() == FRODO_REC_DIGESTS[q, m]
 
 
 def test_rec_table_shape():
