@@ -9,7 +9,8 @@ Three families live here:
   reconciliation baseline, and the 4-coefficients-to-1-bit asymmetric
   scheme built on it;
 * the E8 code derived from the extended Hamming code H8, with the
-  cost-table decoder and its Con/Rec pair (8 coefficients to 4 bits).
+  minimum-cost search over its 16 codewords and its Con/Rec pair
+  (8 coefficients to 4 bits).
 
 Lattice arithmetic is exact: points are carried as integer numerators over
 an explicit denominator (the only denominators arising in the protocols
@@ -114,13 +115,9 @@ def sec_decode(cw: np.ndarray, code: SecCode) -> np.ndarray:
     pbar_recv = np.sum(p_recv.astype(np.int64) << shifts, axis=-1)
     parity_fail = np.bitwise_xor.reduce(x0x, axis=-1) == 1
     err_idx = code.parity(x) ^ pbar_recv  # 0 means the error sits in x0
-    flat_x = x.reshape(-1, code.message_bits)
-    rows = np.flatnonzero(parity_fail.ravel())
-    for r in rows:
-        i = int(err_idx.ravel()[r])
-        if 1 <= i <= code.message_bits:
-            flat_x[r, i - 1] ^= 1
-    return flat_x.reshape(x.shape)
+    fix = parity_fail & (err_idx > 0)
+    x[fix, err_idx[fix] - 1] ^= 1
+    return x
 
 
 def sec_wrap(k1: np.ndarray, code: SecCode):
@@ -243,6 +240,7 @@ E8_GEN = np.array(
     ],
     dtype=np.int64,
 )
+_E8_MSGS = (np.arange(16)[:, None] >> np.arange(4)) & 1  # message i has bits i >> j & 1
 
 
 def e8_encode(k1) -> np.ndarray:
@@ -269,45 +267,15 @@ def e8_rec(sigma2, v, g: int, q: int) -> np.ndarray:
     return decode_e8(div_round(q * v, g) - sigma2, q)
 
 
-def _decode_c(cost0: np.ndarray, cost1: np.ndarray):
-    """Wagner-style decode of one coset: per-pair minimum plus parity repair.
-
-    cost0/cost1 hold the per-pair costs of k_j = 0 / k_j = 1 with shape
-    (..., 4); returns (bits (..., 4), total cost).
-    """
-    k = (cost0 > cost1).astype(np.int64)  # strictly smaller cost wins, ties -> 0
-    total = np.sum(np.where(k == 1, cost1, cost0), axis=-1)
-    delta = np.abs(cost1 - cost0)
-    flip_pos = np.argmin(delta, axis=-1)
-    min_d = np.take_along_axis(delta, flip_pos[..., None], axis=-1)[..., 0]
-    odd = np.sum(k, axis=-1) % 2 == 1
-    flip_mask = odd[..., None] & (np.arange(4) == flip_pos[..., None])
-    k = k ^ flip_mask
-    total = total + np.where(odd, min_d, 0)
-    return k, total
-
-
 def decode_e8(x, q: int) -> np.ndarray:
     """Minimum-cost decode of x in Z^8 over the 16 used E8 codewords.
 
-    Costs are cost_{i,b} = |x_i + b(q-1)/2|_q^2; the two cosets C and C + c
-    are decoded separately and the cheaper one wins (ties favour coset 0).
-    Output bits follow the (k0, k1^k0, k3, b) message mapping, which is the
-    exact inverse of e8_encode under the coset parity constraint.
+    Returns the message k minimising sum_i |x_i + (q-1)/2 (kH)_i|_q^2;
+    ties go to the lowest message index (message i has bits i >> j & 1).
     """
     x = np.asarray(x, dtype=np.int64)
     if x.shape[-1] != 8:
         raise ValueError("need 8-vectors")
-    cost = dist_mod(x[..., None] + np.array([0, (q - 1) // 2]), q) ** 2  # cost[..., i, b]
-    even = cost[..., 0::2, :]
-    odd = cost[..., 1::2, :]
-    k00, t00 = _decode_c(even[..., 0] + odd[..., 0], even[..., 1] + odd[..., 1])
-    k01, t01 = _decode_c(even[..., 0] + odd[..., 1], even[..., 1] + odd[..., 0])
-    b = (t01 < t00).astype(np.int64)
-    k = np.where(b[..., None] == 0, k00, k01)
-    out = np.empty_like(k)
-    out[..., 0] = k[..., 0]
-    out[..., 1] = k[..., 1] ^ k[..., 0]
-    out[..., 2] = k[..., 3]
-    out[..., 3] = b
-    return out
+    words = (q - 1) // 2 * e8_encode(_E8_MSGS)
+    cost = np.sum(dist_mod(x[..., None, :] + words, q) ** 2, axis=-1)
+    return _E8_MSGS[np.argmin(cost, axis=-1)]

@@ -229,16 +229,10 @@ def _frodo_con(sigma1, e, p: KcParams):  # e = 0: Frodo's condition implies m | 
 
 
 def _frodo_rec(sigma2, v, p: KcParams):
-    # Nearest x to sigma2 with floor(x / 2^(Bbar-1)) mod 2 = v, then round.
-    period = p.big_g  # 2^Bbar
-    half = period // 2
-    r = sigma2 % period
-    lo = v * half
-    inside = (r >= lo) & (r < lo + half)
-    up = np.where(r < lo, lo - r, lo + 2 * half - r)
-    down = np.where(r < lo, r - lo + half + 1, r - (lo + half - 1))
-    x = np.where(inside, sigma2, np.where(up < down, sigma2 + up, sigma2 - down))
-    return div_round(x, period) % p.m
+    # P = q/m, H = P/2: round to Z_m the nearest x to sigma2 with floor(x / H) mod 2 = v;
+    # a point midway between two such intervals goes down.
+    period, half = p.big_g, p.big_g // 2
+    return ((sigma2 - v * half + period - 1 - (period + half - 1) // 2) // period + v) % p.m
 
 
 def _akcn_con(sigma1, k1, p: KcParams):

@@ -232,6 +232,25 @@ def test_decode_e8_matches_brute_force(rng):
         checked += 1
 
 
+def test_decode_e8_tie_goes_to_lower_message():
+    # For codewords a, b at distance 4, x sits on a's and b's shared bits and a
+    # quarter period from either where they differ: a and b tie, all else costs more.
+    half = (Q - 1) // 2
+    msgs = np.array([[(i >> j) & 1 for j in range(4)] for i in range(16)])
+    cws = codes.e8_encode(msgs)
+    ties = 0
+    for a, b in itertools.combinations(range(16), 2):
+        if np.sum(cws[a] != cws[b]) != 4:
+            continue
+        x = np.where(cws[a] == cws[b], -half * cws[a], -half // 2)
+        delta = (x + half * cws) % Q
+        cost = np.sum(np.minimum(delta, Q - delta) ** 2, axis=1)
+        assert sorted(np.flatnonzero(cost == cost.min())) == [a, b]
+        assert np.array_equal(codes.decode_e8(x % Q, Q), msgs[a])
+        ties += 1
+    assert ties == 112
+
+
 def test_e8_con_rec_under_noise(rng):
     g = 64
     z8 = np.zeros((1, 8), dtype=np.int64)
