@@ -189,7 +189,7 @@ class RingPoly:
     coeffs: np.ndarray
     domain: str = "coef"  # "coef" | "ntt"
 
-    def __post_init__(self):
+    def __post_init__(self):  # the ring operations leave their reduction mod q to this
         self.coeffs = np.asarray(self.coeffs, dtype=np.int64) % self.q
         if self.coeffs.shape != (self.n,):
             raise ValueError("coefficient count must equal n")
@@ -297,7 +297,7 @@ def ntt_inverse(p: RingPoly) -> RingPoly:
 def poly_add(a: RingPoly, b: RingPoly) -> RingPoly:
     if (a.n, a.q, a.domain) != (b.n, b.q, b.domain):
         raise ValueError("operands must share ring and domain")
-    return RingPoly(a.n, a.q, (a.coeffs + b.coeffs) % a.q, a.domain)
+    return RingPoly(a.n, a.q, a.coeffs + b.coeffs, a.domain)
 
 
 def poly_mul(a: RingPoly, b: RingPoly) -> RingPoly:
@@ -306,9 +306,9 @@ def poly_mul(a: RingPoly, b: RingPoly) -> RingPoly:
     if (a.n, a.q) != (b.n, b.q):
         raise ValueError("operands must share the ring")
     if a.domain == "ntt" and b.domain == "ntt":
-        return RingPoly(a.n, a.q, a.coeffs * b.coeffs % a.q, "ntt")
+        return RingPoly(a.n, a.q, a.coeffs * b.coeffs, "ntt")
     fa, fb = ntt_forward(a), ntt_forward(b)
-    return ntt_inverse(RingPoly(a.n, a.q, fa.coeffs * fb.coeffs % a.q, "ntt"))
+    return ntt_inverse(RingPoly(a.n, a.q, fa.coeffs * fb.coeffs, "ntt"))
 
 
 def schoolbook_negacyclic(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:

@@ -18,7 +18,7 @@ that combines two Pmfs adds their bounds (1 - (1-a)(1-b) <= a + b).
 from __future__ import annotations
 
 import numpy as np
-from scipy.stats import chi2
+from scipy.special import chdtrc, chdtri
 
 from kcn.kc import dist_mod
 from kcn.noise import Pmf
@@ -128,10 +128,10 @@ def discretize_chisq(df: int, step: float) -> Pmf:
     survival-function differences, which keeps relative precision in the
     far tail.
     """
-    xmax = float(chi2.isf(PROB_FLOOR, df))
+    xmax = float(chdtri(df, PROB_FLOOR))
     kmax = int(np.ceil(xmax / step)) + 1
     edges = (np.arange(kmax + 1) + 0.5) * step
-    sf = chi2.sf(edges, df)
+    sf = chdtrc(df, edges)
     probs = np.empty(kmax + 1)
     probs[0] = 1.0 - sf[0]
     probs[1:] = sf[:-1] - sf[1:]

@@ -1,6 +1,6 @@
 """Command-line front door.
 
-Subcommands: params, validate, kx, bench, error-rate, sec-est, tables.
+Subcommands: params, validate, kx, error-rate, sec-est, tables.
 Human-readable tables by default, JSON behind --json; exit code 0 on
 success, 2 on bad arguments, 1 on failures.
 """
@@ -118,10 +118,6 @@ def cmd_kx(args) -> int:
     return 0 if agree == args.trials else 1
 
 
-def cmd_bench(args) -> int:
-    return cmd_kx(args)
-
-
 def cmd_error_rate(args) -> int:
     s = _resolve(args.suite)
     try:
@@ -207,13 +203,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("suite")
     p.set_defaults(func=cmd_validate)
 
-    for name, fn in (("kx", cmd_kx), ("bench", cmd_bench)):
-        p = sub.add_parser(name, help="run full key exchanges" if name == "kx" else
-                           "time the protocol phases")
-        p.add_argument("suite")
-        p.add_argument("--trials", type=positive_int, default=100 if name == "kx" else 25)
-        p.add_argument("--seed", type=int, default=None)
-        p.set_defaults(func=fn)
+    p = sub.add_parser("kx", help="run full key exchanges")
+    p.add_argument("suite")
+    p.add_argument("--trials", type=positive_int, default=100)
+    p.add_argument("--seed", type=int, default=None)
+    p.set_defaults(func=cmd_kx)
 
     p = sub.add_parser("error-rate", help="numerical failure probability")
     p.add_argument("suite")
