@@ -240,7 +240,6 @@ E8_GEN = np.array(
     ],
     dtype=np.int64,
 )
-_E8_MSGS = (np.arange(16)[:, None] >> np.arange(4)) & 1  # message i has bits i >> j & 1
 
 
 def e8_encode(k1) -> np.ndarray:
@@ -249,6 +248,10 @@ def e8_encode(k1) -> np.ndarray:
     if k1.shape[-1] != 4:
         raise ValueError("need 4-bit messages")
     return k1 @ E8_GEN % 2
+
+
+_E8_MSGS = (np.arange(16)[:, None] >> np.arange(4)) & 1  # message i has bits i >> j & 1
+_E8_WORDS = e8_encode(_E8_MSGS)
 
 
 def e8_con(sigma1, k1, g: int, q: int) -> np.ndarray:
@@ -272,10 +275,11 @@ def decode_e8(x, q: int) -> np.ndarray:
 
     Returns the message k minimising sum_i |x_i + (q-1)/2 (kH)_i|_q^2;
     ties go to the lowest message index (message i has bits i >> j & 1).
+    Every sum is the cost of the zero word, which all messages share, plus
+    the cost change at each set bit of kH; only the second part is formed.
     """
     x = np.asarray(x, dtype=np.int64)
     if x.shape[-1] != 8:
         raise ValueError("need 8-vectors")
-    words = (q - 1) // 2 * e8_encode(_E8_MSGS)
-    cost = np.sum(dist_mod(x[..., None, :] + words, q) ** 2, axis=-1)
-    return _E8_MSGS[np.argmin(cost, axis=-1)]
+    change = dist_mod(x + (q - 1) // 2, q) ** 2 - dist_mod(x, q) ** 2
+    return _E8_MSGS[np.argmin(change @ _E8_WORDS.T, axis=-1)]
