@@ -273,10 +273,9 @@ def e8_rec(sigma2, v, g: int, q: int) -> np.ndarray:
 def decode_e8(x, q: int) -> np.ndarray:
     """Minimum-cost decode of x in Z^8 over the 16 used E8 codewords.
 
-    Returns the message k minimising sum_i |x_i + (q-1)/2 (kH)_i|_q^2;
-    ties go to the lowest message index (message i has bits i >> j & 1).
-    Every sum is the cost of the zero word, which all messages share, plus
-    the cost change at each set bit of kH; only the second part is formed.
+    Returns the message k minimising sum_i |x_i + (q-1)/2 (kH)_i|_q^2, ties
+    to the lowest index i (bits i >> j & 1).  Each sum is the zero word's
+    cost, shared by all k, plus the cost change at the set bits of kH.
     """
     x = np.asarray(x, dtype=np.int64)
     if x.shape[-1] != 8:

@@ -229,8 +229,7 @@ def _frodo_con(sigma1, e, p: KcParams):  # e = 0: Frodo's condition implies m | 
 
 
 def _frodo_rec(sigma2, v, p: KcParams):
-    # P = q/m, H = P/2: round to Z_m the nearest x to sigma2 with floor(x / H) mod 2 = v;
-    # a point midway between two such intervals goes down.
+    # Round the nearest x to sigma2 with floor(x / half) mod 2 = v; a gap midpoint goes down.
     period, half = p.big_g, p.big_g // 2
     return ((sigma2 - v * half + period - 1 - (period + half - 1) // 2) // period + v) % p.m
 
