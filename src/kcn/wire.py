@@ -22,25 +22,35 @@ import numpy as np
 __all__ = ["Field", "Layout", "pack", "unpack"]
 
 
+def _check(bits: int) -> None:
+    if not 1 <= bits <= 63:
+        raise ValueError(f"bits must be in 1..63, got {bits}")
+
+
 def pack(values: np.ndarray, bits: int) -> bytes:
     """Pack non-negative ints < 2^bits into ceil(len*bits/8) bytes."""
+    _check(bits)
     flat = np.asarray(values, dtype=np.int64).reshape(-1)
-    if bits < 1:
-        raise ValueError("bits >= 1")
     if flat.size and (flat.min() < 0 or flat.max() >> bits):
         raise ValueError(f"values out of range for {bits} bits")
-    bitmat = (flat[:, None] >> np.arange(bits)) & 1
-    return np.packbits(bitmat.astype(np.uint8).ravel(), bitorder="little").tobytes()
+    octets = flat.astype("<u8").view(np.uint8).reshape(-1, 8)  # each value's 64-bit word
+    bitmat = np.unpackbits(octets, axis=1, count=bits, bitorder="little")
+    return np.packbits(bitmat, bitorder="little").tobytes()
 
 
 def unpack(data: bytes, bits: int, count: int) -> np.ndarray:
     """Inverse of pack; checks the exact byte length."""
+    _check(bits)
     need = (count * bits + 7) // 8
     if len(data) != need:
         raise ValueError(f"expected {need} bytes, got {len(data)}")
-    raw = np.unpackbits(np.frombuffer(data, dtype=np.uint8), bitorder="little")
-    bitmat = raw[: count * bits].reshape(count, bits).astype(np.int64)
-    return bitmat @ (1 << np.arange(bits, dtype=np.int64))
+    # the little-endian 64-bit window at each value's first byte, shifted to its first bit
+    windows = np.ndarray((need + 1,), "<u8", b"".join((data, bytes(8))), strides=(1,))
+    off = np.arange(0, count * bits, bits, dtype=np.uint64)
+    vals = windows.take(off >> 3) >> (off & 7)
+    if bits > 57:  # a window holds 57 bits past any shift; the next one has the rest
+        vals |= windows.take((off >> 3) + 1) << 8 - (off & 7)
+    return (vals & (1 << bits) - 1).view(np.int64)
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,9 @@
 import hashlib
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kcn import wire
 
@@ -35,3 +38,29 @@ def test_unpack_pinned():
             data[-1] |= 0xFF << count * bits % 8 & 0xFF
         h.update(wire.unpack(bytes(data), bits, count).astype("<i8").tobytes())
     assert h.hexdigest() == "0c4323237aadc4e73f0a08735065c3a2a6b73e0b02c8f4fb0bb054af2b036b39"
+
+
+@pytest.mark.parametrize("bits", [0, 64, 65])
+def test_widths_outside_1_to_63_rejected(bits):
+    with pytest.raises(ValueError, match="bits must be in 1..63"):
+        wire.pack(np.array([1]), bits)
+    with pytest.raises(ValueError, match="bits must be in 1..63"):
+        wire.unpack(bytes((5 * bits + 7) // 8), bits, 5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 63), st.data())
+def test_unpack_inverts_pack(bits, data):
+    vals = data.draw(st.lists(st.integers(0, (1 << bits) - 1), max_size=40))
+    packed = wire.pack(np.array(vals, dtype=np.int64), bits)
+    assert len(packed) == (len(vals) * bits + 7) // 8
+    assert wire.unpack(packed, bits, len(vals)).tolist() == vals
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 63), st.integers(0, 40), st.data())
+def test_pack_inverts_unpack_up_to_padding(bits, count, data):
+    nbits = count * bits
+    raw = data.draw(st.binary(min_size=(nbits + 7) // 8, max_size=(nbits + 7) // 8))
+    clear = raw[:-1] + bytes([raw[-1] & (1 << nbits % 8) - 1]) if nbits % 8 else raw
+    assert wire.pack(wire.unpack(raw, bits, count), bits) == clear

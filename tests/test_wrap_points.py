@@ -1,15 +1,15 @@
 """The call sites that perfbench/tracer.py wraps from outside.
 
 The tracer replaces module attributes: the noise samplers in `kcn.noise`,
-the consensus functions in `kcn.protocols`, and the failure and attack
-models in `kcn.analysis`.  Callers must look those
+the consensus functions in `kcn.protocols`, the bit codec in `kcn.wire`,
+and the failure and attack models in `kcn.analysis`.  Callers must look those
 names up at call time, or a traced run silently records nothing.
 """
 
 import numpy as np
 import pytest
 
-from kcn import noise
+from kcn import noise, wire
 from kcn import protocols as proto
 from kcn.analysis import error_rates, security
 from kcn.kc import KcParams, KcVariant
@@ -59,6 +59,18 @@ def test_exchange_reaches_consensus_through_module_attributes(monkeypatch, suite
     key_b, msg2 = proto.respond(suite, msg1, rng)
     assert proto.finish(sess, msg2) == key_b
     assert calls == [con, rec]
+
+
+def test_layout_codes_through_module_attributes(monkeypatch):
+    calls = []
+    for name in ("pack", "unpack"):
+        _spy(monkeypatch, wire, name, calls)
+    layout = wire.Layout((wire.Field("a", (3,), (5,)), wire.Field("h", (2,), (2, 4))))
+    data = layout.pack(np.array([0, 1, 4]), np.array([[1, 3], [0, 2]]))
+    assert calls == ["pack", "pack"]
+    a, h = layout.unpack(data)
+    assert calls == ["pack", "pack", "unpack", "unpack"]
+    assert a.tolist() == [0, 1, 4] and h.tolist() == [[1, 3], [0, 2]]
 
 
 # The analysis models, which the tracer wraps in `kcn.analysis.error_rates`
