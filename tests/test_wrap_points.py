@@ -1,15 +1,16 @@
 """The call sites that perfbench/tracer.py wraps from outside.
 
 The tracer replaces module attributes: the noise samplers in `kcn.noise`,
-the consensus functions in `kcn.protocols`, the bit codec in `kcn.wire`,
-and the failure and attack models in `kcn.analysis`.  Callers must look those
+the matrix, ring and NTT functions in `kcn.algebra`, the consensus
+functions in `kcn.protocols`, the bit codec in `kcn.wire`, and the failure
+and attack models in `kcn.analysis`.  Callers must look those
 names up at call time, or a traced run silently records nothing.
 """
 
 import numpy as np
 import pytest
 
-from kcn import noise, wire
+from kcn import algebra, noise, wire
 from kcn import protocols as proto
 from kcn.analysis import error_rates, security
 from kcn.kc import KcParams, KcVariant
@@ -46,9 +47,24 @@ def _toy(variant, kc):
     )
 
 
+def _toy_ring():
+    # |sigma1 - sigma2| <= 2n + 1 = 33 <= d for binary noise: always agrees
+    return Suite(
+        name="toy-rlwe-plain", family="rlwe", n=16, l_a=1, l_b=1, q=193,
+        noise=NoiseSpec("binary"), variant=KcVariant.OKCN_GENERIC, kc=KcParams(q=193, m=2, g=4, d=35),
+    )
+
+
+def _exchange(suite, rng):
+    sess, msg1 = proto.initiate(suite, rng)
+    key_b, msg2 = proto.respond(suite, msg1, rng)
+    assert proto.finish(sess, msg2) == key_b
+
+
 @pytest.mark.parametrize("suite, con, rec", [
     (_toy(KcVariant.OKCN_SIMPLE, KcParams(q=2**4, m=2, g=8, d=3)), "kc_con", "kc_rec"),
     (_toy(KcVariant.AKCN_GENERIC, KcParams(q=2**4, m=2, g=8, d=2)), "akc_con", "akc_rec"),
+    (_toy_ring(), "kc_con", "kc_rec"),
 ])
 def test_exchange_reaches_consensus_through_module_attributes(monkeypatch, suite, con, rec):
     calls = []
@@ -59,6 +75,28 @@ def test_exchange_reaches_consensus_through_module_attributes(monkeypatch, suite
     key_b, msg2 = proto.respond(suite, msg1, rng)
     assert proto.finish(sess, msg2) == key_b
     assert calls == [con, rec]
+
+
+def test_matrix_exchange_reaches_algebra_through_module_attributes(monkeypatch):
+    calls = []
+    for name in ("gen_matrix", "matmul"):
+        _spy(monkeypatch, algebra, name, calls)
+    _exchange(get_suite("lwe-challenge"), np.random.default_rng(3))
+    # A X1; A again, A^T X2 and y1^T X2; X1^T y2
+    assert calls == ["gen_matrix", "matmul", "gen_matrix", "matmul", "matmul", "matmul"]
+
+
+@pytest.mark.parametrize("suite", [_toy_ring(), get_suite("okcn-sec-837")], ids=lambda s: s.name)
+def test_ring_exchange_reaches_ntt_through_module_attributes(monkeypatch, suite):
+    _exchange(suite, np.random.default_rng(4))  # leaves another seed's transform cached
+    calls = []
+    for name in ("gen_poly", "ntt_forward", "ntt_inverse"):
+        _spy(monkeypatch, algebra, name, calls)
+    _exchange(suite, np.random.default_rng(5))
+    # One expansion of the fresh seed, whose transform the responder reuses.
+    # Forward: a, x1, x2, y1 and y2; inverse: a x1, a x2, y1 x2 and x1 y2.
+    # A secret transformed again on use would show here.
+    assert [calls.count(name) for name in ("gen_poly", "ntt_forward", "ntt_inverse")] == [1, 5, 4]
 
 
 def test_layout_codes_through_module_attributes(monkeypatch):
