@@ -34,7 +34,6 @@ __all__ = [
     "gen_matrix",
     "gen_poly",
     "lwr_round",
-    "frac_part",
     "cut_bits",
     "uncut",
     "matmul",
@@ -42,8 +41,6 @@ __all__ = [
     "ntt_forward",
     "ntt_inverse",
     "poly_mul",
-    "poly_add",
-    "schoolbook_negacyclic",
 ]
 
 SEED_BYTES = 32
@@ -123,14 +120,6 @@ def lwr_round(x, q: int, p: int):
     if q % p:
         raise ValueError("p must divide q")
     return div_round(np.asarray(x, dtype=np.int64), q // p) % p  # p x / q = x / (q/p)
-
-
-def frac_part(x, q: int, p: int):
-    """Centered residue {x}_p = x - (q/p) round(p x / q), in [-q/2p, q/2p - 1]."""
-    if q % p:
-        raise ValueError("p must divide q")
-    x = np.asarray(x, dtype=np.int64)
-    return x - (q // p) * div_round(x, q // p)
 
 
 def cut_bits(y, t: int):
@@ -294,12 +283,6 @@ def ntt_inverse(p: RingPoly) -> RingPoly:
     return RingPoly(p.n, p.q, a.reshape(-1).astype(np.int64), "coef")
 
 
-def poly_add(a: RingPoly, b: RingPoly) -> RingPoly:
-    if (a.n, a.q, a.domain) != (b.n, b.q, b.domain):
-        raise ValueError("operands must share ring and domain")
-    return RingPoly(a.n, a.q, a.coeffs + b.coeffs, a.domain)
-
-
 def poly_mul(a: RingPoly, b: RingPoly) -> RingPoly:
     """Negacyclic product of two polys in one ring: pointwise when both are
     in the NTT domain, else via the NTT with inputs and output as coefficients."""
@@ -309,12 +292,3 @@ def poly_mul(a: RingPoly, b: RingPoly) -> RingPoly:
         return RingPoly(a.n, a.q, a.coeffs * b.coeffs, "ntt")
     fa, fb = ntt_forward(a), ntt_forward(b)
     return ntt_inverse(RingPoly(a.n, a.q, fa.coeffs * fb.coeffs, "ntt"))
-
-
-def schoolbook_negacyclic(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
-    """Reference negacyclic convolution, quadratic time."""
-    n = len(a)
-    full = np.convolve(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))
-    out = full[:n].copy()
-    out[: n - 1] -= full[n:]
-    return out % q

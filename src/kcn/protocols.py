@@ -6,14 +6,15 @@ and answers with his sample and the reconciliation hint, and Alice
 finishes.  All randomness flows through one injected numpy Generator, so a
 fixed seed reproduces the transcript bit for bit.
 
-The matrix families are compositions of two step kinds, LWR and LWE: a
-family is a (key step, response) pair, with LWR = (LWR, LWR), LWE = (LWE,
-LWE) and hybrid = (LWE, LWR).  RLWE runs its own NTT path.  Every family
-states its messages once, as the `kcn.wire.Layout` pair from `layouts`,
-which packs, unpacks (canonically) and sizes them.  Each step kind owns
-its hardness problem, so `assumptions` finds hybrid resting on LWE and
-LWR.  Consensus is `MODES`, one entry per mode (plain, sec, newhope,
-akcn41, e8), for every family.
+Every family is a (key step, response) pair of three step kinds, with
+LWR = (LWR, LWR), LWE = (LWE, LWE), hybrid = (LWE, LWR) and RLWE =
+(RLWE, RLWE), run by one exchange path.  A step kind brings its algebra
+(matrices through `matmul`, or ring elements through the NTT) and its
+hardness problem, so `assumptions` finds hybrid resting on LWE and LWR.
+Every family states its messages once, as the `kcn.wire.Layout` pair
+from `layouts`, which packs, unpacks (canonically) and sizes them.
+Consensus is `MODES`, one entry per mode (plain, sec, newhope, akcn41,
+e8), for every family.
 
 The consensus output is returned as packed key bits (before any KDF);
 `derive_key` applies the SHAKE-256 KDF with a suite-name prefix.
@@ -74,20 +75,43 @@ class Session:
     """Initiator-side state between her two protocol moves."""
 
     suite: Suite
-    secret: object  # X1 matrix or x1 RingPoly, family-dependent
+    secret: object  # X1 from the key step kind's `secret`: a matrix, or an NTT-domain RingPoly
 
 
-def _sample_matrix(spec, rng, rows, cols):
-    return np.asarray(spec.sample(rng, (rows, cols)), dtype=np.int64)
+def _sample(suite: Suite, rng, shape) -> np.ndarray:
+    return np.asarray(suite.noise.sample(rng, shape), dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
-# The two step kinds of the matrix families.  As a key step, a kind makes
-# y1 from A X1 and, on the responder's side, lifts y1 back into Z_q.  As a
+# The three step kinds: LWR, LWE and RLWE.  As a key step, a kind makes y1
+# from A X1 and, on the responder's side, lifts y1 back into Z_q.  As a
 # response, it makes y2 from A^T X2 (cutting `cut` low bits) and sigma2 from
-# lift(y1)^T X2, and the initiator finishes modulo `modulus`.
+# lift(y1)^T X2, and the initiator finishes with X1^T y2 modulo `modulus`.
 
-class _Lwr:
+class _Step:
+    """The matrix algebra of LWR and LWE: int64 matrices, multiplied by the
+    cached float64 public matrix A or by each other through `matmul`."""
+
+    def public(self, suite: Suite) -> wire.Field:
+        return wire.Field("A", (suite.n_b or suite.n, suite.n), (suite.q,))
+
+    def expand(self, suite: Suite, seed):
+        return algebra.gen_matrix(seed, *self.public(suite).shape, suite.q, TAG_MATRIX)
+
+    def shape(self, suite: Suite, rows: int, cols: int) -> tuple[int, ...]:
+        return (rows, cols)
+
+    def secret(self, suite: Suite, rng, rows: int, cols: int):
+        return _sample(suite, rng, self.shape(suite, rows, cols))
+
+    def transpose(self, m):
+        return m.T
+
+    def product(self, suite: Suite, m, x, q: int) -> np.ndarray:
+        return algebra.matmul(m, x, q)
+
+
+class _Lwr(_Step):
     """LWR samples round_p(M X), in Z_p; nothing is cut."""
 
     def modulus(self, suite: Suite) -> int:
@@ -101,7 +125,7 @@ class _Lwr:
         return 0
 
     def sample(self, suite: Suite, m, x, rng) -> np.ndarray:
-        return algebra.lwr_round(algebra.matmul(m, x, suite.q), suite.q, suite.p)
+        return algebra.lwr_round(self.product(suite, m, x, suite.q), suite.q, suite.p)
 
     def lift(self, suite: Suite, y1, rng) -> np.ndarray:
         """y1 back into Z_q, with uniform eps standing in for the rounded-off part."""
@@ -110,7 +134,7 @@ class _Lwr:
         return w * y1 + eps
 
 
-class _Lwe:
+class _Lwe(_Step):
     """LWE samples M X + E mod q; a response drops its t low bits on the wire."""
 
     def modulus(self, suite: Suite) -> int:
@@ -123,28 +147,66 @@ class _Lwe:
         return suite.t
 
     def sample(self, suite: Suite, m, x, rng) -> np.ndarray:
-        e = _sample_matrix(suite.noise, rng, m.shape[0], x.shape[1])
-        return (algebra.matmul(m, x, suite.q) + e) % suite.q
+        mx = self.product(suite, m, x, suite.q)
+        return (mx + _sample(suite, rng, mx.shape)) % suite.q
 
     def lift(self, suite: Suite, y1, rng) -> np.ndarray:
         return y1
 
 
-LWR, LWE = _Lwr(), _Lwe()
+class _Rlwe(_Lwe):
+    """RLWE samples a x + e over Z_q[x]/(x^n + 1); nothing is cut.  One ring
+    element of n coefficients stands for every matrix, and is its own
+    transpose.  The public element and the secrets stay in the NTT domain,
+    so a product transforms only what came off the wire."""
+
+    def public(self, suite: Suite) -> wire.Field:
+        return wire.Field("a", (suite.n,), (suite.q,))
+
+    def expand(self, suite: Suite, seed) -> algebra.RingPoly:
+        return _public_ntt(bytes(seed), suite.n, suite.q)
+
+    def shape(self, suite: Suite, rows: int, cols: int) -> tuple[int, ...]:
+        return (suite.n,)
+
+    def secret(self, suite: Suite, rng, rows: int, cols: int) -> algebra.RingPoly:
+        return algebra.ntt_forward(algebra.RingPoly(suite.n, suite.q, super().secret(suite, rng, rows, cols)))
+
+    def transpose(self, m):  # the identity in place of A^T
+        return m
+
+    def product(self, suite: Suite, m, x, q: int) -> np.ndarray:
+        """The coefficients of m x.  An operand off the wire comes as
+        coefficients and is transformed; the others are RingPolys already."""
+        fm, fx = (v if isinstance(v, algebra.RingPoly) else algebra.ntt_forward(algebra.RingPoly(suite.n, q, v))
+                  for v in (m, x))
+        return algebra.ntt_inverse(algebra.poly_mul(fm, fx)).coeffs
+
+    def assumption(self, suite: Suite, n: int) -> Assumption:
+        return Assumption("rlwe", n, suite.q, suite.noise.variance(), suite.noise.variance(), "core")
+
+    def cut(self, suite: Suite) -> int:
+        return 0
+
+
+LWR, LWE, RLWE = _Lwr(), _Lwe(), _Rlwe()
+
+
+# one entry, like the public matrix's: the responder reuses the initiator's transform
+@lru_cache(maxsize=1)
+def _public_ntt(seed: bytes, n: int, q: int) -> algebra.RingPoly:
+    """NTT of the public ring element, its coefficients read-only."""
+    a = algebra.ntt_forward(algebra.gen_poly(seed, n, q, TAG_POLY))
+    a.coeffs.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True)
-class _Matrix:
-    """A matrix family: one key step kind and one response kind."""
+class _Family:
+    """A protocol family: one key step kind and one response kind."""
 
-    key: _Lwr | _Lwe
-    response: _Lwr | _Lwe
-
-    def public(self, suite: Suite) -> wire.Field:
-        return wire.Field("A", (suite.n_b or suite.n, suite.n), (suite.q,))
-
-    def sigma_shape(self, suite: Suite) -> tuple[int, ...]:
-        return (suite.l_a, suite.l_b)
+    key: _Step
+    response: _Step
 
     def assumptions(self, suite: Suite) -> list[Assumption]:
         """The key step over the rows of X1, then the response over those of X2."""
@@ -152,102 +214,35 @@ class _Matrix:
                                    self.response.assumption(suite, suite.n_b or suite.n))))
 
     def layouts(self, suite: Suite) -> tuple[wire.Layout, wire.Layout]:
-        rows, n = self.public(suite).shape
-        y1 = wire.Field("y1", (rows, suite.l_a), (self.key.modulus(suite),))
-        y2 = wire.Field("y2", (n, suite.l_b), (self.response.modulus(suite) >> self.response.cut(suite),))
+        key, resp = self.key, self.response
+        y1 = wire.Field("y1", key.shape(suite, suite.n_b or suite.n, suite.l_a), (key.modulus(suite),))
+        y2 = wire.Field("y2", resp.shape(suite, suite.n, suite.l_b), (resp.modulus(suite) >> resp.cut(suite),))
         return wire.Layout((_SEED, y1)), wire.Layout((y2,) + MODES[suite.mode].fields(suite)[1])
-
-    def _a(self, suite: Suite, seed) -> np.ndarray:
-        return algebra.gen_matrix(seed, *self.public(suite).shape, suite.q, TAG_MATRIX)
 
     def initiate(self, suite: Suite, rng):
         seed = rng.bytes(algebra.SEED_BYTES)
-        a = self._a(suite, seed)
-        x1 = _sample_matrix(suite.noise, rng, suite.n, suite.l_a)
+        a = self.key.expand(suite, seed)
+        x1 = self.key.secret(suite, rng, suite.n, suite.l_a)
         y1 = self.key.sample(suite, a, x1, rng)
         return x1, layouts(suite)[0].pack(np.frombuffer(seed, np.uint8), y1)
 
     def respond(self, suite: Suite, msg1: bytes, rng, key_in):
+        key, resp = self.key, self.response
         layout1, layout2 = layouts(suite)
         seed, y1 = layout1.unpack(msg1)
-        a = self._a(suite, seed.astype(np.uint8))
-        x2 = _sample_matrix(suite.noise, rng, a.shape[0], suite.l_b)
-        y2 = algebra.cut_bits(self.response.sample(suite, a.T, x2, rng), self.response.cut(suite))
-        sigma2 = self.response.sample(suite, self.key.lift(suite, y1, rng).T, x2, rng)
-        key, hint = MODES[suite.mode].con(suite, sigma2, rng, key_in)
-        return key, layout2.pack(y2, *hint)
+        a = key.expand(suite, seed.astype(np.uint8))
+        x2 = resp.secret(suite, rng, suite.n_b or suite.n, suite.l_b)
+        y2 = algebra.cut_bits(resp.sample(suite, resp.transpose(a), x2, rng), resp.cut(suite))
+        sigma2 = resp.sample(suite, resp.transpose(key.lift(suite, y1, rng)), x2, rng)
+        k, hint = MODES[suite.mode].con(suite, sigma2, rng, key_in)
+        return k, layout2.pack(y2, *hint)
 
     def finish(self, suite: Suite, x1, msg2: bytes) -> bytes:
+        resp = self.response
         y2, *hint = layouts(suite)[1].unpack(msg2)
-        y2 = algebra.uncut(y2, self.response.cut(suite))
-        sigma1 = algebra.matmul(x1.T, y2, self.response.modulus(suite))
+        y2 = algebra.uncut(y2, resp.cut(suite))
+        sigma1 = resp.product(suite, resp.transpose(x1), y2, resp.modulus(suite))
         return MODES[suite.mode].rec(suite, sigma1, hint)
-
-
-# ---------------------------------------------------------------------------
-# RLWE key exchange
-
-class _Ring:
-    """The ring family: NTT products, consensus in the suite's mode."""
-
-    def public(self, suite: Suite) -> wire.Field:
-        return wire.Field("a", (suite.n,), (suite.q,))
-
-    def sigma_shape(self, suite: Suite) -> tuple[int, ...]:
-        return (suite.n,)
-
-    def assumptions(self, suite: Suite) -> list[Assumption]:
-        return [Assumption("rlwe", suite.n, suite.q, suite.noise.variance(), suite.noise.variance(), "core")]
-
-    def layouts(self, suite: Suite) -> tuple[wire.Layout, wire.Layout]:
-        y = wire.Field("y1", (suite.n,), (suite.q,))
-        return (wire.Layout((_SEED, y)),
-                wire.Layout((wire.Field("y2", y.shape, y.bounds),) + MODES[suite.mode].fields(suite)[1]))
-
-    def _a(self, suite: Suite, seed) -> "algebra.RingPoly":
-        return _public_ntt(bytes(seed), suite.n, suite.q)
-
-    def initiate(self, suite: Suite, rng):
-        seed = rng.bytes(algebra.SEED_BYTES)
-        a = self._a(suite, seed)
-        x1 = algebra.ntt_forward(_poly(suite, rng))
-        e1 = _poly(suite, rng)
-        y1 = algebra.poly_add(algebra.ntt_inverse(algebra.poly_mul(a, x1)), e1)
-        return x1, layouts(suite)[0].pack(np.frombuffer(seed, np.uint8), y1.coeffs)
-
-    def respond(self, suite: Suite, msg1: bytes, rng, key_in):
-        layout1, layout2 = layouts(suite)
-        seed, y1 = layout1.unpack(msg1)
-        y1 = algebra.RingPoly(suite.n, suite.q, y1)
-        a = self._a(suite, seed.astype(np.uint8))
-        x2 = algebra.ntt_forward(_poly(suite, rng))
-        e2 = _poly(suite, rng)
-        e_sigma = _poly(suite, rng)
-        y2 = algebra.poly_add(algebra.ntt_inverse(algebra.poly_mul(a, x2)), e2)
-        y1x2 = algebra.poly_mul(algebra.ntt_forward(y1), x2)
-        sigma2 = algebra.poly_add(algebra.ntt_inverse(y1x2), e_sigma)
-        key, hint = MODES[suite.mode].con(suite, sigma2.coeffs, rng, key_in)
-        return key, layout2.pack(y2.coeffs, *hint)
-
-    def finish(self, suite: Suite, x1, msg2: bytes) -> bytes:
-        y2, *hint = layouts(suite)[1].unpack(msg2)
-        y2p = algebra.ntt_forward(algebra.RingPoly(suite.n, suite.q, y2))
-        sigma1 = algebra.ntt_inverse(algebra.poly_mul(y2p, x1))
-        return MODES[suite.mode].rec(suite, sigma1.coeffs, hint)
-
-
-def _poly(suite, rng) -> "algebra.RingPoly":
-    return algebra.RingPoly(suite.n, suite.q, suite.noise.sample(rng, suite.n))
-
-
-# One entry, like the public matrix in `algebra.gen_matrix`: in one process
-# the responder reuses the initiator's transform.
-@lru_cache(maxsize=1)
-def _public_ntt(seed: bytes, n: int, q: int) -> "algebra.RingPoly":
-    """NTT of the public ring element, its coefficients read-only."""
-    a = algebra.ntt_forward(algebra.gen_poly(seed, n, q, TAG_POLY))
-    a.coeffs.flags.writeable = False
-    return a
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +279,7 @@ class _Plain(_Mode):
     """One scalar KC or AKC per coefficient of sigma."""
 
     def fields(self, suite: Suite) -> tuple[wire.Field, tuple[wire.Field, ...]]:
-        shape = _FAMILIES[suite.family].sigma_shape(suite)
+        shape = _FAMILIES[suite.family].response.shape(suite, suite.l_a, suite.l_b)  # sigma's shape
         return wire.Field("key", shape, (suite.kc.m,)), (wire.Field("v", shape, (suite.kc.g,)),)
 
     def _agree(self, suite: Suite, sigma2, rng, k):
@@ -393,12 +388,12 @@ MODES = {"plain": _Plain(), "sec": _Sec(), "newhope": _NewHope(), "akcn41": _Akc
 # ---------------------------------------------------------------------------
 # Family dispatch and key derivation
 
-# a matrix family is its (key step, response) pair
+# a family is its (key step, response) pair
 _FAMILIES = {
-    "lwr": _Matrix(LWR, LWR),
-    "lwe": _Matrix(LWE, LWE),
-    "hybrid": _Matrix(LWE, LWR),
-    "rlwe": _Ring(),
+    "lwr": _Family(LWR, LWR),
+    "lwe": _Family(LWE, LWE),
+    "hybrid": _Family(LWE, LWR),
+    "rlwe": _Family(RLWE, RLWE),
 }
 
 
@@ -410,7 +405,7 @@ def layouts(suite: Suite) -> tuple[wire.Layout, wire.Layout]:
 
 def public_element(suite: Suite) -> wire.Field:
     """The public matrix or ring element the msg1 seed expands into, as a field."""
-    return _FAMILIES[suite.family].public(suite)
+    return _FAMILIES[suite.family].key.public(suite)
 
 
 def assumptions(suite: Suite) -> list[Assumption]:
