@@ -382,3 +382,52 @@ def test_hybrid_exact_region_pinned(name):
     rep = hybrid_error_rate(SUITES[name], exact_region=True)
     got = tuple(x.hex() for x in (rep.per_symbol, rep.overall, rep.dropped))
     assert got == PINNED_EXACT_REGION[name]
+
+
+# float.hex of every field of error_rate(suite): (per_symbol, overall,
+# dropped) for an ErrorReport, whose dropped is None for LWR, and (tail,
+# overall, dropped, norm_bound, threshold) for the zarzar report
+PINNED_REPORTS = {
+    "lwr-recommended": ("0x1.79867b8b0c74cp-42", "0x1.79867b8b0c74cp-36", None),
+    "lwr-paranoid": ("0x1.1e66ff299e340p-41", "0x1.1e66ff299e340p-35", None),
+    "lwe-challenge": ("0x1.14885462b096cp-54", "0x1.14885462b096cp-48", "0x1.295b9557a6510p-203"),
+    "lwe-classical": ("0x1.856d149f48cf9p-47", "0x1.856d149f48cf9p-40", "0x1.49be18711030cp-202"),
+    "lwe-recommended": ("0x1.1970a893e6ef6p-46", "0x1.1970a893e6ef6p-38", "0x1.8b38b2179accep-202"),
+    "lwe-paranoid": ("0x1.4a386b5d08153p-41", "0x1.4a386b5d08153p-33", "0x1.c1e1cf3179204p-202"),
+    "lwe-paranoid-512": ("0x1.4d8e8fff1c5e6p-43", "0x1.4d8e8fff1c5e6p-34", "0x1.207305341c0a6p-201"),
+    "okcn-t2": ("0x1.f441c8692a4e4p-48", "0x1.f441c8692a4e4p-40", "0x1.6c685f65bbab7p-201"),
+    "okcn-t1": ("0x1.aa40c1b2a2170p-61", "0x1.aa40c1b2a2170p-53", "0x1.8035295a750a9p-201"),
+    "frodo-challenge": ("0x1.26583a0abcfd4p-48", "0x1.26583a0abcfd4p-42", "0x1.0d9f76d154406p-203"),
+    "frodo-classical": ("0x1.b3a75e2ed03dep-44", "0x1.b3a75e2ed03dep-37", "0x1.14be30322bfb6p-202"),
+    "frodo-recommended": ("0x1.0a27b94153c1ap-47", "0x1.0a27b94153c1ap-39", "0x1.5fc32f054d312p-202"),
+    "frodo-paranoid": ("0x1.29518fe26f4eap-42", "0x1.29518fe26f4eap-34", "0x1.59a1857c89305p-201"),
+    "okcn-frodo-challenge": ("0x1.eb9fc7e1b19d6p-87", "0x1.eb9fc7e1b19d6p-81", "0x1.0d9f76d154406p-203"),
+    "okcn-frodo-classical": ("0x1.99a2d1a61f990p-78", "0x1.99a2d1a61f990p-71", "0x1.14be30322bfb6p-202"),
+    "okcn-frodo-recommended": ("0x1.11c0740249f6cp-114", "0x1.11c0740249f6cp-106", "0x1.5fc32f054d312p-202"),
+    "okcn-frodo-paranoid": ("0x1.0e74b75ae1623p-100", "0x1.0e74b75ae1623p-92", "0x1.59a1857c89305p-201"),
+    "hybrid-recommended": ("0x1.9d0822dc796bcp-70", "0x1.9d0822dc796bcp-64", "0x1.756beac3986fep-200"),
+    "hybrid-paranoid": ("0x1.9be3fab3b2d5fp-59", "0x1.9be3fab3b2d5fp-53", "0x1.a48d081dc4022p-200"),
+    "okcn-rlwe-16": ("0x1.90fbf55651b54p-49", "0x1.90fbf55651b54p-39", "0x1.98c2ef6fe5be1p-201"),
+    "okcn-rlwe-64": ("0x1.06028620b92d8p-53", "0x1.06028620b92d8p-43", "0x1.98c2ef6fe5be1p-201"),
+    "akcn-rlwe-16": ("0x1.645b8fda52f00p-43", "0x1.645b8fda52f00p-33", "0x1.98c2ef6fe5be1p-201"),
+    "akcn-rlwe-64": ("0x1.828277f9d7ab2p-52", "0x1.828277f9d7ab2p-42", "0x1.98c2ef6fe5be1p-201"),
+    "okcn-sec-765": ("0x1.645b8fda52f00p-43", "0x1.25623e784a03cp-72", "0x1.98c2ef6fe5be1p-201"),
+    "okcn-sec-837": ("0x1.645b8fda52f00p-43", "0x1.10385cfebfffep-71", "0x1.98c2ef6fe5be1p-201"),
+    "akcn-sec-765": ("0x1.645b8fda52f00p-43", "0x1.25623e784a03cp-72", "0x1.98c2ef6fe5be1p-201"),
+    "akcn-sec-837": ("0x1.645b8fda52f00p-43", "0x1.10385cfebfffep-71", "0x1.98c2ef6fe5be1p-201"),
+    "zarzar": ("0x1.6ccffe999ea60p-35", "0x1.6ccffe999ea60p-29", "0x1.7f98a2e94ae5bp-158",
+               "0x1.6c00000000000p+12", "0x1.11c0000000000p+14"),
+}
+
+
+def _report_fields(rep):
+    if isinstance(rep, ZarzarReport):
+        fields = (rep.tail, rep.overall, rep.dropped, rep.norm_bound, rep.threshold)
+    else:
+        fields = (rep.per_symbol, rep.overall, rep.dropped)
+    return tuple(None if x is None else float(x).hex() for x in fields)
+
+
+@pytest.mark.parametrize("name", list(PINNED_REPORTS))
+def test_error_rate_reports_pinned(name):
+    assert _report_fields(error_rate(SUITES[name])) == PINNED_REPORTS[name]

@@ -10,6 +10,7 @@ from kcn.kc import (
     KcVariant,
     Violation,
     akc_con,
+    akc_hint_counts,
     akc_rec,
     bound_slack,
     con_grid,
@@ -141,6 +142,51 @@ def test_zero_distance_identity(rng):
     ]:
         sigma1, k1, v = con_grid(variant, params)
         assert np.array_equal(kc_rec(variant, sigma1, v, params), k1)
+
+
+# SHA-256 over con_grid's (sigma1, k1, v) as little-endian int64, for the
+# test_zero_distance_identity sets; OKCN_GENERIC there has alpha = 3, so
+# every smoothing value e is enumerated
+CON_GRID_DIGESTS = {
+    (KcVariant.OKCN_SIMPLE, SIMPLE):
+        "e700ade745899d6d7d87a596d2ae0fe0f16cd27833f5c1858493353a49e1a78b",
+    (KcVariant.OKCN_POWER2, KcParams(32, 2, 8, 6)):
+        "238c64998983c4e7ef010d66e1363cc9a1c5ed0f420a196e1223eb59b38d122f",
+    (KcVariant.OKCN_GENERIC, KcParams(19, 3, 4, 0)):
+        "b70ed0e8bc4a97163fc54eaa79e984f46facb1c16e631ab17deb3787119efe56",
+    (KcVariant.FRODO, KcParams(2**11, 2**2, 2, 127)):
+        "ceeb8ff931807bd0cbc08bbeb8e3b1c874308d9b08d4fb305c18e22b90247698",
+}
+
+
+@pytest.mark.parametrize("variant, params", list(CON_GRID_DIGESTS))
+def test_con_grid_pinned(variant, params):
+    h = hashlib.sha256()
+    for x in con_grid(variant, params):
+        assert x.dtype == np.int64 and x.shape == (params.q * params.alpha,)
+        h.update(x.astype("<i8").tobytes())
+    assert h.hexdigest() == CON_GRID_DIGESTS[variant, params]
+
+
+# SHA-256 of akc_hint_counts as little-endian int64
+AKC_HINT_COUNT_DIGESTS = {
+    (KcVariant.AKCN_GENERIC, KcParams(19, 3, 7, 1)):
+        "0b313cf3ff612bb4bccd010a4650164c84c2ffdaa3b1865ab0e2c8a98afd968a",
+    (KcVariant.AKCN_GENERIC, KcParams(50, 3, 11, 1)):
+        "43ef45f862a6fdde43fcac4d44e50a8cd566fd6c00c74ed9965f59cd2b9c114a",
+    (KcVariant.AKCN_POWER2, KcParams(16, 2, 16, 3)):
+        "6ba64591dc5d5fa6ab9e575602829ad02f0fe517616bda69e4fe87b55b9d9836",
+    (KcVariant.AKCN_POWER2, KcParams(64, 4, 64, 7)):
+        "924ae03b6111734d8ab1d2d4c88ec6a7da5ba6612c50b2f0e3c27d0511980e0f",
+}
+
+
+@pytest.mark.parametrize("variant, params", list(AKC_HINT_COUNT_DIGESTS))
+def test_akc_hint_counts_pinned(variant, params):
+    c = akc_hint_counts(variant, params)
+    assert c.dtype == np.int64 and c.shape == (params.m, params.g)
+    digest = hashlib.sha256(c.astype("<i8").tobytes()).hexdigest()
+    assert digest == AKC_HINT_COUNT_DIGESTS[variant, params]
 
 
 def test_frodo_parameter_example():
