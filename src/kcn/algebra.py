@@ -7,9 +7,9 @@ public key, expand and convert it once.  `matmul` takes the exactness
 bound of that matrix, and of its views such as A^T, from its q instead of
 scanning it.  Polynomials in Z_q[x]/(x^n + 1) are RingPoly values
 carrying a domain flag so coefficient- and NTT-domain data cannot be
-mixed silently.  The public matrix / ring element is expanded
-deterministically from a 32-byte seed with SHAKE-128, domain-separated by
-a one-byte role tag.
+mixed silently; `poly_mul` multiplies NTT-domain values only.  The public
+matrix / ring element is expanded deterministically from a 32-byte seed
+with SHAKE-128, domain-separated by a one-byte role tag.
 
 The negacyclic NTT is Bailey's four-step method on float64 BLAS: the n
 coefficients form an n1 x n2 matrix (n1 = 2^ceil(log2(n) / 2)), which is
@@ -284,11 +284,10 @@ def ntt_inverse(p: RingPoly) -> RingPoly:
 
 
 def poly_mul(a: RingPoly, b: RingPoly) -> RingPoly:
-    """Negacyclic product of two polys in one ring: pointwise when both are
-    in the NTT domain, else via the NTT with inputs and output as coefficients."""
+    """Pointwise product of two NTT-domain polys in one ring, which is the
+    NTT of their negacyclic product; coefficient-domain operands are refused."""
     if (a.n, a.q) != (b.n, b.q):
         raise ValueError("operands must share the ring")
-    if a.domain == "ntt" and b.domain == "ntt":
-        return RingPoly(a.n, a.q, a.coeffs * b.coeffs, "ntt")
-    fa, fb = ntt_forward(a), ntt_forward(b)
-    return ntt_inverse(RingPoly(a.n, a.q, fa.coeffs * fb.coeffs, "ntt"))
+    if a.domain != "ntt" or b.domain != "ntt":
+        raise ValueError("poly_mul takes NTT-domain operands")
+    return RingPoly(a.n, a.q, a.coeffs * b.coeffs, "ntt")

@@ -60,6 +60,22 @@ def _union(p: float, k: int) -> float:
     return min(1.0, p * k)
 
 
+def _inner(x: Pmf, y: Pmf, n: int) -> Pmf:
+    """Law of the inner product of n iid coordinate pairs (x_i, y_i)."""
+    return pm.iid_sum(pm.trim(pm.product_pmf(x, y)), n)
+
+
+def _rounding_pmf(w: int) -> Pmf:
+    """Uniform LWR rounding noise over [-w/2, w/2 - 1], w = q/p."""
+    return uniform_pmf(-w // 2, w // 2 - 1)
+
+
+def _lwr_fail_prob(folded: np.ndarray, q: int, p: int, d: int) -> float:
+    """Mass of the differences mod q whose LWR rounding lies farther than d from 0 in Z_p."""
+    s = algebra.lwr_round(np.arange(q), q, p)
+    return float(np.sum(folded[dist_mod(s, p) > d]))
+
+
 # ---------------------------------------------------------------------------
 # LWE protocol, optional bit cutting
 
@@ -96,9 +112,7 @@ def lwe_error_rate(suite: Suite) -> ErrorReport:
         raise ValueError("lwe suite required")
     chi = suite.noise.pmf()
     q, n, d = suite.q, suite.n, suite.kc.d
-    term1 = pm.product_pmf(chi, pm.conv(chi, _cut_noise_pmf(suite.t)))
-    term2 = pm.product_pmf(chi, chi)
-    dist = pm.conv(pm.iid_sum(pm.trim(term1), n), pm.negate(pm.iid_sum(pm.trim(term2), n)))
+    dist = pm.conv(_inner(chi, pm.conv(chi, _cut_noise_pmf(suite.t)), n), pm.negate(_inner(chi, chi, n)))
     dist = pm.conv(dist, pm.negate(chi))  # E_sigma
     folded = pm.fold_mod(dist, q)
     if suite.variant is KcVariant.FRODO:
@@ -165,8 +179,7 @@ def lwr_diff_distribution(n: int, q: int, p: int, chi: Pmf,
     w = q // p
 
     def one_sided(x_chi: Pmf):
-        t1 = pm.trim(pm.product_pmf(x_chi, uniform_pmf(-w // 2, w // 2 - 1)))
-        side1 = pm.iid_sum(t1, n)  # c1 = X^T y2; residue = c1 mod w
+        side1 = _inner(x_chi, _rounding_pmf(w), n)  # c1 = X^T y2; residue = c1 mod w
         side2 = pm.power(_residue_value_joint(x_chi, w), n, lambda a, b: _joint_conv(a, b, w))
         return side1, side2
 
@@ -200,10 +213,8 @@ def lwr_error_rate(suite: Suite) -> ErrorReport:
     """|Sigma1 - Sigma2|_p > d failure, union over the l_A l_B coordinates."""
     if suite.family != "lwr":
         raise ValueError("lwr suite required")
-    q, p, d = suite.q, suite.p, suite.kc.d
-    folded = lwr_diff_distribution(suite.n, q, p, suite.noise.pmf())
-    s = algebra.lwr_round(np.arange(q), q, p)
-    p_coord = float(np.sum(folded[dist_mod(s, p) > d]))
+    q, p = suite.q, suite.p
+    p_coord = _lwr_fail_prob(lwr_diff_distribution(suite.n, q, p, suite.noise.pmf()), q, p, suite.kc.d)
     return ErrorReport(p_coord, _union(p_coord, suite.l_a * suite.l_b))
 
 
@@ -223,15 +234,11 @@ def hybrid_error_rate(suite: Suite, exact_region: bool = False) -> ErrorReport:
     if suite.family != "hybrid":
         raise ValueError("hybrid suite required")
     chi = suite.noise.pmf()
-    q, p = suite.q, suite.p
-    qk, m, g = suite.kc.q, suite.kc.m, suite.kc.g
-    w = q // p
-    ex = pm.iid_sum(pm.trim(pm.product_pmf(chi, chi)), suite.n_b)
-    xu = pm.iid_sum(pm.trim(pm.product_pmf(chi, uniform_pmf(-w // 2, w // 2 - 1))), suite.n)
-    dist = pm.conv(ex, xu)
+    q, p, qk, m, g = suite.q, suite.p, suite.kc.q, suite.kc.m, suite.kc.g
+    dist = pm.conv(_inner(chi, chi, suite.n_b), _inner(chi, _rounding_pmf(q // p), suite.n))
     folded = pm.fold_mod(dist, q)
-    s = algebra.lwr_round(np.arange(q), q, p)
     if exact_region:
+        s = algebra.lwr_round(np.arange(q), q, p)
         # hint offset (q_kc/g) eps2 ranges over [-(q_kc/2g - 1), q_kc/2g]
         s_c = np.where(s < p // 2, s, s - p)
         step = qk // g
@@ -241,7 +248,7 @@ def hybrid_error_rate(suite: Suite, exact_region: bool = False) -> ErrorReport:
             frac += (s_c + u < -half) | (s_c + u >= half)
         p_coord = float(np.dot(folded, frac / step))
     else:
-        p_coord = float(np.sum(folded[dist_mod(s, p) > qk // (2 * m) - 1]))
+        p_coord = _lwr_fail_prob(folded, q, p, qk // (2 * m) - 1)
     return ErrorReport(p_coord, _union(p_coord, suite.l_a * suite.l_b), dist.dropped)
 
 
@@ -255,8 +262,7 @@ def rlwe_error_rate(suite: Suite) -> ErrorReport:
         raise ValueError("rlwe suite in plain or sec mode required")
     chi = suite.noise.pmf()
     q, n, d = suite.q, suite.n, suite.kc.d
-    term = pm.trim(pm.product_pmf(chi, chi))
-    dist = pm.conv(pm.iid_sum(term, 2 * n), pm.negate(chi))
+    dist = pm.conv(_inner(chi, chi, 2 * n), pm.negate(chi))
     per_bit = pm.cyclic_fail_prob(pm.fold_mod(dist, q), d)
     if suite.mode == "plain":
         overall = _union(per_bit, n)

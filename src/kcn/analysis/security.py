@@ -24,7 +24,7 @@ import numpy as np
 from kcn.protocols import assumptions
 from kcn.suites import Suite
 
-__all__ = ["AttackEstimate", "security_estimate", "suite_security", "post_reduction_costs"]
+__all__ = ["AttackEstimate", "security_estimate", "suite_security"]
 
 CLASSICAL = 0.292
 QUANTUM = 0.265
@@ -136,16 +136,3 @@ def suite_security(suite: Suite) -> list[tuple[str, AttackEstimate, AttackEstima
     """Attack estimates for every hardness problem in `kcn.protocols.assumptions`."""
     return [(a.problem,) + security_estimate(a.n, a.q, a.sigma_s_sq, a.sigma_e_sq, model=a.model)
             for a in assumptions(suite)]
-
-
-def post_reduction_costs(cost_bits: float, order: float, divergence: float,
-                         n: int, l_a: int, l_b: int) -> float:
-    """Security left after replacing the rounded Gaussian by a table.
-
-    Probability preservation under Renyi divergence: an attack with success
-    probability 2^-lambda against the table distribution yields one with
-    probability (2^-lambda)^(a/(a-1)) / R_a^N against the Gaussian, where
-    N = n(l_A + l_B) + l_A l_B samples are drawn per protocol run.
-    """
-    big_n = n * (l_a + l_b) + l_a * l_b
-    return (order - 1) / order * cost_bits - big_n * math.log2(divergence)

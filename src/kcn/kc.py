@@ -40,9 +40,6 @@ __all__ = [
     "kc_rec",
     "akc_con",
     "akc_rec",
-    "con_grid",
-    "akc_hint_counts",
-    "rec_table",
 ]
 
 
@@ -130,23 +127,12 @@ def validate_params(variant: KcVariant, p: KcParams):
     Returns True when the condition holds, otherwise a Violation naming the
     first failed inequality.  The generic KC/AKC efficiency upper bounds
     2md <= q(1-1/g) and 2md <= q(1-m/g) are implied by every condition in
-    `_SCHEMES`; saturation of those bounds is diagnostic only and can be
-    read off with `bound_slack`.
+    `_SCHEMES`.
     """
     for holds, condition, detail in _SCHEMES[variant].conditions:
         if not holds(p.q, p.m, p.g, p.d):
             return Violation(condition, detail.format(q=p.q, m=p.m, g=p.g, d=p.d))
     return True
-
-
-def bound_slack(variant: KcVariant, p: KcParams) -> int:
-    """Slack q(1-1/g) - 2md (KC) or q(1-m/g) - 2md (AKC), scaled by g.
-
-    Zero means the efficiency upper bound is exactly saturated.
-    """
-    if variant.is_akc:
-        return p.q * (p.g - p.m) - 2 * p.m * p.d * p.g
-    return p.q * (p.g - 1) - 2 * p.m * p.d * p.g
 
 
 def _check_range(x, bound, what: str):
@@ -283,41 +269,3 @@ _SCHEMES = {
         (lambda q, m, g, d: 4 * m * d < q, "4md < q", "4*{m}*{d} >= {q}"),
     ), _frodo_con, _frodo_rec),
 }
-
-
-# ---------------------------------------------------------------------------
-# Exhaustive enumeration helpers.  These walk every (sigma1, randomness) pair
-# of a variant with vectorized arithmetic; the exhaustive correctness and
-# security tests are built on them.
-
-def con_grid(variant: KcVariant, params: KcParams):
-    """All Con evaluations of a KC-family variant.
-
-    Returns (sigma1, k1, v) as flat int64 arrays covering every sigma1 in Z_q
-    and every admissible noise value e (only e = 0 when m divides q).
-    """
-    con = _scheme(variant, False, "con").con
-    sigma1, e = np.broadcast_arrays(np.arange(params.q, dtype=np.int64)[:, None],
-                                    np.arange(*_e_range(params), dtype=np.int64))
-    k1, v = con(sigma1, e, params)
-    return sigma1.ravel(), k1.ravel(), v.ravel()
-
-
-def akc_hint_counts(variant: KcVariant, params: KcParams) -> np.ndarray:
-    """Exact counts #{sigma1 : Con(sigma1, k1) = v} as an (m, g) array."""
-    q, m, g = params.q, params.m, params.g
-    sigma1 = np.arange(q, dtype=np.int64)
-    counts = np.zeros((m, g), dtype=np.int64)
-    for k in range(m):
-        v = akc_con(variant, sigma1, np.full(q, k, dtype=np.int64), params)
-        counts[k] = np.bincount(v, minlength=g)
-    return counts
-
-
-def rec_table(variant: KcVariant, params: KcParams) -> np.ndarray:
-    """Rec evaluated on all (sigma2, v), as a (q, g) array of keys."""
-    q, g = params.q, params.g
-    sigma2 = np.repeat(np.arange(q, dtype=np.int64), g)
-    v = np.tile(np.arange(g, dtype=np.int64), q)
-    rec = akc_rec if variant.is_akc else kc_rec
-    return np.asarray(rec(variant, sigma2, v, params)).reshape(q, g)

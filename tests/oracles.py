@@ -1,8 +1,15 @@
-"""Reference implementations that the tests check kcn against."""
+"""Reference implementations and test-only helpers that the tests check kcn
+against: reference arithmetic (`frac_part`, `schoolbook_negacyclic`), the
+coefficient-domain ring product through the NTT (`ntt_mul`), the efficiency
+slack of a consensus instance (`bound_slack`), and the post-reduction
+security left by a sampling table (`post_reduction_costs`)."""
+
+import math
 
 import numpy as np
 
-from kcn.kc import div_round
+from kcn.algebra import RingPoly, ntt_forward, ntt_inverse, poly_mul
+from kcn.kc import KcParams, KcVariant, div_round
 
 
 def frac_part(x, q: int, p: int):
@@ -20,3 +27,31 @@ def schoolbook_negacyclic(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
     out = full[:n].copy()
     out[: n - 1] -= full[n:]
     return out % q
+
+
+def ntt_mul(a: RingPoly, b: RingPoly) -> RingPoly:
+    """Negacyclic product of two coefficient-domain polys, through the NTT."""
+    return ntt_inverse(poly_mul(ntt_forward(a), ntt_forward(b)))
+
+
+def bound_slack(variant: KcVariant, p: KcParams) -> int:
+    """Slack q(1-1/g) - 2md (KC) or q(1-m/g) - 2md (AKC), scaled by g.
+
+    Zero means the efficiency upper bound is exactly saturated.
+    """
+    if variant.is_akc:
+        return p.q * (p.g - p.m) - 2 * p.m * p.d * p.g
+    return p.q * (p.g - 1) - 2 * p.m * p.d * p.g
+
+
+def post_reduction_costs(cost_bits: float, order: float, divergence: float,
+                         n: int, l_a: int, l_b: int) -> float:
+    """Security left after replacing the rounded Gaussian by a table.
+
+    Probability preservation under Renyi divergence: an attack with success
+    probability 2^-lambda against the table distribution yields one with
+    probability (2^-lambda)^(a/(a-1)) / R_a^N against the Gaussian, where
+    N = n(l_A + l_B) + l_A l_B samples are drawn per protocol run.
+    """
+    big_n = n * (l_a + l_b) + l_a * l_b
+    return (order - 1) / order * cost_bits - big_n * math.log2(divergence)

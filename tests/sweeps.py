@@ -1,5 +1,10 @@
 """Exhaustive enumeration helpers for the consensus acceptance criteria.
 
+`con_grid`, `akc_hint_counts` and `rec_table` walk every (sigma1,
+randomness) pair or every (sigma2, v) of a variant with vectorized
+arithmetic; the exhaustive correctness and security checks below are
+built on them.
+
 Correctness is monotone in d (the sigma2 set at a smaller distance is a
 subset), so each (q, m, g) is checked once at its maximal valid d, which
 covers every smaller d the validator accepts.
@@ -10,13 +15,48 @@ import numpy as np
 from kcn.kc import (
     KcParams,
     KcVariant,
+    _e_range,
+    _scheme,
     akc_con,
-    con_grid,
-    rec_table,
+    akc_rec,
+    kc_rec,
     validate_params,
 )
 
 QMAX = 64
+
+
+def con_grid(variant: KcVariant, params: KcParams):
+    """All Con evaluations of a KC-family variant.
+
+    Returns (sigma1, k1, v) as flat int64 arrays covering every sigma1 in Z_q
+    and every admissible noise value e (only e = 0 when m divides q).
+    """
+    con = _scheme(variant, False, "con").con
+    sigma1, e = np.broadcast_arrays(np.arange(params.q, dtype=np.int64)[:, None],
+                                    np.arange(*_e_range(params), dtype=np.int64))
+    k1, v = con(sigma1, e, params)
+    return sigma1.ravel(), k1.ravel(), v.ravel()
+
+
+def akc_hint_counts(variant: KcVariant, params: KcParams) -> np.ndarray:
+    """Exact counts #{sigma1 : Con(sigma1, k1) = v} as an (m, g) array."""
+    q, m, g = params.q, params.m, params.g
+    sigma1 = np.arange(q, dtype=np.int64)
+    counts = np.zeros((m, g), dtype=np.int64)
+    for k in range(m):
+        v = akc_con(variant, sigma1, np.full(q, k, dtype=np.int64), params)
+        counts[k] = np.bincount(v, minlength=g)
+    return counts
+
+
+def rec_table(variant: KcVariant, params: KcParams) -> np.ndarray:
+    """Rec evaluated on all (sigma2, v), as a (q, g) array of keys."""
+    q, g = params.q, params.g
+    sigma2 = np.repeat(np.arange(q, dtype=np.int64), g)
+    v = np.tile(np.arange(g, dtype=np.int64), q)
+    rec = akc_rec if variant.is_akc else kc_rec
+    return np.asarray(rec(variant, sigma2, v, params)).reshape(q, g)
 
 
 def _is_pow2(x):
@@ -105,7 +145,5 @@ def kc_secure_exhaustive(variant, params) -> bool:
 
 def akc_secure_exhaustive(variant, params) -> bool:
     """Hint-count profiles #{sigma1 : Con(sigma1, k1) = v} equal across k1."""
-    from kcn.kc import akc_hint_counts
-
     counts = akc_hint_counts(variant, params)
     return bool(np.all(counts == counts[0]))

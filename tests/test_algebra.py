@@ -9,7 +9,7 @@ from kcn import algebra
 from kcn import protocols as proto
 from kcn.algebra import RingPoly
 from kcn.suites import get_suite
-from oracles import frac_part, schoolbook_negacyclic
+from oracles import frac_part, ntt_mul, schoolbook_negacyclic
 
 SEED = bytes(range(32))
 
@@ -67,7 +67,7 @@ def test_ntt_mul_matches_schoolbook(rng):
         for _ in range(25):
             a = rng.integers(0, q, n)
             b = rng.integers(0, q, n)
-            fast = algebra.poly_mul(RingPoly(n, q, a), RingPoly(n, q, b)).coeffs
+            fast = ntt_mul(RingPoly(n, q, a), RingPoly(n, q, b)).coeffs
             assert np.array_equal(fast, schoolbook_negacyclic(a, b, q))
 
 
@@ -104,7 +104,7 @@ def test_ntt_every_power_of_two(n, q, rng):
     for _ in range(3):
         a = rng.integers(0, q, n)
         b = rng.integers(0, q, n)
-        fast = algebra.poly_mul(RingPoly(n, q, a), RingPoly(n, q, b)).coeffs
+        fast = ntt_mul(RingPoly(n, q, a), RingPoly(n, q, b)).coeffs
         assert np.array_equal(fast, schoolbook_negacyclic(a, b, q))
         back = algebra.ntt_inverse(algebra.ntt_forward(RingPoly(n, q, a)))
         assert np.array_equal(back.coeffs, a)
@@ -132,6 +132,17 @@ def test_poly_mul_ring_mismatch():
         algebra.poly_mul(a, b)
     with pytest.raises(ValueError):
         algebra.poly_mul(RingPoly(16, 97, np.arange(16)), RingPoly(16, 193, np.arange(16)))
+
+
+def test_poly_mul_refuses_coefficient_domain(rng):
+    # poly_mul is the NTT-domain pointwise product only; coefficients go
+    # through ntt_forward first
+    n, q = 16, 97
+    a = RingPoly(n, q, rng.integers(0, q, n))
+    fa = algebra.ntt_forward(a)
+    for x, y in [(a, a), (a, fa), (fa, a)]:
+        with pytest.raises(ValueError, match="NTT-domain operands"):
+            algebra.poly_mul(x, y)
 
 
 def test_ring_public_element_is_read_only():

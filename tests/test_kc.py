@@ -10,17 +10,15 @@ from kcn.kc import (
     KcVariant,
     Violation,
     akc_con,
-    akc_hint_counts,
     akc_rec,
-    bound_slack,
-    con_grid,
     dist_mod,
     div_round,
     kc_con,
     kc_rec,
-    rec_table,
     validate_params,
 )
+from oracles import bound_slack
+from sweeps import akc_hint_counts, con_grid, rec_table
 
 SIMPLE = KcParams(q=16, m=2, g=8, d=3)
 

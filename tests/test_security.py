@@ -8,11 +8,11 @@ import pytest
 from kcn.analysis import security
 from kcn.analysis.security import (
     AttackEstimate,
-    post_reduction_costs,
     security_estimate,
     suite_security,
 )
 from kcn.suites import get_suite, suite_names
+from oracles import post_reduction_costs
 
 
 def test_estimate_shape_and_invariants():
