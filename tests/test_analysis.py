@@ -4,6 +4,7 @@ The expensive full-table reproductions live in test_acceptance; here the
 pipelines are checked against independent oracles at small sizes.
 """
 
+import hashlib
 import itertools
 import math
 
@@ -431,3 +432,19 @@ def _report_fields(rep):
 @pytest.mark.parametrize("name", list(PINNED_REPORTS))
 def test_error_rate_reports_pinned(name):
     assert _report_fields(error_rate(SUITES[name])) == PINNED_REPORTS[name]
+
+
+# SHA-256 of lwr_diff_distribution(n, q, p, chi) as little-endian float64:
+# the whole folded law of the LWR suites, not just its failure sum
+LWR_DIFF_DIGESTS = {
+    "lwr-recommended": "ba5257dd5cc7459c3e82e15e9087ae239ead8085752c6420523e25446077c7df",
+    "lwr-paranoid": "b3f9cf40329e95e64456834e79decac2cee79f247446713e8bd69b480467b1c7",
+}
+
+
+@pytest.mark.parametrize("name", list(LWR_DIFF_DIGESTS))
+def test_lwr_diff_distribution_pinned(name):
+    s = SUITES[name]
+    folded = lwr_diff_distribution(s.n, s.q, s.p, s.noise.pmf())
+    assert folded.dtype == np.float64 and folded.shape == (s.q,)
+    assert hashlib.sha256(folded.astype("<f8").tobytes()).hexdigest() == LWR_DIFF_DIGESTS[name]

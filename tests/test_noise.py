@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from kcn import noise
+from kcn import noise, suites
 from kcn.noise import TABLES, Pmf
 
 
@@ -168,3 +169,72 @@ def test_noise_spec_rejects_unknown_table():
     with pytest.raises(ValueError, match="'D9'.*D_R, D_P, D1"):
         NoiseSpec("table", name="D9")
     assert NoiseSpec("table", name="D1").variance() == TABLES["D1"].variance
+
+
+# --- pinned outputs: the table sampler and the rounded Gaussian --------------
+
+class _CountingRng:
+    """Stub generator whose `integers` returns every value in [lo, hi) once."""
+
+    def integers(self, lo, hi, size=None, dtype=None):
+        return np.arange(lo, hi, dtype=dtype)
+
+
+# SHA-256 of sample_table(t, stub, 2^bits) as little-endian int64: the value
+# of every one of the table's 2^bits equally likely draws, in draw order
+SAMPLE_TABLE_DIGESTS = {
+    "D_R": "83f59c2f346335c55f816e05397e1de268351f26f206b49e13cdd5061ab9f241",
+    "D_P": "1fa1b92059c55f5f89fd118cb352435dea58e1dd19dae422aa65fa87589bf61e",
+    "D1": "1e77f5dec1543094c85042e3758560f4c11bf9b0602a51e2d0a39a249ad090d4",
+    "D2": "e7d0d25c3c4f3597758bd26299245493d6c5d1b48c9f60f44c54e42af7ca0be3",
+    "D3": "3133e93d195f178576450fa43b67c4273a3f740656cebf2a6010929d87055fbb",
+    "D4": "269f099b27b8784190274c4de8e7fc4a51cc8bf9fc51d33302be0aed5ca78917",
+    "D5": "9e431d01cfd7e635e299f9cedb643d954959f8cdf127863fcb08b3b08c4acf40",
+    "DB1": "0d6726017c740b70f89253baa416a812cf69d33a571571d29a65216e58dba6cf",
+    "DB2": "dd0dcc1c8472daaa597809b9f8340edce11cfae650911cd133b4bb05bc411156",
+    "DB3": "9538621931bc22210928360c2a02237391c1c5e7eb2934a4afcfea1cf2652546",
+    "DB4": "94e245e153ff4912ed768e8961c8a9246629f26ab1a4eb89afd7e431e85a4572",
+    "gauss2.0": "97f66a019eea1dc8f2abcfe45ff0638b5ed7a192160688bbce71d9edfeede042",
+}
+
+
+def _pinned_table(name):
+    return suites._gauss_table(2.0) if name == "gauss2.0" else TABLES[name]
+
+
+@pytest.mark.parametrize("name", list(SAMPLE_TABLE_DIGESTS))
+def test_sample_table_draw_map_pinned(name):
+    t = _pinned_table(name)
+    x = noise.sample_table(t, _CountingRng(), 1 << t.bits)
+    assert x.dtype == np.int64 and x.shape == (1 << t.bits,)
+    assert hashlib.sha256(x.astype("<i8").tobytes()).hexdigest() == SAMPLE_TABLE_DIGESTS[name]
+
+
+# SHA-256 of rounded_gaussian_pmf(sqrt(v)): the offset as little-endian int64,
+# then the probabilities as little-endian float64, for every table variance
+# and for v = 2.0
+ROUNDED_GAUSSIAN_DIGESTS = {
+    0.9: "2cbf3aacfbeb52cfc33bafd5ef35c0624e92b97b8bf0e59ffaaa8f4c326a2ca2",
+    1.0: "7467b904918dfc9ab08856ded9c1a71a7c98bdd9612e8c83d4351b8932e86888",
+    1.1: "53fa61719a382ea8e06b2c34aa8eb6e297c6a0176b88b3ce120017b35e84f9f4",
+    1.25: "67e9aad478462c3e3ea3a023e5ffbde57a530910e0bccf20304927f7ee941a62",
+    1.3: "fbd124f4a547b844c7c6e8f050df908d4c4a379193f071bb7310334f15b87ada",
+    1.4: "b6322a8800b77b9030284905b62aaaccbb4629a25081834739720117ea237d52",
+    1.66: "344eb6b7f3676c2b8bfd468887884f0f12690dea38bba590316bed0fd8195589",
+    1.7: "2ef343092d3105d5979c5c16c9f3d3d339cb44f82d98918775802a3cff06187f",
+    1.75: "2e43c26ca3a8941fbfc060d3985a26fc6ff5f373abf472bd8a86ca3f9c6f8327",
+    2.0: "b78c48f1c86547532bd08de3282349d40fc314a90be06d4c9606081d205ebf0d",
+}
+
+
+@pytest.mark.parametrize("v", sorted(ROUNDED_GAUSSIAN_DIGESTS))
+def test_rounded_gaussian_pmf_pinned(v):
+    pmf = noise.rounded_gaussian_pmf(math.sqrt(v))
+    h = hashlib.sha256(np.int64(pmf.offset).astype("<i8").tobytes())
+    h.update(pmf.probs.astype("<f8").tobytes())
+    assert h.hexdigest() == ROUNDED_GAUSSIAN_DIGESTS[v]
+
+
+def test_pinned_variances_cover_every_table():
+    assert {t.variance for t in TABLES.values()} | {2.0} == set(ROUNDED_GAUSSIAN_DIGESTS)
+    assert set(TABLES) | {"gauss2.0"} == set(SAMPLE_TABLE_DIGESTS)
