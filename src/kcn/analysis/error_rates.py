@@ -137,8 +137,6 @@ def _residue_value_joint(chi: Pmf, w: int) -> tuple[np.ndarray, int]:
     us = np.arange(-w // 2, w // 2)
     pu = 1.0 / w
     for x, px in zip(chi.support, chi.probs):
-        if px == 0:
-            continue
         for y in us:
             res = (y * x) % w
             vals = (y - us) * x + vmax
@@ -156,57 +154,40 @@ def _joint_conv(a, b, w: int):
     return out[:, lo:hi].copy(), oa + ob + lo
 
 
-def _zero_divisor_part(chi: Pmf, w: int) -> Pmf:
-    """Sub-measure of chi on the zero divisors of Z_w (unnormalized)."""
-    probs = np.where([math.gcd(int(x), w) != 1 for x in chi.support], chi.probs, 0.0)
-    return Pmf(int(chi.support[0]), probs)
+def _lwr_sides(chi: Pmf, n: int, w: int):
+    """Side 1, the law of c1 = X^T y2, and side 2, the (residue, value) joint of c2's y-part."""
+    side1 = _inner(chi, _rounding_pmf(w), n)  # residue of c1 is c1 mod w
+    side2 = pm.power(_residue_value_joint(chi, w), n, lambda a, b: _joint_conv(a, b, w))
+    return side1, side2
 
 
-def lwr_diff_distribution(n: int, q: int, p: int, chi: Pmf,
-                          condition_units: bool = False) -> np.ndarray:
+def _lwr_fold(side1: Pmf, side2, q: int, w: int) -> np.ndarray:
+    """Law of D mod q from its two halves, one convolution per residue class."""
+    j2, off2 = side2
+    res = (side1.offset + np.arange(len(side1.probs))) % w
+    lo = side1.offset - (off2 + j2.shape[1] - 1)
+    idx = (lo + np.arange(len(side1.probs) + j2.shape[1] - 1)) % q
+    folded = np.zeros(q)
+    for a in range(w):
+        # side 1 masked to residue class a; side 2 carries all values
+        conv = np.convolve(np.where(res == a, side1.probs, 0.0), j2[a][::-1])
+        np.add.at(folded, idx, conv * w)  # divide by Pr[a] = 1/w
+    return folded
+
+
+def lwr_diff_distribution(n: int, q: int, p: int, chi: Pmf) -> np.ndarray:
     """Distribution of D = X1^T{A^T X2}_p - ({A X1}_p^T X2 - eps^T X2) mod q,
     as a length-q array; Sigma2 - Sigma1 = round((p/q) D) mod p.
 
     Conditioned on the residue a = X1^T A^T X2 mod (q/p), the two halves
     c1 = X1^T y2 (with c1 = a mod q/p) and c2 = y1^T X2 - eps^T X2 (whose
     y-part has residue a) are independent, so D's law is assembled from one
-    convolution per residue class.  With condition_units=True the law is
-    additionally conditioned on both secrets containing a unit of Z_{q/p}
-    (the regime where the decomposition is exact, via inclusion-exclusion
-    over all-zero-divisor secrets); without it that correction is ignored,
-    which is negligible at production sizes.
+    convolution per residue class.  This is exact when both secrets hold a
+    unit of Z_{q/p}; that all n coordinates of a secret are zero divisors
+    has probability P(zero divisor)^n, negligible at production sizes.
     """
     w = q // p
-
-    def one_sided(x_chi: Pmf):
-        side1 = _inner(x_chi, _rounding_pmf(w), n)  # c1 = X^T y2; residue = c1 mod w
-        side2 = pm.power(_residue_value_joint(x_chi, w), n, lambda a, b: _joint_conv(a, b, w))
-        return side1, side2
-
-    f1, f2 = one_sided(chi)
-    pairs = [(f1, f2, 1.0)]
-    norm = 1.0
-    if condition_units:
-        zd = _zero_divisor_part(chi, w)
-        p0 = zd.mass
-        if p0 > 0:
-            z1, z2 = one_sided(Pmf(zd.offset, zd.probs / p0))
-            p0n = p0**n
-            pairs = [(f1, f2, 1.0), (z1, f2, -p0n), (f1, z2, -p0n), (z1, z2, p0n**2)]
-            norm = (1.0 - p0n) ** 2
-
-    folded = np.zeros(q)
-    for a in range(w):
-        for s1, (j2, off2), wt in pairs:
-            # mask side 1 to its residue class; side 2 carries all values
-            mask = (s1.offset + np.arange(len(s1.probs))) % w == a
-            arr1 = np.where(mask, s1.probs, 0.0)
-            arr2 = j2[a]
-            conv = np.convolve(arr1, arr2[::-1]) * (wt / norm)
-            lo = s1.offset - (off2 + len(arr2) - 1)
-            idx = (lo + np.arange(len(conv))) % q
-            np.add.at(folded, idx, conv * w)  # divide by Pr[a] = 1/w
-    return folded
+    return _lwr_fold(*_lwr_sides(chi, n, w), q, w)
 
 
 def lwr_error_rate(suite: Suite) -> ErrorReport:

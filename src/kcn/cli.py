@@ -183,11 +183,14 @@ def cmd_tables(args) -> int:
     return 0 if ok_all else 1
 
 
-def positive_int(text: str) -> int:
-    n = int(text)
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
-    return n
+def int_at_least(low: int):
+    def parse(text: str) -> int:
+        n = int(text)
+        if n < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {n}")
+        return n
+    parse.__name__ = "int"  # argparse names it in "invalid int value"
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -205,8 +208,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("kx", help="run full key exchanges")
     p.add_argument("suite")
-    p.add_argument("--trials", type=positive_int, default=100)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--trials", type=int_at_least(1), default=100)
+    p.add_argument("--seed", type=int_at_least(0), default=None)
     p.set_defaults(func=cmd_kx)
 
     p = sub.add_parser("error-rate", help="numerical failure probability")

@@ -1,18 +1,19 @@
 """Discrete noise distributions and closeness measures.
 
-The sampling tables below are cumulative-count tables: a draw consumes
-exactly `bits` random bits and maps them through the inverse CDF, so the
-sampled distribution equals the table counts exactly.  Alongside them live
-the centered binomial Psi_16, the bit-counting sampler B^{a,b}, discrete
-Gaussian reference PMFs, and the Renyi divergence used to justify the
-table approximations.  Every sampler returns int64 draws of shape `size`,
-a numpy scalar when size is None.
+The sampling tables below are exact count tables: a draw takes `bits`
+random bits and looks up the value they index, so the sampled distribution
+equals the table counts exactly.  Alongside them live the centered binomial
+Psi_16, the bit-counting sampler B^{a,b}, the rounded Gaussian reference
+PMF, and the Renyi divergence used to justify the table approximations.
+Every sampler returns int64 draws of shape `size`, a numpy scalar when
+size is None.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -36,12 +37,10 @@ __all__ = [
 class Pmf:
     """Probability mass function over a contiguous integer support.
 
-    `probs[i]` is the probability of `offset + i`.  A distribution's total
-    mass is within 2^-40 of 1 by construction; the one exception is a
-    sub-measure built on purpose (the zero-divisor part of an LWR secret
-    law), whose mass is that of its event.  `dropped` bounds the mass that
-    trimming and truncation removed on the way here, so an event's true
-    probability lies in [P, P + dropped].
+    `probs[i]` is the probability of `offset + i`.  Total mass is within
+    2^-40 of 1 by construction.  `dropped` bounds the mass that trimming and
+    truncation removed on the way here, so an event's true probability lies
+    in [P, P + dropped].
     """
 
     offset: int
@@ -73,7 +72,8 @@ class Pmf:
 
 @dataclass(frozen=True)
 class NoiseTable:
-    """Symmetric sampling table: counts out of 2^bits for values 0, ±1, ..."""
+    """Symmetric sampling table: counts out of 2^bits for values 0, ±1, ...;
+    draw r in [0, 2^bits) yields `_draws[r]`."""
 
     name: str
     bits: int
@@ -81,22 +81,22 @@ class NoiseTable:
     variance: float = 0.0
     renyi_order: float = 0.0
     renyi_divergence: float = 0.0
-    _cdf: np.ndarray = field(init=False, repr=False, compare=False)
-    _values: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         total = self.counts[0] + 2 * sum(self.counts[1:])
         if total != 1 << self.bits:
             raise ValueError(f"{self.name}: counts sum to {total}, not 2^{self.bits}")
-        kmax = len(self.counts) - 1
-        values = np.arange(-kmax, kmax + 1, dtype=np.int64)
-        cnt = np.array([self.counts[abs(v)] for v in values], dtype=np.int64)
-        object.__setattr__(self, "_values", values)
-        object.__setattr__(self, "_cdf", np.cumsum(cnt))
 
     @property
     def support_bound(self) -> int:
         return len(self.counts) - 1
+
+    @cached_property
+    def _draws(self) -> np.ndarray:
+        """Each value from -kmax up, repeated its count times; built on first use."""
+        kmax = self.support_bound
+        values = np.arange(-kmax, kmax + 1, dtype=np.int64)
+        return np.repeat(values, [self.counts[abs(v)] for v in values])
 
     def pmf(self) -> Pmf:
         kmax = self.support_bound
@@ -124,10 +124,8 @@ TABLES = {
 
 
 def sample_table(table: NoiseTable, rng, size=None):
-    """Draw from the table: `bits` random bits through the inverse CDF."""
-    r = rng.integers(0, 1 << table.bits, size=size, dtype=np.int64)
-    idx = np.searchsorted(table._cdf, r, side="right")
-    return table._values[idx]
+    """Draw from the table: `bits` random bits index its draw map."""
+    return table._draws[rng.integers(0, 1 << table.bits, size=size, dtype=np.int64)]
 
 
 def sample_centered_binomial(rng, size=None):
@@ -150,18 +148,17 @@ def sample_bab(a: int, b: int, rng, size=None):
     return ones + 2 * twos - (a // 2 + b)
 
 
-def rounded_gaussian_pmf(sigma: float, cutoff: int | None = None) -> Pmf:
+def rounded_gaussian_pmf(sigma: float) -> Pmf:
     """Rounded Gaussian: mass of N(0, sigma^2) falling nearest to each integer.
 
     P(x) = Phi((x+1/2)/sigma) - Phi((x-1/2)/sigma), renormalized over
-    [-cutoff, cutoff]; cutoff defaults to ceil(12 sigma), far past any mass
+    [-cutoff, cutoff] with cutoff = ceil(12 sigma), far past any mass
     measured against it.  This is the reference the shipped tables
     approximate (their variance exceeds sigma^2 by the rounding term 1/12).
     """
     if sigma <= 0:
         raise ValueError("sigma > 0")
-    if cutoff is None:
-        cutoff = max(1, math.ceil(12 * sigma))
+    cutoff = max(1, math.ceil(12 * sigma))
     edges = (np.arange(-cutoff, cutoff + 2, dtype=np.float64) - 0.5) / (sigma * math.sqrt(2))
     cdf = 0.5 * (1.0 + np.array([math.erf(z) for z in edges]))
     w = np.diff(cdf)

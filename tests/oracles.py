@@ -1,15 +1,19 @@
 """Reference implementations and test-only helpers that the tests check kcn
 against: reference arithmetic (`frac_part`, `schoolbook_negacyclic`), the
 coefficient-domain ring product through the NTT (`ntt_mul`), the efficiency
-slack of a consensus instance (`bound_slack`), and the post-reduction
-security left by a sampling table (`post_reduction_costs`)."""
+slack of a consensus instance (`bound_slack`), the post-reduction security
+left by a sampling table (`post_reduction_costs`), and the LWR difference
+law conditioned on both secrets holding a unit (`lwr_diff_conditioned`),
+built from the two private stages of `lwr_diff_distribution`."""
 
 import math
 
 import numpy as np
 
 from kcn.algebra import RingPoly, ntt_forward, ntt_inverse, poly_mul
+from kcn.analysis.error_rates import _lwr_fold, _lwr_sides
 from kcn.kc import KcParams, KcVariant, div_round
+from kcn.noise import Pmf
 
 
 def frac_part(x, q: int, p: int):
@@ -55,3 +59,26 @@ def post_reduction_costs(cost_bits: float, order: float, divergence: float,
     """
     big_n = n * (l_a + l_b) + l_a * l_b
     return (order - 1) / order * cost_bits - big_n * math.log2(divergence)
+
+
+def lwr_diff_conditioned(n: int, q: int, p: int, chi: Pmf) -> np.ndarray:
+    """`lwr_diff_distribution` conditioned on both secrets holding a unit of
+    Z_{q/p}, the regime where its decomposition is exact.
+
+    Inclusion-exclusion over secrets whose coordinates are all zero
+    divisors: with z the law of chi on the zero divisors, renormalized, and
+    p0^n the chance a secret is all zero divisors,
+    P(D | both have a unit) = (F(chi, chi) - p0^n F(z, chi) - p0^n F(chi, z)
+    + p0^2n F(z, z)) / (1 - p0^n)^2, where F(x1, x2) folds side 1 of x1
+    with side 2 of x2.
+    """
+    w = q // p
+    zero_divisor = np.array([math.gcd(int(x), w) != 1 for x in chi.support])
+    p0 = float(np.sum(chi.probs[zero_divisor]))
+    f1, f2 = _lwr_sides(chi, n, w)
+    if p0 == 0:
+        return _lwr_fold(f1, f2, q, w)
+    z1, z2 = _lwr_sides(Pmf(chi.offset, np.where(zero_divisor, chi.probs, 0.0) / p0), n, w)
+    p0n = p0**n
+    terms = [(f1, f2, 1.0), (z1, f2, -p0n), (f1, z2, -p0n), (z1, z2, p0n**2)]
+    return sum(wt * _lwr_fold(s1, s2, q, w) for s1, s2, wt in terms) / (1.0 - p0n) ** 2

@@ -26,6 +26,7 @@ from kcn.analysis.error_rates import (
 from kcn.kc import KcParams, KcVariant
 from kcn.noise import Pmf
 from kcn.suites import SUITES, NoiseSpec, Suite
+from oracles import lwr_diff_conditioned
 
 
 # --- pmf operations ----------------------------------------------------------
@@ -243,7 +244,17 @@ def test_lwr_pipeline_matches_brute_force():
     n, q, p = 2, 16, 4
     chi = Pmf(-1, np.array([0.25, 0.5, 0.25]))
     bf = brute_lwr_folded(n, q, p, [-1, 0, 1], {-1: 0.25, 0: 0.5, 1: 0.25})
-    eng = lwr_diff_distribution(n, q, p, chi, condition_units=True)
+    eng = lwr_diff_conditioned(n, q, p, chi)
+    assert np.abs(bf - eng).max() < 1e-13
+
+
+def test_lwr_production_path_matches_brute_force():
+    # with +-1 noise every secret holds a unit of Z_4, so the unconditioned
+    # decomposition is exact
+    n, q, p = 2, 16, 4
+    chi = Pmf(-1, np.array([0.5, 0.0, 0.5]))
+    bf = brute_lwr_folded(n, q, p, [-1, 1], {-1: 0.5, 1: 0.5})
+    eng = lwr_diff_distribution(n, q, p, chi)
     assert np.abs(bf - eng).max() < 1e-13
 
 

@@ -116,6 +116,13 @@ def test_trial_count_below_one_is_a_usage_error(command, trials):
     assert "Traceback" not in run.stderr and run.stdout == ""
 
 
+def test_negative_seed_is_a_usage_error():
+    run = _kcn("kx", "okcn-t2", "--seed", "-1")
+    assert run.returncode == 2
+    assert "--seed" in run.stderr and "must be at least 0, got -1" in run.stderr
+    assert "Traceback" not in run.stderr and run.stdout == ""
+
+
 def test_kx_reports_phase_medians(capsys):
     assert main(["kx", "newhope", "--trials", "3", "--seed", "2"]) == 0
     assert "median" in capsys.readouterr().out

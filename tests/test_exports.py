@@ -4,15 +4,28 @@ something outside the tests uses it."""
 import ast
 import importlib
 import pathlib
+import pkgutil
 import re
 
 import pytest
 
-MODULES = ["algebra", "codes", "kc", "noise", "protocols", "suites", "wire",
-           "analysis.bandwidth", "analysis.error_rates", "analysis.pmf", "analysis.security"]
+import kcn
+
+# Every module under kcn, found by walking the package, so a new module is
+# checked without being listed here
+ALL_MODULES = sorted(m.name.removeprefix("kcn.")
+                     for m in pkgutil.walk_packages(kcn.__path__, "kcn.") if not m.ispkg)
+# The command-line front door is the one module without `__all__`
+WITHOUT_ALL = ["cli"]
+MODULES = [m for m in ALL_MODULES if m not in WITHOUT_ALL]
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 USER_DIRS = ("src/kcn", "scripts", "perfbench")
+
+
+def test_only_the_cli_lacks_all():
+    lacking = [m for m in ALL_MODULES if not hasattr(importlib.import_module(f"kcn.{m}"), "__all__")]
+    assert lacking == WITHOUT_ALL
 
 
 @pytest.mark.parametrize("name", MODULES)

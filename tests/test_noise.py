@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.stats import norm
 
 from kcn import noise, suites
 from kcn.noise import TABLES, Pmf
@@ -117,12 +118,19 @@ def test_renyi_divergence_reproduces_table(name):
 
 
 def test_renyi_cutoff_insensitive():
-    # tail cutoff beyond 10 sigma does not move the divergence at 1e-6 scale
+    # tail cutoff beyond 10 sigma does not move the divergence at 1e-6 scale:
+    # the library's ceil(12 sigma) = 16 against rounded Gaussians cut at 14,
+    # 30 and 60, built here from the normal tail
     t = TABLES["D_R"]
-    vals = [
-        noise.renyi_divergence(t.pmf(), noise.rounded_gaussian_pmf(math.sqrt(1.70), c), 500.0)
-        for c in (14, 16, 30, 60)
-    ]
+    sigma = math.sqrt(1.70)
+
+    def cut_at(cutoff):
+        x = np.abs(np.arange(-cutoff, cutoff + 1))
+        w = norm.sf((x - 0.5) / sigma) - norm.sf((x + 0.5) / sigma)
+        return Pmf(-cutoff, w / np.sum(w))
+
+    refs = [noise.rounded_gaussian_pmf(sigma)] + [cut_at(c) for c in (14, 30, 60)]
+    vals = [noise.renyi_divergence(t.pmf(), q, 500.0) for q in refs]
     assert max(vals) - min(vals) < 1e-9
 
 
