@@ -158,7 +158,7 @@ def rounded_gaussian_pmf(sigma: float) -> Pmf:
     """
     if sigma <= 0:
         raise ValueError("sigma > 0")
-    cutoff = max(1, math.ceil(12 * sigma))
+    cutoff = math.ceil(12 * sigma)  # at least 1, as sigma > 0
     edges = (np.arange(-cutoff, cutoff + 2, dtype=np.float64) - 0.5) / (sigma * math.sqrt(2))
     cdf = 0.5 * (1.0 + np.array([math.erf(z) for z in edges]))
     w = np.diff(cdf)
