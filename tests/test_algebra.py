@@ -125,6 +125,29 @@ def test_float_mod_corrects_floor_rounding():
     assert np.array_equal(r, x.astype(np.int64) % q)
 
 
+# SHA-256 over ntt_forward(p).coeffs, then ntt_inverse(ntt_forward(p)).coeffs,
+# each as little-endian int64, for every input below: both suite rings plus
+# (16, 97) and (256, 7681), each with three seeded polynomials, the all-0 one
+# and the all-(q - 1) one.  NTT-domain values never reach the wire, so the
+# transcript pins cannot see them.
+NTT_PIN_RINGS = [(16, 97), (256, 7681), (512, 12289), (1024, 12289)]
+NTT_DIGEST = "d6b6a08627ec133a9977b9a240097096e10228b9d83546b1fb9e57e2e905e739"
+
+
+def test_ntt_pinned():
+    h = hashlib.sha256()
+    for n, q in NTT_PIN_RINGS:
+        rng = np.random.default_rng(n * q)
+        inputs = [rng.integers(0, q, n) for _ in range(3)]
+        inputs += [np.zeros(n, dtype=np.int64), np.full(n, q - 1, dtype=np.int64)]
+        for coeffs in inputs:
+            spec = algebra.ntt_forward(RingPoly(n, q, coeffs))
+            back = algebra.ntt_inverse(spec)
+            h.update(spec.coeffs.astype("<i8").tobytes())
+            h.update(back.coeffs.astype("<i8").tobytes())
+    assert h.hexdigest() == NTT_DIGEST
+
+
 def test_poly_mul_ring_mismatch():
     a = algebra.ntt_forward(RingPoly(16, 97, np.arange(16)))
     b = algebra.ntt_forward(RingPoly(16, 193, np.arange(16)))
