@@ -14,10 +14,10 @@ with SHAKE-128, domain-separated by a one-byte role tag.
 The negacyclic NTT is Bailey's four-step method on float64 BLAS: the n
 coefficients form an n1 x n2 matrix (n1 = 2^ceil(log2(n) / 2)), which is
 multiplied by an n1-point transform matrix, scaled by twiddle factors and
-multiplied by an n2-point one, each step reduced mod q.  The products are
-exact while n1 (q - 1)^2 < 2^53; a ring past that bound is refused.  The
-order of the NTT-domain values is unspecified, so they serve only for
-pointwise products and the inverse transform, never the wire.
+multiplied by an n2-point one, each step reduced to a centered residue and
+the output once into [0, q).  The products are exact while n1 (q - 1)^2 <
+2^53; a ring past that bound is refused.  NTT-domain values come in no set
+order: they serve only for pointwise products and the inverse, not the wire.
 """
 
 from __future__ import annotations
@@ -178,7 +178,7 @@ class RingPoly:
     coeffs: np.ndarray
     domain: str = "coef"  # "coef" | "ntt"
 
-    def __post_init__(self):  # the ring operations leave their reduction mod q to this
+    def __post_init__(self):  # the one reduction into [0, q) of every ring operation's output
         self.coeffs = np.asarray(self.coeffs, dtype=np.int64) % self.q
         if self.coeffs.shape != (self.n,):
             raise ValueError("coefficient count must equal n")
@@ -245,13 +245,14 @@ def _ntt_tables(n: int, q: int):
 
 
 def _mod(x: np.ndarray, q: int) -> np.ndarray:
-    """x mod q for exact integer float64 x, into [0, q)."""
+    """Centered r = x - rint(x / q) q for exact integer float64 |x| < 2^53:
+    x * (1/q) errs by under |x| 2^-52 / q + 2^-53, so |r| <= q/2 + 2, and
+    |r| <= q - 1 as q >= 5 is odd.  rint(x / q) q is exact: the guard leaves
+    n1 (q - 1)^2 over 2^27 below 2^53, and q < 2^26."""
     r = x * (1.0 / q)
-    np.floor(r, out=r)
+    np.rint(r, out=r)
     r *= -q
-    r += x  # x - floor(x / q) q, off by one q at most
-    r[r >= q] -= q
-    r[r < 0] += q
+    r += x
     return r
 
 
@@ -259,11 +260,10 @@ def ntt_forward(p: RingPoly) -> RingPoly:
     """Forward negacyclic NTT, Bailey's four-step method in float64 BLAS.
 
     The n coefficients are an n1 x n2 matrix A, transformed as
-    ((W1 @ A mod q) * T mod q) @ W2 mod q, with the powers of psi folded
-    into W1 and T.  Every product is an exact integer in float64 because
-    n1 (q - 1)^2 < 2^53.  The order of the outputs is unspecified: use
-    them only pointwise and through `ntt_inverse`.
-    """
+    ((W1 @ A mod q) * T mod q) @ W2 mod q, psi folded into W1 and T and each
+    mod q the centered `_mod`.  A and the tables lie in [0, q), reduced
+    stages in |r| <= q/2 + 2 <= q - 1, so the three products sum n1, 1 and
+    n2 <= n1 terms of at most (q - 1)^2: below n1 (q - 1)^2 < 2^53, exact."""
     if p.domain != "coef":
         raise ValueError("already in NTT domain")
     w1, t, w2, _, _, _ = _ntt_tables(p.n, p.q)
@@ -273,8 +273,8 @@ def ntt_forward(p: RingPoly) -> RingPoly:
 
 
 def ntt_inverse(p: RingPoly) -> RingPoly:
-    """Inverse of `ntt_forward`, each step undone in reverse order, with
-    psi^-j and n^-1 folded into the tables; exact under the same bound."""
+    """Inverse of `ntt_forward` (psi^-j and n^-1 in the tables), steps reversed;
+    its products sum n2, 1 and n1 terms of at most (q - 1)^2, so stay exact."""
     if p.domain != "ntt":
         raise ValueError("not in NTT domain")
     _, _, _, w1inv, tinv, w2inv = _ntt_tables(p.n, p.q)

@@ -1,8 +1,11 @@
 import hashlib
+import math
 import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chisquare
 
 from kcn import algebra
@@ -116,13 +119,58 @@ def test_ntt_exactness_guard():
         algebra.ntt_forward(RingPoly(16, 67108961, np.arange(16)))
 
 
-def test_float_mod_corrects_floor_rounding():
-    # at q = 7681, floor(x * (1/q)) falls one short on many exact multiples of q
+def _assert_centered_residue(x, r, q):
+    assert np.array_equal(r, np.rint(r))  # an exact integer
+    assert np.array_equal(r.astype(np.int64) % q, x.astype(np.int64) % q)
+    assert np.abs(r).max() <= q / 2 + 2
+
+
+def test_float_mod_centered_residue():
+    # exact multiples of q and their neighbours +-1, where x * (1/q) lands
+    # on or beside an integer, and the points either side of the half-way
+    # mark, where rint(x * (1/q)) may round either way
     q = 7681
     m = np.arange(32 * (q - 1) ** 2 // q, dtype=np.float64) * q
-    x = np.concatenate([m, m + 1, m + q - 1])
-    r = algebra._mod(x, q)
-    assert np.array_equal(r, x.astype(np.int64) % q)
+    x = np.concatenate([m, m + 1, m - 1, m + q - 1, m + (q - 1) // 2, m + (q + 1) // 2])
+    x = np.concatenate([x, -x])
+    _assert_centered_residue(x, algebra._mod(x, q), q)
+
+
+# both suite rings, and the largest prime q = 1 mod 4 that the guard admits
+# for n = 2 (n1 = 2), where the stage sums come closest to 2^53
+@pytest.mark.parametrize("n,q", [(512, 12289), (1024, 12289), (2, 67108837)])
+@settings(deadline=None, max_examples=200)
+@given(data=st.data())
+def test_float_mod_property_below_guard(n, q, data):
+    algebra._ntt_tables(n, q)  # the guard accepts the ring
+    top = (1 << (n.bit_length() // 2)) * (q - 1) ** 2  # n1 (q - 1)^2
+    xs = data.draw(st.lists(st.integers(-top, top), min_size=1, max_size=64))
+    x = np.array(xs, dtype=np.float64)
+    assert np.array_equal(x.astype(np.int64), np.array(xs))
+    _assert_centered_residue(x, algebra._mod(x, q), q)
+
+
+def test_ntt_guard_leaves_room_for_centered_quotient():
+    # for each n1 the guard can meet, the largest n1 (q - 1)^2 below 2^53
+    # leaves room for rint(x / q) q, up to q/2 + 2 past x, to stay exact;
+    # n1 = 2048 needs n >= 2^21 and q > 2^22, past the guard
+    for n1 in (1 << k for k in range(1, 11)):
+        top = math.isqrt((2**53 - 1) // n1)  # the largest q - 1
+        assert 2**53 - n1 * top**2 > 2**27 and top < 2**26
+    assert 2048 * (2**22) ** 2 >= 2**53
+
+
+@pytest.mark.parametrize("n,q", [(512, 12289), (1024, 12289)])
+def test_ntt_extreme_inputs(n, q):
+    # all q - 1 and alternating 0 / q - 1 drive the stage sums to their largest
+    full = np.full(n, q - 1, dtype=np.int64)
+    alt = np.tile(np.array([0, q - 1], dtype=np.int64), n // 2)
+    for a in (full, alt, alt[::-1].copy()):
+        back = algebra.ntt_inverse(algebra.ntt_forward(RingPoly(n, q, a)))
+        assert np.array_equal(back.coeffs, a)
+        for b in (full, alt):
+            fast = ntt_mul(RingPoly(n, q, a), RingPoly(n, q, b)).coeffs
+            assert np.array_equal(fast, schoolbook_negacyclic(a, b, q))
 
 
 # SHA-256 over ntt_forward(p).coeffs, then ntt_inverse(ntt_forward(p)).coeffs,
