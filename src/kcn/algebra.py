@@ -263,7 +263,7 @@ def ntt_forward(p: RingPoly) -> RingPoly:
     ((W1 @ A mod q) * T mod q) @ W2 mod q, psi folded into W1 and T and each
     mod q the centered `_mod`.  A and the tables lie in [0, q), reduced
     stages in |r| <= q/2 + 2 <= q - 1, so the three products sum n1, 1 and
-    n2 <= n1 terms of at most (q - 1)^2: below n1 (q - 1)^2 < 2^53, exact."""
+    n2 <= n1 terms of at most (q - 1)^2: at most n1 (q - 1)^2 < 2^53."""
     if p.domain != "coef":
         raise ValueError("already in NTT domain")
     w1, t, w2, _, _, _ = _ntt_tables(p.n, p.q)
