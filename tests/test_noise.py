@@ -246,3 +246,21 @@ def test_rounded_gaussian_pmf_pinned(v):
 def test_pinned_variances_cover_every_table():
     assert {t.variance for t in TABLES.values()} | {2.0} == set(ROUNDED_GAUSSIAN_DIGESTS)
     assert set(TABLES) | {"gauss2.0"} == set(SAMPLE_TABLE_DIGESTS)
+
+
+# SHA-256 over every suite's noise law, in suite-name order: the PMF's offset
+# as little-endian int64, its probabilities as little-endian float64, then
+# float.hex of the law's variance
+SUITE_NOISE_DIGEST = "9be7af614183d5da46422a58a2827fc69109963e4e0af0b683294977252999e1"
+
+
+def test_suite_noise_laws_pinned():
+    h = hashlib.sha256()
+    for name in suites.suite_names():
+        law = suites.get_suite(name).noise
+        pmf = law.pmf()
+        h.update(np.int64(pmf.offset).astype("<i8").tobytes())
+        h.update(pmf.probs.astype("<f8").tobytes())
+        h.update(float.hex(law.variance()).encode())
+    assert len(suites.suite_names()) == 30
+    assert h.hexdigest() == SUITE_NOISE_DIGEST
