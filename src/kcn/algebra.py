@@ -99,20 +99,16 @@ def gen_poly(seed: bytes, n: int, q: int, tag: int = 0) -> "RingPoly":
     if not 1 < q <= 1 << 16:
         raise ValueError("gen_poly needs 1 < q <= 2^16")
     lim = q * ((1 << 16) // q)
-    out = np.empty(n, dtype=np.int64)
-    filled = 0
-    nwords = int(n * 1.1) + 16
-    offset = 0
-    while filled < n:
-        raw = hashlib.shake_128(seed + bytes([tag])).digest(2 * (offset + nwords))
-        words = np.frombuffer(raw, dtype="<u2").astype(np.int64)[offset:]
-        offset += nwords
-        acc = words[words < lim] % q
-        take = min(len(acc), n - filled)
-        out[filled: filled + take] = acc[:take]
-        filled += take
-        nwords = int((n - filled) * 1.2) + 16
-    return RingPoly(n=n, q=q, coeffs=out, domain="coef")
+    xof = hashlib.shake_128(seed + bytes([tag]))
+    nwords = n + n // 8 + 16
+    while True:
+        # a longer digest extends the same stream, so the kept words are
+        # the stream's first accepted ones however often this doubles
+        words = np.frombuffer(xof.digest(2 * nwords), dtype="<u2").astype(np.int64)
+        kept = words[words < lim]
+        if len(kept) >= n:
+            return RingPoly(n=n, q=q, coeffs=kept[:n] % q, domain="coef")
+        nwords *= 2
 
 
 def lwr_round(x, q: int, p: int):

@@ -305,7 +305,7 @@ _MODELS = {
     ("hybrid", "plain"): lambda s: hybrid_error_rate(s),
     ("rlwe", "plain"): lambda s: rlwe_error_rate(s),
     ("rlwe", "sec"): lambda s: rlwe_error_rate(s),
-    ("rlwe", "e8"): lambda s: zarzar_error_rate(s.noise.variance(), s.q, s.code_g, s.n),
+    ("rlwe", "e8"): lambda s: zarzar_error_rate(s.noise.variance, s.q, s.code_g, s.n),
 }
 
 

@@ -1,33 +1,39 @@
-"""Discrete noise distributions and closeness measures.
+"""Discrete noise laws and closeness measures.
 
-The sampling tables below are exact count tables: a draw takes `bits`
-random bits and looks up the value they index, so the sampled distribution
-equals the table counts exactly.  Alongside them live the centered binomial
-Psi_16, the bit-counting sampler B^{a,b}, the rounded Gaussian reference
-PMF, and the Renyi divergence used to justify the table approximations.
-Every sampler returns int64 draws of shape `size`, a numpy scalar when
-size is None.
+A noise law is one value carrying its name, its variance, its exact PMF
+and its sampler; every suite holds one, and the same law drives both the
+exchange and the analysis.  The laws are the exact sampling tables
+(`TABLES`), NewHope's centered binomial `PSI16`, the bit-counting B^{a,b}
+(`bab`) and the rounded Gaussian (`gauss`).  A sampling table is a law as
+it stands: a draw takes `bits` random bits and looks up the value they
+index, so the sampled distribution equals the table counts exactly.  The
+rounded Gaussian reference PMF and the Renyi divergence justify the table
+approximations.  Every sampler returns int64 draws of shape `size`, a
+numpy scalar when size is None.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 __all__ = [
+    "Law",
     "NoiseTable",
     "Pmf",
     "TABLES",
+    "PSI16",
+    "bab",
+    "gauss",
     "sample_table",
     "sample_centered_binomial",
     "sample_bab",
     "rounded_gaussian_pmf",
     "renyi_divergence",
-    "psi16_pmf",
-    "bab_pmf",
     "uniform_pmf",
     "table_from_pmf",
 ]
@@ -103,6 +109,9 @@ class NoiseTable:
         cnt = np.array([self.counts[abs(v)] for v in range(-kmax, kmax + 1)], dtype=np.float64)
         return Pmf(-kmax, cnt / (1 << self.bits))
 
+    def sample(self, rng, size):
+        return sample_table(self, rng, size)
+
 
 # Table entries: counts of 0, +/-1, +/-2, ... out of 2^bits.
 TABLES = {
@@ -148,6 +157,53 @@ def sample_bab(a: int, b: int, rng, size=None):
     return ones + 2 * twos - (a // 2 + b)
 
 
+class Law(NamedTuple):
+    """A noise law: `pmf()` gives its exact `Pmf`, and `sample(rng, size)`
+    draws from it as int64.  Each sampler looks its `kcn.noise` function up
+    when called, so a wrapper installed on this module reaches every suite.
+    A law compares its callables by identity: `bab(24, 16) != bab(24, 16)`.
+    """
+
+    name: str
+    variance: float
+    pmf: Callable[[], Pmf]
+    sample: Callable[..., np.ndarray]  # (rng, size) -> draws
+
+
+def bab(a: int, b: int) -> Law:
+    """B^{a,b}: a bits plus twice b bits, centered, all from one 64-bit draw."""
+    if a < 0 or b < 0 or a % 2 or a + b > 63:
+        raise ValueError(f"B^({a},{b}) needs a >= 0 even, b >= 0 and a + b <= 63")
+
+    def pmf() -> Pmf:
+        # exact, via convolution of the bit contributions
+        pa = np.array([math.comb(a, k) for k in range(a + 1)], dtype=np.float64) / 2.0**a
+        pb = np.zeros(2 * b + 1)
+        pb[::2] = np.array([math.comb(b, k) for k in range(b + 1)], dtype=np.float64) / 2.0**b
+        return Pmf(-(a // 2 + b), np.convolve(pa, pb))
+
+    return Law(f"B^({a},{b})", a / 4 + b, pmf, lambda rng, size: sample_bab(a, b, rng, size))
+
+
+# Psi_16 is B^(32,0) in law; its sampler draws other values from the same bits
+PSI16 = Law("Psi16", 8.0, bab(32, 0).pmf, lambda rng, size: sample_centered_binomial(rng, size))
+
+
+def gauss(var: float) -> Law:
+    """Rounded Gaussian of variance `var` (before rounding), sampled through
+    a 16-bit table built from its PMF."""
+    if not var > 0:
+        raise ValueError(f"gauss needs var > 0, got {var}")
+    return Law(f"gauss(var={var})", var, lambda: rounded_gaussian_pmf(math.sqrt(var)),
+               lambda rng, size: sample_table(_gauss_table(var), rng, size))
+
+
+@lru_cache(maxsize=None)
+def _gauss_table(var: float) -> NoiseTable:
+    pmf = rounded_gaussian_pmf(math.sqrt(var))
+    return table_from_pmf(pmf, 16, f"gauss{var}")
+
+
 def rounded_gaussian_pmf(sigma: float) -> Pmf:
     """Rounded Gaussian: mass of N(0, sigma^2) falling nearest to each integer.
 
@@ -182,32 +238,13 @@ def renyi_divergence(p: Pmf, q: Pmf, a: float) -> float:
     return math.exp(lse / (a - 1))
 
 
-# ---------------------------------------------------------------------------
-# Exact PMFs of the samplers above, for the analysis engine.
-
-def psi16_pmf() -> Pmf:
-    """Exact Psi_16 PMF: binomial(32, 1/2) shifted to [-16, 16]."""
-    probs = np.array([math.comb(32, k) for k in range(33)], dtype=np.float64)
-    return Pmf(-16, probs / 2.0**32)
-
-
-def bab_pmf(a: int, b: int) -> Pmf:
-    """Exact B^{a,b} PMF via convolution of its bit contributions."""
-    if a % 2:
-        raise ValueError("a must be even")
-    pa = np.array([math.comb(a, k) for k in range(a + 1)], dtype=np.float64) / 2.0**a
-    pb = np.zeros(2 * b + 1)
-    pb[::2] = np.array([math.comb(b, k) for k in range(b + 1)], dtype=np.float64) / 2.0**b
-    return Pmf(-(a // 2 + b), np.convolve(pa, pb))
-
-
 def uniform_pmf(lo: int, hi: int) -> Pmf:
     """Uniform over the integer range [lo, hi]."""
     n = hi - lo + 1
     return Pmf(lo, np.full(n, 1.0 / n))
 
 
-def table_from_pmf(pmf: Pmf, bits: int, name: str = "derived") -> NoiseTable:
+def table_from_pmf(pmf: Pmf, bits: int, name: str) -> NoiseTable:
     """Quantize a symmetric PMF into an exact 2^bits sampling table."""
     kmax = max(abs(int(pmf.support[0])), abs(int(pmf.support[-1])))
     probs = np.array([pmf.p(k) for k in range(kmax + 1)])  # per-sign masses

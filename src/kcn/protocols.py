@@ -119,7 +119,7 @@ class _Lwr(_Step):
 
     def assumption(self, suite: Suite, n: int) -> Assumption:
         w = suite.q // suite.p  # the rounded-off part is uniform noise of width w
-        return Assumption("lwr", n, suite.q, suite.noise.variance(), (w**2 - 1) / 12.0, "matrix")
+        return Assumption("lwr", n, suite.q, suite.noise.variance, (w**2 - 1) / 12.0, "matrix")
 
     def cut(self, suite: Suite) -> int:
         return 0
@@ -141,7 +141,7 @@ class _Lwe(_Step):
         return suite.q
 
     def assumption(self, suite: Suite, n: int) -> Assumption:
-        return Assumption("lwe", n, suite.q, suite.noise.variance(), suite.noise.variance(), "matrix")
+        return Assumption("lwe", n, suite.q, suite.noise.variance, suite.noise.variance, "matrix")
 
     def cut(self, suite: Suite) -> int:
         return suite.t
@@ -183,7 +183,7 @@ class _Rlwe(_Lwe):
         return algebra.ntt_inverse(algebra.poly_mul(fm, fx)).coeffs
 
     def assumption(self, suite: Suite, n: int) -> Assumption:
-        return Assumption("rlwe", n, suite.q, suite.noise.variance(), suite.noise.variance(), "core")
+        return Assumption("rlwe", n, suite.q, suite.noise.variance, suite.noise.variance, "core")
 
     def cut(self, suite: Suite) -> int:
         return 0

@@ -1,7 +1,8 @@
 """Named protocol parameter sets.
 
 Every suite binds dimensions, moduli, the consensus variant and its
-(q, m, g, d), the noise sampler, and (for the ring protocols) the
+(q, m, g, d), the noise law (a `kcn.noise` table or `Law`, which both the
+exchange and the analysis read), and (for the ring protocols) the
 error-handling code mode.  The distance parameter d is always the largest
 value passing the variant's correctness condition, which is how the
 parameter tables were built.
@@ -9,77 +10,13 @@ parameter tables were built.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable, NamedTuple
 
-from kcn import noise as noise_mod
 from kcn.kc import KcParams, KcVariant, validate_params
+from kcn.noise import PSI16, TABLES, Law, NoiseTable, bab, gauss
 from kcn.protocols import MODES
 
-__all__ = ["NoiseSpec", "Suite", "SUITES", "get_suite", "suite_names"]
-
-
-@dataclass(frozen=True)
-class NoiseSpec:
-    kind: str  # a key of _NOISE_KINDS
-    name: str = ""
-    a: int = 0
-    b: int = 0
-    var: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in _NOISE_KINDS:
-            known = ", ".join(_NOISE_KINDS)
-            raise ValueError(f"unknown noise kind {self.kind!r}; known kinds: {known}")
-        if self.kind == "table" and self.name not in noise_mod.TABLES:
-            known = ", ".join(noise_mod.TABLES)
-            raise ValueError(f"unknown noise table {self.name!r}; known tables: {known}")
-
-    def pmf(self) -> noise_mod.Pmf:
-        return _NOISE_KINDS[self.kind].pmf(self)
-
-    def variance(self) -> float:
-        return _NOISE_KINDS[self.kind].variance(self)
-
-    def sample(self, rng, size):
-        return _NOISE_KINDS[self.kind].sample(self, rng, size)
-
-    def describe(self) -> str:
-        return _NOISE_KINDS[self.kind].describe.format_map(vars(self))
-
-
-class _NoiseKind(NamedTuple):
-    pmf: Callable[[NoiseSpec], noise_mod.Pmf]
-    variance: Callable[[NoiseSpec], float]
-    sample: Callable[..., object]  # (spec, rng, size) -> draws
-    describe: str  # formatted with the spec's fields
-
-
-# One entry per noise kind.  Each sampler is looked up in `kcn.noise` when
-# called, so replacing it there (as perfbench/tracer.py does) reaches every
-# suite.
-_NOISE_KINDS = {
-    "table": _NoiseKind(lambda s: noise_mod.TABLES[s.name].pmf(), lambda s: noise_mod.TABLES[s.name].variance,
-                        lambda s, rng, n: noise_mod.sample_table(noise_mod.TABLES[s.name], rng, n),
-                        "{name}"),
-    "psi16": _NoiseKind(lambda s: noise_mod.psi16_pmf(), lambda s: 8.0,
-                        lambda s, rng, n: noise_mod.sample_centered_binomial(rng, n), "Psi16"),
-    "bab": _NoiseKind(lambda s: noise_mod.bab_pmf(s.a, s.b), lambda s: s.a / 4 + s.b,
-                      lambda s, rng, n: noise_mod.sample_bab(s.a, s.b, rng, n), "B^({a},{b})"),
-    "gauss": _NoiseKind(lambda s: noise_mod.rounded_gaussian_pmf(math.sqrt(s.var)), lambda s: s.var,
-                        lambda s, rng, n: noise_mod.sample_table(_gauss_table(s.var), rng, n),
-                        "gauss(var={var})"),
-    "binary": _NoiseKind(lambda s: noise_mod.uniform_pmf(0, 1), lambda s: 0.25,
-                         lambda s, rng, n: rng.integers(0, 2, size=n), "U({{0,1}})"),
-}
-
-
-@lru_cache(maxsize=None)
-def _gauss_table(var: float) -> noise_mod.NoiseTable:
-    pmf = noise_mod.rounded_gaussian_pmf(math.sqrt(var))
-    return noise_mod.table_from_pmf(pmf, 16, f"gauss{var}")
+__all__ = ["Suite", "SUITES", "get_suite", "suite_names"]
 
 
 @dataclass(frozen=True)
@@ -92,7 +29,7 @@ class Suite:
     l_a: int
     l_b: int
     q: int
-    noise: NoiseSpec
+    noise: NoiseTable | Law
     variant: KcVariant | None = None
     kc: KcParams | None = None
     n_b: int = 0  # hybrid only
@@ -103,7 +40,9 @@ class Suite:
     n_h: int = 0  # SEC parity dimension
 
     def __post_init__(self):
-        if self.kc is not None and self.variant is not None:
+        if (self.kc is None) != (self.variant is None):
+            raise ValueError(f"{self.name}: variant and kc are set together or not at all")
+        if self.kc is not None:
             ok = validate_params(self.variant, self.kc)
             if ok is not True:
                 raise ValueError(f"{self.name}: invalid kc params: {ok}")
@@ -126,7 +65,7 @@ class Suite:
             "n": self.n,
             "q": self.q,
             "l": self.l_a,
-            "noise": self.noise.describe(),
+            "noise": self.noise.name,
             "key_bits": self.key_bits,
         }
         if self.family == "hybrid":
@@ -146,18 +85,13 @@ class Suite:
         return out
 
 
-def _t(name):
-    return NoiseSpec("table", name=name)
-
-
-_PSI16 = NoiseSpec("psi16")
 _RLWE_Q = 12289
 
 
 def _lwr(name, n, dist):
     return Suite(
         name=name, family="lwr", n=n, l_a=8, l_b=8, q=2**15, p=2**12,
-        noise=_t(dist), variant=KcVariant.OKCN_SIMPLE,
+        noise=TABLES[dist], variant=KcVariant.OKCN_SIMPLE,
         kc=KcParams(q=2**12, m=2**4, g=2**8, d=127),
     )
 
@@ -165,11 +99,11 @@ def _lwr(name, n, dist):
 def _lwe(name, n, q, l, m, g, d, dist, variant=KcVariant.OKCN_SIMPLE, t=0):
     return Suite(
         name=name, family="lwe", n=n, l_a=l, l_b=l, q=q, t=t,
-        noise=_t(dist), variant=variant, kc=KcParams(q=q, m=m, g=g, d=d),
+        noise=TABLES[dist], variant=variant, kc=KcParams(q=q, m=m, g=g, d=d),
     )
 
 
-def _rlwe(name, variant, g, d, mode="plain", n_h=0, n=1024, noise=_PSI16, code_g=0):
+def _rlwe(name, variant, g, d, mode="plain", n_h=0, n=1024, noise=PSI16, code_g=0):
     kc = None
     if variant is not None:
         kc = KcParams(q=_RLWE_Q, m=2, g=g, d=d)
@@ -205,12 +139,12 @@ SUITES = {
         # Hybrid public-key construction (LWE public key, LWR ciphertext)
         Suite(
             name="hybrid-recommended", family="hybrid", n=712, n_b=704, l_a=8, l_b=8,
-            q=2**15, p=2**12, noise=NoiseSpec("gauss", var=2.0),
+            q=2**15, p=2**12, noise=gauss(2.0),
             variant=KcVariant.AKCN_GENERIC, kc=KcParams(q=2**12, m=2**4, g=2**8, d=119),
         ),
         Suite(
             name="hybrid-paranoid", family="hybrid", n=864, n_b=832, l_a=8, l_b=8,
-            q=2**15, p=2**12, noise=NoiseSpec("gauss", var=2.0),
+            q=2**15, p=2**12, noise=gauss(2.0),
             variant=KcVariant.AKCN_GENERIC, kc=KcParams(q=2**12, m=2**4, g=2**8, d=119),
         ),
         # RLWE, NewHope parameters
@@ -225,7 +159,7 @@ SUITES = {
         _rlwe("newhope", None, 0, 0, mode="newhope", code_g=2**2),
         _rlwe("akcn-4to1", None, 0, 0, mode="akcn41", code_g=2**2),
         _rlwe("zarzar", None, 0, 0, mode="e8", code_g=2**6, n=512,
-              noise=NoiseSpec("bab", a=24, b=16)),
+              noise=bab(24, 16)),
     ]
 }
 

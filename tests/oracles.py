@@ -2,9 +2,10 @@
 against: reference arithmetic (`frac_part`, `schoolbook_negacyclic`), the
 coefficient-domain ring product through the NTT (`ntt_mul`), the efficiency
 slack of a consensus instance (`bound_slack`), the post-reduction security
-left by a sampling table (`post_reduction_costs`), and the LWR difference
+left by a sampling table (`post_reduction_costs`), the LWR difference
 law conditioned on both secrets holding a unit (`lwr_diff_conditioned`),
-built from the two private stages of `lwr_diff_distribution`."""
+built from the two private stages of `lwr_diff_distribution`, and the
+uniform {0, 1} noise law of the toy suites (`BINARY`)."""
 
 import math
 
@@ -13,7 +14,12 @@ import numpy as np
 from kcn.algebra import RingPoly, ntt_forward, ntt_inverse, poly_mul
 from kcn.analysis.error_rates import _lwr_fold, _lwr_sides
 from kcn.kc import KcParams, KcVariant, div_round
-from kcn.noise import Pmf
+from kcn.noise import Law, Pmf, uniform_pmf
+
+
+# Uniform noise on {0, 1}: with it a toy suite's consensus distance bounds
+# every possible difference, so the toy exchanges always agree
+BINARY = Law("U({0,1})", 0.25, lambda: uniform_pmf(0, 1), lambda rng, size: rng.integers(0, 2, size=size))
 
 
 def frac_part(x, q: int, p: int):

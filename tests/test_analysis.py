@@ -24,9 +24,9 @@ from kcn.analysis.error_rates import (
     zarzar_error_rate,
 )
 from kcn.kc import KcParams, KcVariant
-from kcn.noise import Pmf
-from kcn.suites import SUITES, NoiseSpec, Suite
-from oracles import lwr_diff_conditioned
+from kcn.noise import TABLES, Pmf
+from kcn.suites import SUITES, Suite
+from oracles import BINARY, lwr_diff_conditioned
 
 
 # --- pmf operations ----------------------------------------------------------
@@ -263,7 +263,7 @@ def test_lwr_production_path_matches_brute_force():
 def _toy_lwe_suite():
     return Suite(
         name="toy-lwe", family="lwe", n=16, l_a=1, l_b=1, q=2**8,
-        noise=NoiseSpec("table", name="D1"), variant=KcVariant.OKCN_SIMPLE,
+        noise=TABLES["D1"], variant=KcVariant.OKCN_SIMPLE,
         kc=KcParams(q=2**8, m=2, g=2**7, d=63),
     )
 
@@ -294,7 +294,7 @@ def test_lwe_binary_noise_never_fails():
     # with chi = U({0,1}) and d >= n+1 the failure region has zero mass
     suite = Suite(
         name="toy-binary", family="lwe", n=8, l_a=1, l_b=1, q=2**8,
-        noise=NoiseSpec("binary"), variant=KcVariant.OKCN_SIMPLE,
+        noise=BINARY, variant=KcVariant.OKCN_SIMPLE,
         kc=KcParams(q=2**8, m=2, g=2**7, d=9),
     )
     rep = lwe_error_rate(suite)
@@ -312,7 +312,7 @@ def test_union_bound_consistency():
 def test_rlwe_union_bound_identity():
     toy = Suite(
         name="toy-rlwe", family="rlwe", n=64, l_a=1, l_b=1, q=257,
-        noise=NoiseSpec("table", name="D1"), variant=KcVariant.OKCN_GENERIC,
+        noise=TABLES["D1"], variant=KcVariant.OKCN_GENERIC,
         kc=KcParams(q=257, m=2, g=4, d=47),
     )
     rep = rlwe_error_rate(toy)

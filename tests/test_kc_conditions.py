@@ -8,6 +8,8 @@ passes the others, so the check order cannot hide a missing one.
 import pytest
 
 from kcn.kc import KcParams, KcVariant, Violation, validate_params
+from kcn.suites import SUITES
+from sweeps import max_valid_d
 
 V = KcVariant
 
@@ -62,3 +64,14 @@ def test_condition_rejects_one_inequality(variant, params, condition, detail):
 
 def test_every_variant_has_an_accepted_set():
     assert {v for v, _ in ACCEPTED} == set(KcVariant)
+
+
+SCALAR_SUITES = [s for s in SUITES.values() if s.kc is not None]
+
+
+@pytest.mark.parametrize("suite", SCALAR_SUITES, ids=[s.name for s in SCALAR_SUITES])
+def test_suite_d_is_the_largest_the_condition_accepts(suite):
+    # how the parameter tables were built, as the kcn.suites docstring says
+    assert len(SCALAR_SUITES) == 27
+    kc = suite.kc
+    assert kc.d == max_valid_d(suite.variant, kc.q, kc.m, kc.g)

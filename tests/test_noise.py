@@ -72,7 +72,7 @@ def test_centered_binomial(rng):
     assert x.min() >= -16 and x.max() <= 16
     assert abs(x.var() - 8.0) < 0.05
     assert abs(x.mean()) < 0.01
-    pmf = noise.psi16_pmf()
+    pmf = noise.PSI16.pmf()
     assert pmf.p(16) == 2.0**-32
     assert abs(pmf.variance() - 8.0) < 1e-12
 
@@ -81,7 +81,7 @@ def test_bab_sampler(rng):
     x = noise.sample_bab(24, 16, rng, 10**6)
     assert abs(x.var() - 22.0) < 0.1
     assert x.min() >= -(24 // 2 + 16)
-    pmf = noise.bab_pmf(24, 16)
+    pmf = noise.bab(24, 16).pmf()
     assert abs(pmf.variance() - 22.0) < 1e-9
     assert pmf.p(-(24 // 2 + 16)) == 2.0**-40  # all bits zero
     with pytest.raises(ValueError):
@@ -164,19 +164,15 @@ def test_uniform_pmf(width, lo):
     assert abs(p.mean() - (2 * lo - width) / 2) < 1e-9
 
 
-def test_noise_spec_rejects_unknown_kind():
-    from kcn.suites import NoiseSpec
-
-    with pytest.raises(ValueError, match="'tabel'.*table, psi16, bab, gauss, binary"):
-        NoiseSpec("tabel", name="D1")
-
-
-def test_noise_spec_rejects_unknown_table():
-    from kcn.suites import NoiseSpec
-
-    with pytest.raises(ValueError, match="'D9'.*D_R, D_P, D1"):
-        NoiseSpec("table", name="D9")
-    assert NoiseSpec("table", name="D1").variance() == TABLES["D1"].variance
+def test_laws_refuse_bad_parameters():
+    # odd a, more than 63 bits per draw, and no positive variance all fail
+    # when the law is built, not at its first draw
+    for a, b in [(3, 1), (40, 30)]:
+        with pytest.raises(ValueError):
+            noise.bab(a, b)
+    for var in (0.0, -1.0):
+        with pytest.raises(ValueError):
+            noise.gauss(var)
 
 
 # --- pinned outputs: the table sampler and the rounded Gaussian --------------
@@ -207,7 +203,7 @@ SAMPLE_TABLE_DIGESTS = {
 
 
 def _pinned_table(name):
-    return suites._gauss_table(2.0) if name == "gauss2.0" else TABLES[name]
+    return noise._gauss_table(2.0) if name == "gauss2.0" else TABLES[name]
 
 
 @pytest.mark.parametrize("name", list(SAMPLE_TABLE_DIGESTS))
@@ -261,6 +257,6 @@ def test_suite_noise_laws_pinned():
         pmf = law.pmf()
         h.update(np.int64(pmf.offset).astype("<i8").tobytes())
         h.update(pmf.probs.astype("<f8").tobytes())
-        h.update(float.hex(law.variance()).encode())
+        h.update(float.hex(law.variance).encode())
     assert len(suites.suite_names()) == 30
     assert h.hexdigest() == SUITE_NOISE_DIGEST

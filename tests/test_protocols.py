@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -7,13 +8,14 @@ from kcn import protocols as proto
 from kcn import wire
 from kcn.analysis.bandwidth import bandwidth
 from kcn.kc import KcParams, KcVariant
-from kcn.suites import SUITES, NoiseSpec, Suite, get_suite
+from kcn.suites import SUITES, Suite, get_suite
+from oracles import BINARY
 
 
 def _toy_lwr():
     return Suite(
         name="toy-lwr", family="lwr", n=4, l_a=1, l_b=1, q=2**6, p=2**4,
-        noise=NoiseSpec("binary"), variant=KcVariant.OKCN_SIMPLE,
+        noise=BINARY, variant=KcVariant.OKCN_SIMPLE,
         kc=KcParams(q=2**4, m=2, g=8, d=3),
     )
 
@@ -24,7 +26,7 @@ def _toy_rlwe(mode="plain", n_h=0, variant=KcVariant.OKCN_GENERIC, g=4, d=35, co
     kc = KcParams(q=193, m=2, g=g, d=d) if variant else None
     return Suite(
         name=f"toy-rlwe-{mode}", family="rlwe", n=16, l_a=1, l_b=1, q=193,
-        noise=NoiseSpec("binary"), variant=variant, kc=kc,
+        noise=BINARY, variant=variant, kc=kc,
         mode=mode, n_h=n_h, code_g=code_g,
     )
 
@@ -133,7 +135,7 @@ def test_lwe_binary_noise_always_agrees(rng):
     # chi = U({0,1}) with d >= n+1 is deterministic-correct by theorem
     suite = Suite(
         name="toy-binary", family="lwe", n=8, l_a=2, l_b=2, q=2**8,
-        noise=NoiseSpec("binary"), variant=KcVariant.OKCN_SIMPLE,
+        noise=BINARY, variant=KcVariant.OKCN_SIMPLE,
         kc=KcParams(q=2**8, m=2, g=2**7, d=9),
     )
     for _ in range(300):
@@ -188,6 +190,13 @@ def test_chosen_key_transport(rng):
         sess, m1 = proto.initiate(rlwe, rng)
         kb, m2 = proto.respond(rlwe, m1, rng, key_in=ones)
         assert proto.finish(sess, m2) == kb == wire.pack(ones, 1), name
+
+
+@pytest.mark.parametrize("field", ["variant", "kc"])
+def test_suite_needs_both_variant_and_kc(field):
+    # with only one of them set, the exchange used to fail on a None deep inside
+    with pytest.raises(ValueError, match="lwr-recommended"):
+        dataclasses.replace(get_suite("lwr-recommended"), **{field: None})
 
 
 @pytest.mark.parametrize("name", ["lwr-recommended", "okcn-rlwe-16", "okcn-sec-765", "newhope"])

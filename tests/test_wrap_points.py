@@ -14,7 +14,9 @@ from kcn import algebra, noise, wire
 from kcn import protocols as proto
 from kcn.analysis import error_rates, security
 from kcn.kc import KcParams, KcVariant
-from kcn.suites import NoiseSpec, Suite, get_suite
+from kcn.noise import PSI16, TABLES, bab, gauss
+from kcn.suites import Suite, get_suite
+from oracles import BINARY
 
 
 def _spy(monkeypatch, module, name, calls):
@@ -28,10 +30,10 @@ def _spy(monkeypatch, module, name, calls):
 
 
 @pytest.mark.parametrize("spec, sampler", [
-    (NoiseSpec("table", name="D1"), "sample_table"),
-    (NoiseSpec("gauss", var=2.0), "sample_table"),
-    (NoiseSpec("psi16"), "sample_centered_binomial"),
-    (NoiseSpec("bab", a=24, b=16), "sample_bab"),
+    (TABLES["D1"], "sample_table"),
+    (gauss(2.0), "sample_table"),
+    (PSI16, "sample_centered_binomial"),
+    (bab(24, 16), "sample_bab"),
 ])
 def test_noise_spec_samples_through_module_attribute(monkeypatch, spec, sampler):
     calls = []
@@ -43,7 +45,7 @@ def test_noise_spec_samples_through_module_attribute(monkeypatch, spec, sampler)
 def _toy(variant, kc):
     return Suite(
         name="toy-lwr", family="lwr", n=4, l_a=1, l_b=1, q=2**6, p=2**4,
-        noise=NoiseSpec("binary"), variant=variant, kc=kc,
+        noise=BINARY, variant=variant, kc=kc,
     )
 
 
@@ -51,7 +53,7 @@ def _toy_ring():
     # |sigma1 - sigma2| <= 2n + 1 = 33 <= d for binary noise: always agrees
     return Suite(
         name="toy-rlwe-plain", family="rlwe", n=16, l_a=1, l_b=1, q=193,
-        noise=NoiseSpec("binary"), variant=KcVariant.OKCN_GENERIC, kc=KcParams(q=193, m=2, g=4, d=35),
+        noise=BINARY, variant=KcVariant.OKCN_GENERIC, kc=KcParams(q=193, m=2, g=4, d=35),
     )
 
 
