@@ -40,6 +40,9 @@ class Suite:
     n_h: int = 0  # SEC parity dimension
 
     def __post_init__(self):
+        if not isinstance(self.noise, (NoiseTable, Law)):
+            raise TypeError(f"{self.name}: noise must be a kcn.noise law "
+                            f"(a TABLES entry, PSI16, bab or gauss), got {self.noise!r}")
         if (self.kc is None) != (self.variant is None):
             raise ValueError(f"{self.name}: variant and kc are set together or not at all")
         if self.kc is not None:
@@ -88,10 +91,17 @@ class Suite:
 _RLWE_Q = 12289
 
 
+def _table(name: str) -> NoiseTable:
+    try:
+        return TABLES[name]
+    except KeyError:
+        raise ValueError(f"unknown noise table {name!r}; known tables: {', '.join(TABLES)}") from None
+
+
 def _lwr(name, n, dist):
     return Suite(
         name=name, family="lwr", n=n, l_a=8, l_b=8, q=2**15, p=2**12,
-        noise=TABLES[dist], variant=KcVariant.OKCN_SIMPLE,
+        noise=_table(dist), variant=KcVariant.OKCN_SIMPLE,
         kc=KcParams(q=2**12, m=2**4, g=2**8, d=127),
     )
 
@@ -99,7 +109,7 @@ def _lwr(name, n, dist):
 def _lwe(name, n, q, l, m, g, d, dist, variant=KcVariant.OKCN_SIMPLE, t=0):
     return Suite(
         name=name, family="lwe", n=n, l_a=l, l_b=l, q=q, t=t,
-        noise=TABLES[dist], variant=variant, kc=KcParams(q=q, m=m, g=g, d=d),
+        noise=_table(dist), variant=variant, kc=KcParams(q=q, m=m, g=g, d=d),
     )
 
 

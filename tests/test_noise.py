@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 
@@ -162,6 +163,22 @@ def test_uniform_pmf(width, lo):
     p = noise.uniform_pmf(lo - width, lo)
     assert abs(p.mass - 1.0) < 1e-12
     assert abs(p.mean() - (2 * lo - width) / 2) < 1e-9
+
+
+def test_noise_spec_rejects_unknown_kind():
+    # a suite takes only a noise law; anything else fails when it is built
+    d1 = suites.get_suite("lwr-recommended")
+    with pytest.raises(TypeError, match="TABLES entry, PSI16, bab or gauss.*'tabel'"):
+        dataclasses.replace(d1, noise="tabel")
+    for law in (TABLES["D1"], noise.PSI16, noise.bab(24, 16), noise.gauss(2.0)):
+        assert dataclasses.replace(d1, noise=law).noise is law
+
+
+def test_noise_spec_rejects_unknown_table():
+    with pytest.raises(ValueError, match="'D9'.*D_R, D_P, D1"):
+        suites._table("D9")
+    assert suites._table("D1") is TABLES["D1"]
+    assert suites._table("D1").variance == TABLES["D1"].variance
 
 
 def test_laws_refuse_bad_parameters():
