@@ -1,13 +1,17 @@
 """Integer-lattice arithmetic shared by the protocols.
 
 Matrices over Z_q are int64 ndarrays with elements in [0, q-1], except the
-public matrix, which `gen_matrix` returns read-only as float64 from a
+public matrix, which `gen_matrix` returns read-only as float32 from a
 one-entry cache, so both parties of an exchange, or all sessions to one
 public key, expand and convert it once.  `matmul` takes the exactness
 bound of that matrix, and of its views such as A^T, from its q instead of
-scanning it.  Polynomials in Z_q[x]/(x^n + 1) are RingPoly values
-carrying a domain flag so coefficient- and NTT-domain data cannot be
-mixed silently; `poly_mul` multiplies NTT-domain values only.  The public
+scanning it, and multiplies it in float32 in chunks of `step` inner terms
+with step max|a| max|b| < 2^24 per sgemm, so every sum inside one chunk
+is an exact float32 integer; the chunks add up in float64.  A product
+with max|a| max|b| >= 2^24 falls back to float64, and one whose bound
+reaches 2^53 to int64.  Polynomials in Z_q[x]/(x^n + 1) are RingPoly
+values carrying a domain flag so coefficient- and NTT-domain data cannot
+be mixed silently; `poly_mul` multiplies NTT-domain values only.  The public
 matrix / ring element is expanded deterministically from a 32-byte seed
 with SHAKE-128, domain-separated by a one-byte role tag.
 
@@ -51,9 +55,9 @@ def gen_matrix(seed: bytes, rows: int, cols: int, q: int, tag: int = 0) -> np.nd
 
     Each element masks the low log2(q) bits of one 16-bit stream word for
     q <= 2^16; wider-than-16-bit moduli are not used by any suite.  The
-    result is read-only float64 holding integers in [0, q), ready for
-    BLAS, and is shared by all callers until another (seed, rows, cols, q,
-    tag) is expanded.
+    result is read-only float32 holding integers in [0, q), which float32
+    holds exactly, ready for `matmul`'s chunked sgemm, and is shared by all
+    callers until another (seed, rows, cols, q, tag) is expanded.
     """
     seed = _check_seed(seed)
     if not (q > 1 and q & (q - 1) == 0 and q <= 1 << 16):
@@ -72,7 +76,7 @@ def _check_seed(seed) -> bytes:
 # initiator, and a run of sessions to one public key); more found no hits.
 # The slot is one (key, matrix) tuple, replaced whole so a reader never
 # pairs one matrix with another's key, and emptied before the next
-# expansion so two float64 matrices are never alive in it at once.
+# expansion so two matrices are never alive in it at once.
 _matrix_slot: tuple | None = None
 
 
@@ -83,7 +87,7 @@ def _expand_matrix(seed: bytes, rows: int, cols: int, q: int, tag: int) -> np.nd
     if slot is None or slot[0] != key:
         _matrix_slot = slot = None
         raw = hashlib.shake_128(seed + bytes([tag])).digest(2 * rows * cols)
-        a = (np.frombuffer(raw, dtype="<u2").reshape(rows, cols) & np.uint16(q - 1)).astype(np.float64)
+        a = (np.frombuffer(raw, dtype="<u2").reshape(rows, cols) & np.uint16(q - 1)).astype(np.float32)
         a.flags.writeable = False
         _matrix_slot = slot = (key, a)
     return slot[1]
@@ -132,30 +136,53 @@ def uncut(y_cut, t: int):
 
 
 def matmul(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
-    """a @ b mod q, as int64.
+    """a @ b mod q, as int64, exact.
 
-    Each operand is converted to float64 for BLAS when the exact product
-    bound fits in 2^53, which holds for every shipped parameter set, and to
-    int64 otherwise.  Results are exact either way.  The cached public
-    matrix and its views are float64 already, so they are neither copied
-    nor scanned: their bound is q - 1 from the cache key.  A transposed a
-    (the responder's A^T) is multiplied as (b^T a^T)^T, so BLAS reads A in
-    its stored row order.
+    With term = max|a| max|b| and k inner terms, a product with a float32
+    operand (the cached public matrix or a view of it) and term < 2^24 is
+    split into chunks of step = (2^24 - 1) // term inner terms.  Each chunk
+    is one float32 sgemm whose every partial sum stays below
+    step * term < 2^24, so it is exact under any summation order or FMA;
+    the chunks add up in float64, exact as k * term < 2^53.  Any other
+    product with k * term < 2^53, which includes the int64 ones, is one
+    float64 gemm, and a wider one is int64.  The cached matrix and its views
+    are neither copied nor scanned: their bound is q - 1 from the cache key.
+    A transposed a (the responder's A^T) is multiplied as (b^T a^T)^T, so
+    BLAS reads A in its stored row order.
     """
     a, b = np.asarray(a), np.asarray(b)
     if a.shape[-1] != b.shape[0]:
         raise ValueError(f"dimension mismatch {a.shape} @ {b.shape}")
-    bound = a.shape[-1] * _max_abs(a) * _max_abs(b)
-    if bound < 2**53:
-        a, b = a.astype(np.float64, copy=False), b.astype(np.float64, copy=False)
-        prod = (b.T @ a.T).T if a.flags.f_contiguous and not a.flags.c_contiguous else a @ b
-        return np.rint(prod).astype(np.int64) % q
-    return (a.astype(np.int64, copy=False) @ b.astype(np.int64, copy=False)) % q
+    term = _max_abs(a) * _max_abs(b)
+    if a.shape[-1] * term >= 2**53:
+        return (a.astype(np.int64, copy=False) @ b.astype(np.int64, copy=False)) % q
+    if a.flags.f_contiguous and not a.flags.c_contiguous:
+        prod = _float_product(b.T, a.T, term).T
+    else:
+        prod = _float_product(a, b, term)
+    return np.rint(prod).astype(np.int64) % q
+
+
+def _float_product(a: np.ndarray, b: np.ndarray, term: int) -> np.ndarray:
+    """a @ b as float64 holding the exact integer product, given
+    max|a| max|b| <= term and k term < 2^53 for k inner terms: chunked
+    float32 sgemm when an operand is float32 and term < 2^24, else one
+    float64 gemm."""
+    if term < 2**24 and np.float32 in (a.dtype, b.dtype):
+        a, b = a.astype(np.float32, copy=False), b.astype(np.float32, copy=False)
+        step = (2**24 - 1) // term  # each chunk's sums stay below step * term < 2^24
+        prod = np.zeros(a.shape[:-1] + b.shape[1:])
+        for s in range(0, a.shape[-1], step):
+            prod += a[..., s:s + step] @ b[s:s + step]
+        return prod
+    return a.astype(np.float64, copy=False) @ b.astype(np.float64, copy=False)
 
 
 def _max_abs(x: np.ndarray) -> int:
     """max(1, max |x|) in Python ints, so no dtype minimum can wrap; q - 1
-    for the cached public matrix or a view of it, whose entries lie in [0, q)."""
+    for the cached float32 public matrix or a view of it, whose entries lie
+    in [0, q).  `matmul` sizes its float32 chunks and its float64 and int64
+    fallbacks from this bound."""
     slot = _matrix_slot
     if slot is not None and (x is slot[1] or x.base is slot[1]):
         return slot[0][3] - 1  # the key is (seed, rows, cols, q, tag)

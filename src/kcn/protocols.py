@@ -90,7 +90,7 @@ def _sample(suite: Suite, rng, shape) -> np.ndarray:
 
 class _Step:
     """The matrix algebra of LWR and LWE: int64 matrices, multiplied by the
-    cached float64 public matrix A or by each other through `matmul`."""
+    cached float32 public matrix A or by each other through `matmul`."""
 
     def public(self, suite: Suite) -> wire.Field:
         return wire.Field("A", (suite.n_b or suite.n, suite.n), (suite.q,))

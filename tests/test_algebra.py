@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -292,7 +293,7 @@ def _oracle(a, b, q):
 
 def test_gen_matrix_is_read_only():
     m = algebra.gen_matrix(SEED, 4, 4, 2**14)
-    assert m.dtype == np.float64
+    assert m.dtype == np.float32
     assert np.array_equal(m, np.floor(m)) and m.min() >= 0 and m.max() < 2**14
     with pytest.raises(ValueError):
         m[0, 0] = 1
@@ -360,6 +361,39 @@ def test_matmul_cached_matrix_exact_at_full_range(rng):
         b = rng.integers(-top, top + 1, (m.shape[1], 3))
         b[:, 0] = top  # column sums reach about 2^52
         assert np.array_equal(algebra.matmul(m, b, q), _oracle(m, b, q))
+
+
+@pytest.mark.parametrize("top, step", [(256, 1), (5, 51), (257, None)])
+def test_matmul_float32_chunks_exact_at_full_range(rng, top, step):
+    # 65535 * 256 = 16776960 is the largest term below 2^24, so a chunk is
+    # one term; |b| <= 5 gives 51-term chunks of odd terms, and 864 =
+    # 16 * 51 + 48 ends with a ragged one; 257 puts the term past 2^24, so
+    # the product falls back to float64.
+    q, n = 2**16, 864
+    term = (q - 1) * top
+    assert ((2**24 - 1) // term if term < 2**24 else None) == step
+    a = algebra.gen_matrix(SEED, 8, n, q, tag=58)
+    assert a.min() == 0 and a.max() == q - 1
+    worst = np.full((3, n), q - 1, dtype=np.float32)  # column 0: full chunks sum to step * term
+    for m in (a, a.T, worst):
+        b = rng.choice([-top, top], (m.shape[1], 3))
+        b[:, 0] = top
+        assert np.array_equal(algebra.matmul(m, b, q), _oracle(m, b, q))
+
+
+def test_matmul_reads_cached_matrix_without_a_float64_copy(rng):
+    q = 2**15
+    a = algebra.gen_matrix(SEED, 704, 712, q, tag=1)  # the hybrid-recommended A
+    x = rng.integers(-6, 7, (704, 8))
+    algebra.matmul(a.T, x, q)
+    tracemalloc.start()
+    try:
+        got = algebra.matmul(a.T, x, q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < a.nbytes  # a float64 copy of A alone takes 2 a.nbytes
+    assert np.array_equal(got, (a.astype(np.int64).T @ x) % q)
 
 
 def test_max_abs_of_cached_matrix_comes_from_q():
