@@ -49,6 +49,14 @@ def test_validate(capsys):
     assert "ok" in capsys.readouterr().out
 
 
+def test_validate_code_modes(capsys):
+    assert main(["validate", "zarzar"]) == 0
+    assert capsys.readouterr().out == "zarzar: code mode e8, nothing to validate\n"
+    assert main(["--json", "validate", "newhope"]) == 0
+    assert capsys.readouterr().out == (
+        '{\n  "suite": "newhope",\n  "ok": true,\n  "note": "code-based mode, no scalar KC params"\n}\n')
+
+
 def test_kx_runs_and_is_deterministic(capsys):
     assert main(["kx", "okcn-t2", "--trials", "3", "--seed", "7"]) == 0
     first = capsys.readouterr().out
@@ -93,6 +101,23 @@ def test_error_rate_without_model_is_a_usage_error(suite):
     assert run.returncode == 2
     assert run.stderr == f"error: no numerical error model for mode {mode}\n"
     assert "Traceback" not in run.stderr and run.stdout == ""
+
+
+# SHA-256 of scripts/reproduce_tables.py stdout without its closing "done in Ns"
+# line: the noise divergences, then every suite's bandwidth, failure figures
+# (the hybrid exact-region rate and the two model-less modes included) and
+# attack costs
+REPRODUCE_TABLES_DIGEST = "07a8f06cdca047bcb05d548893b2d37cae7b1b37240c7d8e88b5ae86a08a122f"
+
+
+def test_reproduce_tables_digest():
+    script = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "scripts", "reproduce_tables.py")
+    run = _python(script)
+    assert run.returncode == 0, run.stderr
+    *body, done = run.stdout.splitlines(keepends=True)
+    assert done.startswith("done in ")
+    assert hashlib.sha256("".join(body).encode()).hexdigest() == REPRODUCE_TABLES_DIGEST
 
 
 def test_sec_est(capsys):
