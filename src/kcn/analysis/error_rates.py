@@ -19,8 +19,8 @@ import numpy as np
 from kcn import algebra
 from kcn.noise import Pmf, uniform_pmf
 from kcn.analysis import pmf as pm
-from kcn.codes import SecCode
 from kcn.kc import KcVariant, dist_mod
+from kcn.protocols import Plain, Sec
 from kcn.suites import Suite
 
 __all__ = [
@@ -239,17 +239,17 @@ def hybrid_error_rate(suite: Suite, exact_region: bool = False) -> ErrorReport:
 def rlwe_error_rate(suite: Suite) -> ErrorReport:
     """Per-coefficient failure of e2 x1 - e1 x2 - e_sigma, plus the block
     union bound (plain: n-fold; SEC: one corrected bit per block)."""
-    if suite.family != "rlwe" or suite.mode not in ("plain", "sec"):
+    if suite.family != "rlwe" or not isinstance(suite.mode, Plain):  # Sec is a Plain
         raise ValueError("rlwe suite in plain or sec mode required")
     chi = suite.noise.pmf()
     q, n, d = suite.q, suite.n, suite.kc.d
     dist = pm.conv(_inner(chi, chi, 2 * n), pm.negate(chi))
     per_bit = pm.cyclic_fail_prob(pm.fold_mod(dist, q), d)
-    if suite.mode == "plain":
-        overall = _union(per_bit, n)
-    else:
-        block_bits = SecCode(suite.n_h).block_bits
+    if isinstance(suite.mode, Sec):
+        block_bits = suite.mode.code.block_bits
         overall = _union(per_bit**2, suite.n // block_bits * math.comb(block_bits, 2))
+    else:
+        overall = _union(per_bit, n)
     return ErrorReport(per_bit, overall, dist.dropped)
 
 
@@ -297,7 +297,7 @@ def zarzar_error_rate(sigma_sq: float, q: int, g: int, n: int) -> ZarzarReport:
     return ZarzarReport(norm_bound, threshold, tail, overall, distr.dropped)
 
 
-# One failure model per (family, mode), looked up in this module when called,
+# One failure model per (family, mode name), looked up in this module when called,
 # so replacing a model here (as perfbench/tracer.py does) reaches error_rate.
 _MODELS = {
     ("lwr", "plain"): lambda s: lwr_error_rate(s),
@@ -305,13 +305,13 @@ _MODELS = {
     ("hybrid", "plain"): lambda s: hybrid_error_rate(s),
     ("rlwe", "plain"): lambda s: rlwe_error_rate(s),
     ("rlwe", "sec"): lambda s: rlwe_error_rate(s),
-    ("rlwe", "e8"): lambda s: zarzar_error_rate(s.noise.variance, s.q, s.code_g, s.n),
+    ("rlwe", "e8"): lambda s: zarzar_error_rate(s.noise.variance, s.q, s.mode.g, s.n),
 }
 
 
 def error_rate(suite: Suite):
     """The suite's failure model; returns ErrorReport or ZarzarReport."""
-    model = _MODELS.get((suite.family, suite.mode))
+    model = _MODELS.get((suite.family, suite.mode.name))
     if model is None:
-        raise ValueError(f"no numerical error model for mode {suite.mode}")
+        raise ValueError(f"no numerical error model for mode {suite.mode.name}")
     return model(suite)

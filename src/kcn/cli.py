@@ -62,7 +62,7 @@ def cmd_validate(args) -> int:
     s = _resolve(args.suite)
     if s.kc is None:
         _emit(args, {"suite": s.name, "ok": True, "note": "code-based mode, no scalar KC params"},
-              f"{s.name}: code mode {s.mode}, nothing to validate")
+              f"{s.name}: code mode {s.mode.name}, nothing to validate")
         return 0
     res = validate_params(s.variant, s.kc)
     ok = res is True

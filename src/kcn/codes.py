@@ -61,7 +61,7 @@ class SecCode:
 
     def __post_init__(self):
         if self.n_h < 2:
-            raise ValueError("n_h >= 2")
+            raise ValueError(f"sec: n_h must be >= 2, got {self.n_h}")
 
     @property
     def big_n(self) -> int:

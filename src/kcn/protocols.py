@@ -13,8 +13,8 @@ LWR = (LWR, LWR), LWE = (LWE, LWE), hybrid = (LWE, LWR) and RLWE =
 hardness problem, so `assumptions` finds hybrid resting on LWE and LWR.
 Every family states its messages once, as the `kcn.wire.Layout` pair
 from `layouts`, which packs, unpacks (canonically) and sizes them.
-Consensus is `MODES`, one entry per mode (plain, sec, newhope, akcn41,
-e8), for every family.
+Consensus is the suite's mode, a value holding its own parameters: `Plain()`
+(every matrix family), `Sec(code)`, `NewHope(g)`, `Akcn41(g)` or `E8(g)`.
 
 The consensus output is returned as packed key bits (before any KDF);
 `derive_key` applies the SHAKE-256 KDF with a suite-name prefix.
@@ -45,7 +45,7 @@ __all__ = [
     "public_element",
     "Assumption",
     "assumptions",
-    "MODES",
+    "Mode", "Plain", "Sec", "NewHope", "Akcn41", "E8",
     "hybrid_keygen",
     "hybrid_encaps",
     "hybrid_decaps",
@@ -217,7 +217,7 @@ class _Family:
         key, resp = self.key, self.response
         y1 = wire.Field("y1", key.shape(suite, suite.n_b or suite.n, suite.l_a), (key.modulus(suite),))
         y2 = wire.Field("y2", resp.shape(suite, suite.n, suite.l_b), (resp.modulus(suite) >> resp.cut(suite),))
-        return wire.Layout((_SEED, y1)), wire.Layout((y2,) + MODES[suite.mode].fields(suite)[1])
+        return wire.Layout((_SEED, y1)), wire.Layout((y2,) + suite.mode.fields(suite)[1])
 
     def initiate(self, suite: Suite, rng):
         seed = rng.bytes(algebra.SEED_BYTES)
@@ -234,7 +234,7 @@ class _Family:
         x2 = resp.secret(suite, rng, suite.n_b or suite.n, suite.l_b)
         y2 = algebra.cut_bits(resp.sample(suite, resp.transpose(a), x2, rng), resp.cut(suite))
         sigma2 = resp.sample(suite, resp.transpose(key.lift(suite, y1, rng)), x2, rng)
-        k, hint = MODES[suite.mode].con(suite, sigma2, rng, key_in)
+        k, hint = suite.mode.con(suite, sigma2, rng, key_in)
         return k, layout2.pack(y2, *hint)
 
     def finish(self, suite: Suite, x1, msg2: bytes) -> bytes:
@@ -242,17 +242,23 @@ class _Family:
         y2, *hint = layouts(suite)[1].unpack(msg2)
         y2 = algebra.uncut(y2, resp.cut(suite))
         sigma1 = resp.product(suite, resp.transpose(x1), y2, resp.modulus(suite))
-        return MODES[suite.mode].rec(suite, sigma1, hint)
+        return suite.mode.rec(suite, sigma1, hint)
 
 
 # ---------------------------------------------------------------------------
-# Consensus, one entry per mode: `fields` gives the agreed key (a field of
-# symbols below a bound) and the hint fields that follow y2 in msg2; `akc`
-# says whether the responder chooses the key; `_agree` and `_recover` run
-# Con and Rec on sigma.
+# Consensus modes, each a frozen value holding its parameters: `fields` gives
+# the agreed key (a field of symbols below a bound) and the hint fields that
+# follow y2 in msg2; `akc` says whether the responder chooses the key;
+# `_agree` and `_recover` run Con and Rec on sigma.
 
-class _Mode:
+class Mode:
+    """The shared Con/Rec driver of the consensus modes."""
+
     AKC = None  # fixed by a code mode; None: the suite's scalar variant decides
+
+    @property
+    def name(self) -> str:
+        return type(self).__name__.lower()
 
     def akc(self, suite: Suite) -> bool:
         return suite.variant.is_akc if self.AKC is None else self.AKC
@@ -275,7 +281,8 @@ class _Mode:
         return wire.pack(self._recover(suite, sigma1, hint), self.fields(suite)[0].bits)
 
 
-class _Plain(_Mode):
+@dataclass(frozen=True)
+class Plain(Mode):
     """One scalar KC or AKC per coefficient of sigma."""
 
     def fields(self, suite: Suite) -> tuple[wire.Field, tuple[wire.Field, ...]]:
@@ -293,33 +300,33 @@ class _Plain(_Mode):
         return rec(suite.variant, sigma1, hint[0], suite.kc)
 
 
-class _Sec(_Plain):
-    """Plain consensus under one SEC codeword per block of coefficients: AKC
-    encodes the key into them; KC wraps them and sends the correction v'."""
+@dataclass(frozen=True)
+class Sec(Plain):
+    """Plain consensus under one codeword of `code` per block of coefficients:
+    AKC encodes the key into them; KC wraps them and sends the correction v'."""
+
+    code: codes.SecCode
 
     def fields(self, suite: Suite) -> tuple[wire.Field, tuple[wire.Field, ...]]:
-        code = codes.SecCode(suite.n_h)
-        blocks = suite.n // code.block_bits
-        vprime = wire.Field("v'", (blocks, code.n_h + 1), (2,))
-        return (wire.Field("key", (blocks * code.message_bits,), (2,)),
+        blocks = suite.n // self.code.block_bits
+        vprime = wire.Field("v'", (blocks, self.code.n_h + 1), (2,))
+        return (wire.Field("key", (blocks * self.code.message_bits,), (2,)),
                 super().fields(suite)[1] + (() if self.akc(suite) else (vprime,)))
 
     def _agree(self, suite: Suite, sigma2, rng, k):
-        code = codes.SecCode(suite.n_h)
         if k is not None:
-            cw = codes.sec_encode(k.reshape(-1, code.message_bits), code).reshape(-1)
+            cw = codes.sec_encode(k.reshape(-1, self.code.message_bits), self.code).reshape(-1)
             coeff_keys = np.concatenate([cw, np.zeros(suite.n - cw.size, cw.dtype)])
             return k, super()._agree(suite, sigma2, rng, coeff_keys)[1]
         k, (v,) = super()._agree(suite, sigma2, rng, None)
-        x, vprime = codes.sec_wrap(_whole_blocks(k, code), code)
+        x, vprime = codes.sec_wrap(_whole_blocks(k, self.code), self.code)
         return x.reshape(-1), (v, vprime)
 
     def _recover(self, suite: Suite, sigma1, hint):
-        code = codes.SecCode(suite.n_h)
-        blocks = _whole_blocks(super()._recover(suite, sigma1, hint), code)
+        blocks = _whole_blocks(super()._recover(suite, sigma1, hint), self.code)
         if self.akc(suite):
-            return codes.sec_decode(blocks, code).reshape(-1)
-        return codes.sec_unwrap(blocks, hint[1].astype(np.uint8), code).reshape(-1)
+            return codes.sec_decode(blocks, self.code).reshape(-1)
+        return codes.sec_unwrap(blocks, hint[1].astype(np.uint8), self.code).reshape(-1)
 
 
 def _whole_blocks(k: np.ndarray, code) -> np.ndarray:
@@ -333,56 +340,65 @@ def _stride_blocks(coeffs: np.ndarray, width: int) -> np.ndarray:
     return coeffs.reshape(width, -1).T
 
 
-class _NewHope(_Mode):
+@dataclass(frozen=True)
+class _Lattice(Mode):
+    g: int  # the lattice code's hint range, a power of two
+
+    def __post_init__(self):
+        if self.g < 2 or self.g & (self.g - 1):
+            raise ValueError(f"{self.name}: g must be a power of two >= 2, got {self.g}")
+
+
+@dataclass(frozen=True)
+class NewHope(_Lattice):
     """NewHope's D4 reconciliation (KC): one bit per 4 coefficients."""
 
     AKC = False
 
     def fields(self, suite: Suite) -> tuple[wire.Field, tuple[wire.Field, ...]]:
-        return wire.Field("key", (suite.n // 4,), (2,)), (wire.Field("v", (suite.n // 4, 4), (suite.code_g,)),)
+        return wire.Field("key", (suite.n // 4,), (2,)), (wire.Field("v", (suite.n // 4, 4), (self.g,)),)
 
     def _agree(self, suite: Suite, sigma2, rng, k):
         blocks = _stride_blocks(sigma2, 4)
         b = rng.integers(0, 2, size=len(blocks), dtype=np.int64)
-        k, v = codes.newhope_con(blocks, b, (suite.code_g - 1).bit_length(), suite.q)
+        k, v = codes.newhope_con(blocks, b, (self.g - 1).bit_length(), suite.q)
         return k, (v,)
 
     def _recover(self, suite: Suite, sigma1, hint):
-        return codes.newhope_rec(_stride_blocks(sigma1, 4), hint[0], (suite.code_g - 1).bit_length(), suite.q)
+        return codes.newhope_rec(_stride_blocks(sigma1, 4), hint[0], (self.g - 1).bit_length(), suite.q)
 
 
-class _Akcn41(_Mode):
+@dataclass(frozen=True)
+class Akcn41(_Lattice):
     """The 4:1 D4 AKC: one chosen bit per 4 coefficients."""
 
     AKC = True
 
     def fields(self, suite: Suite) -> tuple[wire.Field, tuple[wire.Field, ...]]:
-        g = suite.code_g
+        g = self.g
         return wire.Field("key", (suite.n // 4,), (2,)), (wire.Field("v", (suite.n // 4,), (g, g, g, 2 * g)),)
 
     def _agree(self, suite: Suite, sigma2, rng, k):
-        return k, (codes.akcn41_con(_stride_blocks(sigma2, 4), k, suite.code_g, suite.q),)
+        return k, (codes.akcn41_con(_stride_blocks(sigma2, 4), k, self.g, suite.q),)
 
     def _recover(self, suite: Suite, sigma1, hint):
-        return codes.akcn41_rec(_stride_blocks(sigma1, 4), hint[0], suite.code_g, suite.q)
+        return codes.akcn41_rec(_stride_blocks(sigma1, 4), hint[0], self.g, suite.q)
 
 
-class _E8(_Mode):
+@dataclass(frozen=True)
+class E8(_Lattice):
     """The E8 AKC: four chosen bits per 8 coefficients."""
 
     AKC = True
 
     def fields(self, suite: Suite) -> tuple[wire.Field, tuple[wire.Field, ...]]:
-        return wire.Field("key", (suite.n // 2,), (2,)), (wire.Field("v", (suite.n // 8, 8), (suite.code_g,)),)
+        return wire.Field("key", (suite.n // 2,), (2,)), (wire.Field("v", (suite.n // 8, 8), (self.g,)),)
 
     def _agree(self, suite: Suite, sigma2, rng, k):
-        return k, (codes.e8_con(_stride_blocks(sigma2, 8), k.reshape(-1, 4), suite.code_g, suite.q),)
+        return k, (codes.e8_con(_stride_blocks(sigma2, 8), k.reshape(-1, 4), self.g, suite.q),)
 
     def _recover(self, suite: Suite, sigma1, hint):
-        return codes.e8_rec(_stride_blocks(sigma1, 8), hint[0], suite.code_g, suite.q).reshape(-1)
-
-
-MODES = {"plain": _Plain(), "sec": _Sec(), "newhope": _NewHope(), "akcn41": _Akcn41(), "e8": _E8()}
+        return codes.e8_rec(_stride_blocks(sigma1, 8), hint[0], self.g, suite.q).reshape(-1)
 
 
 # ---------------------------------------------------------------------------

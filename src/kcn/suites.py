@@ -2,8 +2,9 @@
 
 Every suite binds dimensions, moduli, the consensus variant and its
 (q, m, g, d), the noise law (a `kcn.noise` table or `Law`, which both the
-exchange and the analysis read), and (for the ring protocols) the
-error-handling code mode.  The distance parameter d is always the largest
+exchange and the analysis read), and the consensus mode (a `kcn.protocols`
+value holding its own code parameters; only the ring protocols leave
+`Plain()`).  The distance parameter d is always the largest
 value passing the variant's correctness condition, which is how the
 parameter tables were built.
 """
@@ -14,7 +15,8 @@ from dataclasses import dataclass
 
 from kcn.kc import KcParams, KcVariant, validate_params
 from kcn.noise import PSI16, TABLES, Law, NoiseTable, bab, gauss
-from kcn.protocols import MODES
+from kcn.codes import SecCode
+from kcn.protocols import E8, Akcn41, Mode, NewHope, Plain, Sec
 
 __all__ = ["Suite", "SUITES", "get_suite", "suite_names"]
 
@@ -35,16 +37,19 @@ class Suite:
     n_b: int = 0  # hybrid only
     p: int = 0  # rounding modulus (lwr / hybrid)
     t: int = 0  # cut bits (lwe)
-    mode: str = "plain"  # a key of kcn.protocols.MODES; the matrix families use plain
-    code_g: int = 0  # hint range for the code modes
-    n_h: int = 0  # SEC parity dimension
+    mode: Mode = Plain()  # a kcn.protocols mode; Plain() and Sec(code) need variant and kc
 
     def __post_init__(self):
         if not isinstance(self.noise, (NoiseTable, Law)):
             raise TypeError(f"{self.name}: noise must be a kcn.noise law "
                             f"(a TABLES entry, PSI16, bab or gauss), got {self.noise!r}")
+        if not isinstance(self.mode, Mode) or (self.family != "rlwe" and self.mode != Plain()):
+            raise ValueError(f"{self.name}: the {self.family} family cannot run mode {self.mode!r}")
         if (self.kc is None) != (self.variant is None):
             raise ValueError(f"{self.name}: variant and kc are set together or not at all")
+        if (self.kc is None) == isinstance(self.mode, Plain):
+            raise ValueError(f"{self.name}: plain and sec modes need variant and kc, other modes take neither; "
+                             f"mode is {self.mode.name}")
         if self.kc is not None:
             ok = validate_params(self.variant, self.kc)
             if ok is not True:
@@ -58,7 +63,7 @@ class Suite:
 
     @property
     def key_bits(self) -> int:
-        key = MODES[self.mode].fields(self)[0]
+        key = self.mode.fields(self)[0]
         return key.count * key.bits
 
     def describe(self) -> dict:
@@ -79,12 +84,10 @@ class Suite:
             out["t"] = self.t
         if self.kc is not None:
             out.update(variant=self.variant.value, m=self.kc.m, g=self.kc.g, d=self.kc.d)
-        if self.mode != "plain":
-            out["mode"] = self.mode
-        if self.code_g:
-            out["g"] = self.code_g
-        if self.n_h:
-            out["n_h"] = self.n_h
+        if isinstance(self.mode, Sec):
+            out.update(mode=self.mode.name, n_h=self.mode.code.n_h)
+        elif self.mode != Plain():
+            out.update(mode=self.mode.name, g=self.mode.g)
         return out
 
 
@@ -113,13 +116,11 @@ def _lwe(name, n, q, l, m, g, d, dist, variant=KcVariant.OKCN_SIMPLE, t=0):
     )
 
 
-def _rlwe(name, variant, g, d, mode="plain", n_h=0, n=1024, noise=PSI16, code_g=0):
-    kc = None
-    if variant is not None:
-        kc = KcParams(q=_RLWE_Q, m=2, g=g, d=d)
+def _rlwe(name, variant, g, d, mode=Plain(), n=1024, noise=PSI16):
+    kc = KcParams(q=_RLWE_Q, m=2, g=g, d=d) if variant is not None else None
     return Suite(
         name=name, family="rlwe", n=n, l_a=1, l_b=1, q=_RLWE_Q,
-        noise=noise, variant=variant, kc=kc, mode=mode, n_h=n_h, code_g=code_g,
+        noise=noise, variant=variant, kc=kc, mode=mode,
     )
 
 
@@ -162,14 +163,13 @@ SUITES = {
         _rlwe("okcn-rlwe-64", KcVariant.OKCN_GENERIC, 2**6, 3023),
         _rlwe("akcn-rlwe-16", KcVariant.AKCN_GENERIC, 2**4, 2687),
         _rlwe("akcn-rlwe-64", KcVariant.AKCN_GENERIC, 2**6, 2975),
-        _rlwe("okcn-sec-765", KcVariant.OKCN_GENERIC, 2**3, 2687, mode="sec", n_h=4),
-        _rlwe("okcn-sec-837", KcVariant.OKCN_GENERIC, 2**3, 2687, mode="sec", n_h=5),
-        _rlwe("akcn-sec-765", KcVariant.AKCN_GENERIC, 2**4, 2687, mode="sec", n_h=4),
-        _rlwe("akcn-sec-837", KcVariant.AKCN_GENERIC, 2**4, 2687, mode="sec", n_h=5),
-        _rlwe("newhope", None, 0, 0, mode="newhope", code_g=2**2),
-        _rlwe("akcn-4to1", None, 0, 0, mode="akcn41", code_g=2**2),
-        _rlwe("zarzar", None, 0, 0, mode="e8", code_g=2**6, n=512,
-              noise=bab(24, 16)),
+        _rlwe("okcn-sec-765", KcVariant.OKCN_GENERIC, 2**3, 2687, mode=Sec(SecCode(4))),
+        _rlwe("okcn-sec-837", KcVariant.OKCN_GENERIC, 2**3, 2687, mode=Sec(SecCode(5))),
+        _rlwe("akcn-sec-765", KcVariant.AKCN_GENERIC, 2**4, 2687, mode=Sec(SecCode(4))),
+        _rlwe("akcn-sec-837", KcVariant.AKCN_GENERIC, 2**4, 2687, mode=Sec(SecCode(5))),
+        _rlwe("newhope", None, 0, 0, mode=NewHope(2**2)),
+        _rlwe("akcn-4to1", None, 0, 0, mode=Akcn41(2**2)),
+        _rlwe("zarzar", None, 0, 0, mode=E8(2**6), n=512, noise=bab(24, 16)),
     ]
 }
 

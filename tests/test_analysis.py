@@ -176,7 +176,7 @@ def test_error_reports_carry_dropped_mass():
     for name, suite in SUITES.items():
         if suite.family == "lwr":
             assert error_rate(suite).dropped is None
-        elif suite.family in ("lwe", "hybrid") or suite.mode in ("plain", "sec"):
+        elif suite.family in ("lwe", "hybrid") or suite.mode.name in ("plain", "sec"):
             rep = error_rate(suite)
             assert 0 < rep.dropped <= 2.0**-190, name
 

@@ -7,6 +7,7 @@ import pytest
 from kcn import protocols as proto
 from kcn import wire
 from kcn.analysis.bandwidth import bandwidth
+from kcn.codes import SecCode
 from kcn.kc import KcParams, KcVariant
 from kcn.suites import SUITES, Suite, get_suite
 from oracles import BINARY
@@ -20,14 +21,12 @@ def _toy_lwr():
     )
 
 
-def _toy_rlwe(mode="plain", n_h=0, variant=KcVariant.OKCN_GENERIC, g=4, d=35, code_g=0):
+def _toy_rlwe(variant=KcVariant.OKCN_GENERIC, g=4, d=35):
     # |sigma1 - sigma2| <= 2n + 1 = 33 <= d for binary noise, so agreement
     # is guaranteed, not merely likely
-    kc = KcParams(q=193, m=2, g=g, d=d) if variant else None
     return Suite(
-        name=f"toy-rlwe-{mode}", family="rlwe", n=16, l_a=1, l_b=1, q=193,
-        noise=BINARY, variant=variant, kc=kc,
-        mode=mode, n_h=n_h, code_g=code_g,
+        name="toy-rlwe-plain", family="rlwe", n=16, l_a=1, l_b=1, q=193,
+        noise=BINARY, variant=variant, kc=KcParams(q=193, m=2, g=g, d=d),
     )
 
 
@@ -197,6 +196,21 @@ def test_suite_needs_both_variant_and_kc(field):
     # with only one of them set, the exchange used to fail on a None deep inside
     with pytest.raises(ValueError, match="lwr-recommended"):
         dataclasses.replace(get_suite("lwr-recommended"), **{field: None})
+
+
+@pytest.mark.parametrize("name, change, match", [
+    # each of these used to build, then fail at first use or never
+    ("okcn-sec-837", lambda: {"mode": proto.Sec(SecCode(0))}, "sec: n_h"),
+    ("okcn-sec-837", lambda: {"mode": "SEC"}, "okcn-sec-837"),
+    ("newhope", lambda: {"mode": proto.NewHope(6)}, "newhope: g"),
+    ("zarzar", lambda: {"mode": proto.E8(0)}, "e8: g"),
+    ("lwe-challenge", lambda: {"mode": proto.Sec(SecCode(4))}, "lwe-challenge"),
+    ("okcn-rlwe-16", lambda: {"variant": None, "kc": None}, "okcn-rlwe-16"),
+    ("newhope", lambda: {"variant": KcVariant.OKCN_GENERIC, "kc": get_suite("okcn-rlwe-16").kc}, "newhope"),
+])
+def test_suite_refuses_a_mode_it_cannot_run(name, change, match):
+    with pytest.raises(ValueError, match=match):
+        dataclasses.replace(get_suite(name), **change())
 
 
 @pytest.mark.parametrize("name", ["lwr-recommended", "okcn-rlwe-16", "okcn-sec-765", "newhope"])
