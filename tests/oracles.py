@@ -4,7 +4,8 @@ coefficient-domain ring product through the NTT (`ntt_mul`), the efficiency
 slack of a consensus instance (`bound_slack`), the post-reduction security
 left by a sampling table (`post_reduction_costs`), the LWR difference
 law conditioned on both secrets holding a unit (`lwr_diff_conditioned`),
-built from the two private stages of `lwr_diff_distribution`, and the
+built from the two private stages of `lwr_diff_distribution`, the product
+law built with fresh per-row temporaries (`product_pmf_rows`), and the
 uniform {0, 1} noise law of the toy suites (`BINARY`)."""
 
 import math
@@ -13,6 +14,7 @@ import numpy as np
 
 from kcn.algebra import RingPoly, ntt_forward, ntt_inverse, poly_mul
 from kcn.analysis.error_rates import _lwr_fold, _lwr_sides
+from kcn.analysis.pmf import _check_mass
 from kcn.kc import KcParams, KcVariant, div_round
 from kcn.noise import Law, Pmf, uniform_pmf
 
@@ -88,3 +90,19 @@ def lwr_diff_conditioned(n: int, q: int, p: int, chi: Pmf) -> np.ndarray:
     p0n = p0**n
     terms = [(f1, f2, 1.0), (z1, f2, -p0n), (f1, z2, -p0n), (z1, z2, p0n**2)]
     return sum(wt * _lwr_fold(s1, s2, q, w) for s1, s2, wt in terms) / (1.0 - p0n) ** 2
+
+
+def product_pmf_rows(px: Pmf, py: Pmf, scale: float = 1.0) -> Pmf:
+    """`kcn.analysis.pmf.product_pmf` as it was before its rows shared
+    buffers: each row builds its bin indices and weights in fresh arrays.
+    `product_pmf` must match it bit for bit."""
+    _check_mass(px), _check_mass(py)
+    ka, kb = px.support, py.support
+    corners = np.multiply.outer([ka[0], ka[-1]], [kb[0], kb[-1]]) * scale
+    lo = int(np.floor(corners.min() + 0.5))
+    hi = int(np.floor(corners.max() + 0.5))
+    out = np.zeros(hi - lo + 1)
+    for i in range(len(ka)):
+        idx = np.floor(ka[i] * kb * scale + 0.5).astype(np.int64) - lo
+        np.add.at(out, idx, px.probs[i] * py.probs)
+    return Pmf(lo, out, px.dropped + py.dropped)

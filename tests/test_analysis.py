@@ -26,7 +26,7 @@ from kcn.analysis.error_rates import (
 from kcn.kc import KcParams, KcVariant
 from kcn.noise import TABLES, Pmf
 from kcn.suites import SUITES, Suite
-from oracles import BINARY, lwr_diff_conditioned
+from oracles import BINARY, lwr_diff_conditioned, product_pmf_rows
 
 
 # --- pmf operations ----------------------------------------------------------
@@ -71,6 +71,35 @@ def test_merge_matches_exact_product():
     assert got.offset == min(want) and len(got.probs) == max(want) - min(want) + 1
     assert np.allclose(got.probs, [want.get(k, 0.0) for k in got.support.tolist()],
                        rtol=0, atol=1e-15)
+
+
+def _random_pmf(rng):
+    n = int(rng.integers(1, 80))
+    probs = rng.random(n) ** 4
+    return Pmf(int(rng.integers(-200, 200)), probs / probs.sum(), float(rng.random()) * 2.0**-200)
+
+
+def test_product_pmf_matches_row_oracle():
+    # signed offsets put lo below 0; scales with and without exact halves
+    rng = np.random.default_rng(20231)
+    for i in range(100):
+        px, py = _random_pmf(rng), _random_pmf(rng)
+        scale = (1.0, 0.125, 1 / 3, 0.3, 7.77, 0.0005)[i % 6]
+        got, want = pm.product_pmf(px, py, scale), product_pmf_rows(px, py, scale)
+        assert got.offset == want.offset, i
+        assert np.array_equal(got.probs, want.probs), i
+        assert got.dropped == want.dropped, i
+
+
+# SHA-256 of the zarzar product law, chi2(2) at step 0.02 times chi2(256)
+# at step 0.1 onto the grid of step 4: its offset, dropped and probabilities
+ZARZAR_PRODUCT_DIGEST = "cc543e62e2c08b1d1c874c5078b904dbb037f323ad07e231140dc9003ff0b4c1"
+
+
+def test_zarzar_product_pinned():
+    p = pm.product_pmf(pm.discretize_chisq(2, 0.02), pm.discretize_chisq(256, 0.1), 0.02 * 0.1 / 4)
+    blob = f"{p.offset} {p.dropped.hex()} ".encode() + p.probs.astype("<f8").tobytes()
+    assert hashlib.sha256(blob).hexdigest() == ZARZAR_PRODUCT_DIGEST
 
 
 def test_discretize_chisq_moments():
