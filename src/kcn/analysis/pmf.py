@@ -80,7 +80,11 @@ def product_pmf(px: Pmf, py: Pmf, scale: float = 1.0) -> Pmf:
     With scale 1 this is the law of X * Y.  For Pmfs over grids, X on step
     a and Y on step b, scale = a * b / c rounds each product onto the grid
     of step c while accumulating.  The result is built one row of px at a
-    time, so memory stays at the output's size.
+    time, and every row builds its bins and weights in the same three
+    buffers, so memory stays at the output's size and no row allocates.
+    The bins are floor(ka[i] * kb * scale + 0.5) computed in float64 step
+    by step, exact while |ka[i] * kb| < 2^53, and np.add.at adds each bin's
+    terms in (row, column) order.
     """
     _check_mass(px), _check_mass(py)
     ka, kb = px.support, py.support
@@ -88,9 +92,19 @@ def product_pmf(px: Pmf, py: Pmf, scale: float = 1.0) -> Pmf:
     lo = int(np.floor(corners.min() + 0.5))
     hi = int(np.floor(corners.max() + 0.5))
     out = np.zeros(hi - lo + 1)
+    kbf = kb.astype(np.float64)
+    x, idx, v = np.empty_like(kbf), np.empty(len(kb), np.int64), np.empty_like(kbf)
     for i in range(len(ka)):
-        idx = np.floor(ka[i] * kb * scale + 0.5).astype(np.int64) - lo
-        np.add.at(out, idx, px.probs[i] * py.probs)
+        np.multiply(kbf, ka[i], out=x)
+        x *= scale
+        x += 0.5
+        if lo < 0:  # else every x >= 0, where the int64 cast's truncation is the floor
+            np.floor(x, out=x)
+        idx[...] = x
+        if lo:
+            idx -= lo
+        np.multiply(py.probs, px.probs[i], out=v)
+        np.add.at(out, idx, v)
     return Pmf(lo, out, px.dropped + py.dropped)
 
 
