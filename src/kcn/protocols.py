@@ -307,6 +307,10 @@ class Sec(Plain):
 
     code: codes.SecCode
 
+    def __post_init__(self):
+        if not isinstance(self.code, codes.SecCode):
+            raise ValueError(f"sec: code must be a kcn.codes.SecCode, got {self.code!r}")
+
     def fields(self, suite: Suite) -> tuple[wire.Field, tuple[wire.Field, ...]]:
         blocks = suite.n // self.code.block_bits
         vprime = wire.Field("v'", (blocks, self.code.n_h + 1), (2,))

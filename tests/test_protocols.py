@@ -201,6 +201,7 @@ def test_suite_needs_both_variant_and_kc(field):
 @pytest.mark.parametrize("name, change, match", [
     # each of these used to build, then fail at first use or never
     ("okcn-sec-837", lambda: {"mode": proto.Sec(SecCode(0))}, "sec: n_h"),
+    ("okcn-sec-837", lambda: {"mode": proto.Sec(5)}, "sec: code must be a kcn.codes.SecCode"),
     ("okcn-sec-837", lambda: {"mode": "SEC"}, "okcn-sec-837"),
     ("newhope", lambda: {"mode": proto.NewHope(6)}, "newhope: g"),
     ("zarzar", lambda: {"mode": proto.E8(0)}, "e8: g"),
