@@ -91,6 +91,15 @@ def test_product_pmf_matches_row_oracle():
         assert got.dropped == want.dropped, i
 
 
+def test_product_pmf_near_tie_shifts_after_floor():
+    # row -1 lands at -2^-53 after the + 0.5, so its bin is -1; a - lo folded
+    # into the + 0.5 would round -0.5 - 2^-53 + 2.5 up to 2, past the last bin
+    px, py, scale = Pmf(-4, [0.25] * 4), Pmf(1, [1.0]), 0.5 + 2**-53
+    for got in (pm.product_pmf(px, py, scale), product_pmf_rows(px, py, scale)):
+        assert got.offset == -2
+        assert np.array_equal(got.probs, [0.5, 0.5])
+
+
 # SHA-256 of the zarzar product law, chi2(2) at step 0.02 times chi2(256)
 # at step 0.1 onto the grid of step 4: its offset, dropped and probabilities
 ZARZAR_PRODUCT_DIGEST = "cc543e62e2c08b1d1c874c5078b904dbb037f323ad07e231140dc9003ff0b4c1"
