@@ -18,7 +18,6 @@ that combines two Pmfs adds their bounds (1 - (1-a)(1-b) <= a + b).
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import chdtrc, chdtri
 
 from kcn.kc import dist_mod
 from kcn.noise import Pmf
@@ -140,8 +139,11 @@ def discretize_chisq(df: int, step: float) -> Pmf:
     The grid extends until the survival mass drops below PROB_FLOOR; that
     truncated mass is carried as `dropped`.  Cell probabilities are
     survival-function differences, which keeps relative precision in the
-    far tail.
+    far tail.  scipy is imported here, not with the module, so that a process
+    that never builds this grid never loads it.
     """
+    from scipy.special import chdtrc, chdtri
+
     xmax = float(chdtri(df, PROB_FLOOR))
     kmax = int(np.ceil(xmax / step)) + 1
     edges = (np.arange(kmax + 1) + 0.5) * step

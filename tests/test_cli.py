@@ -94,6 +94,34 @@ def test_cli_import_leaves_out_scipy_stats():
     assert run.returncode == 0 and run.stdout == "False\n"
 
 
+_COLD_START = """
+import sys
+import numpy as np
+import kcn.cli
+from kcn import protocols as proto
+from kcn.analysis import bandwidth, error_rates, security
+from kcn.suites import get_suite
+
+rng = np.random.default_rng(1)
+for name in ("lwr-recommended", "frodo-recommended", "hybrid-recommended", "newhope"):
+    suite = get_suite(name)
+    session, msg1 = proto.initiate(suite, rng)
+    key, msg2 = proto.respond(suite, msg1, rng)
+    assert proto.finish(session, msg2) == key, name
+suite = get_suite("hybrid-recommended")
+error_rates.error_rate(suite), security.suite_security(suite), bandwidth.bandwidth(suite)
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def test_exchanges_and_analysis_leave_out_scipy():
+    # only the chi-square pipeline (the zarzar suite) needs scipy, which more
+    # than doubles a cold start's time and adds about 20 MB
+    run = _python("-c", _COLD_START)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "[]\n"
+
+
 @pytest.mark.parametrize("suite", ["newhope", "akcn-4to1"])
 def test_error_rate_without_model_is_a_usage_error(suite):
     run = _kcn("error-rate", suite)
