@@ -11,7 +11,11 @@ Each attack scans its (m, b) grid _BLOCK sample counts m at a time and
 carries the best pair, so it holds a few _BLOCK x 1340 float64 arrays
 (126 KiB each, under glibc's default 128 KiB mmap threshold, so they reuse
 heap memory), not the whole grid.  Ties go to the first m, as in one pass
-over the grid, so the estimates do not depend on the block size.
+over the grid, so the estimates do not depend on the block size.  Every
+key at block size b is at least a known floor (b itself, or the matrix
+dual's svp cost plus overhead), so once a pair is best the scan evaluates
+only the block sizes whose floor is below its key: the same pair, from a
+third to three quarters of the grid.
 """
 
 from __future__ import annotations
@@ -50,20 +54,28 @@ def _delta0(b):
     return ((np.pi * b) ** (1.0 / b) * b / (2 * np.pi * np.e)) ** (1.0 / (2.0 * (b - 1.0)))
 
 
-def _scan(attack, m_grid, b_grid, model, block):
+def _scan(attack, m_grid, b_grid, model, block, floor):
     """The estimate at the (m, b) pair of smallest key.
 
-    block(ms) returns the keys of the sample counts ms (rows, whose terms of m
-    alone are Python floats) against every block size, and their log2
-    repetitions (None for the primal).  Ties go to the earlier block, as
+    block(ms, nb) returns the keys of the sample counts ms (rows, whose terms
+    of m alone are Python floats) against the first nb block sizes, and their
+    log2 repetitions (None for the primal).  Ties go to the earlier block, as
     argmin gives them to the earlier row; an infinite key is infeasible.
+    floor[j] is a lower bound on every key at block size b_grid[j], so after
+    each improvement only the columns up to the last one whose floor is below
+    the best key can beat it, strictly, and the scan evaluates those alone.
     """
     best = None
+    nb = len(b_grid)
     for lo in range(0, len(m_grid), _BLOCK):
-        key, rep = block(m_grid[lo:lo + _BLOCK])
+        key, rep = block(m_grid[lo:lo + _BLOCK], nb)
         i, j = np.unravel_index(np.argmin(key), key.shape)
         if best is None or key[i, j] < best[0]:
             best = (key[i, j], int(m_grid[lo + i]), int(b_grid[j]), 0.0 if rep is None else float(rep[i, j]))
+            live = np.flatnonzero(floor < best[0])
+            if live.size == 0:
+                break
+            nb = int(live[-1]) + 1
     key, m, b, rep = best
     if key == np.inf:
         raise ValueError(f"{attack} attack infeasible on the searched grid")
@@ -78,15 +90,16 @@ def _primal(n, q, ss, se, m_grid, b_grid, model):
     bb = b_grid.astype(np.float64)
     ln_delta = np.log(_delta0(bb))
 
-    def block(ms):
+    def block(ms, nb):
+        b = bb[:nb]
         d = ms[:, None] + n + 1.0
         ln_vol = np.array([[math.log(n * ss + m * se / w**2 + 1)] for m in ms.tolist()])
         ln_qw = np.array([[(m / (m + n + 1)) * math.log(q / w)] for m in ms.tolist()])
-        lhs = 0.5 * (np.log(bb / d) + ln_vol)
-        rhs = (2 * bb - 1 - d) * ln_delta + ln_qw
-        return np.where(lhs <= rhs, bb, np.inf), None
+        lhs = 0.5 * (np.log(b / d) + ln_vol)
+        rhs = (2 * b - 1 - d) * ln_delta[:nb] + ln_qw
+        return np.where(lhs <= rhs, b, np.inf), None
 
-    return _scan("primal", m_grid, b_grid, model, block)
+    return _scan("primal", m_grid, b_grid, model, block, bb)
 
 
 def _dual(n, q, ss, se, m_grid, b_grid, model):
@@ -103,17 +116,21 @@ def _dual(n, q, ss, se, m_grid, b_grid, model):
     bb = b_grid.astype(np.float64)
     ln_delta = np.log(_delta0(bb))
 
-    def block(ms):
+    def block(ms, nb):
+        b = bb[:nb]
         ln_qc = np.array([[(n / (m + n)) * math.log(q / c)] for m in ms.tolist()])
-        ln_l = (ms[:, None] + float(n)) * ln_delta + ln_qc
+        ln_l = (ms[:, None] + float(n)) * ln_delta[:nb] + ln_qc
         ln_tau = ln_l + 0.5 * math.log(se) - math.log(q)
         log2_eps = (math.log(4) - 2 * math.pi**2 * np.exp(2 * ln_tau)) / math.log(2)
-        log2_rep = np.maximum(0.0, -PLAUSIBLE * bb - 2 * log2_eps)
+        log2_rep = np.maximum(0.0, -PLAUSIBLE * b - 2 * log2_eps)
         if model == "matrix":
-            return CLASSICAL * bb + log2_rep + np.log2(bb), log2_rep
-        return np.where(log2_rep <= 0.0, bb, np.inf), log2_rep
+            return CLASSICAL * b + log2_rep + np.log2(b), log2_rep
+        return np.where(log2_rep <= 0.0, b, np.inf), log2_rep
 
-    return _scan("dual", m_grid, b_grid, model, block)
+    # log2_rep >= 0 and rounded addition is monotone, so a matrix key is at
+    # least the same sum without it; a core key is b or inf
+    floor = CLASSICAL * bb + np.log2(bb) if model == "matrix" else bb
+    return _scan("dual", m_grid, b_grid, model, block, floor)
 
 
 def security_estimate(n: int, q: int, sigma_s_sq: float, sigma_e_sq: float, model: str = "matrix"):
