@@ -55,7 +55,7 @@ __all__ = [
 TAG_MATRIX = 0
 TAG_POLY = 1
 
-_SEED = wire.Field("seed", (algebra.SEED_BYTES,), (256,))
+_SEED = wire.Field("seed", (algebra.SEED_BYTES,), 256)
 
 
 class Assumption(NamedTuple):
@@ -85,15 +85,16 @@ def _sample(suite: Suite, rng, shape) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # The three step kinds: LWR, LWE and RLWE.  As a key step, a kind makes y1
 # from A X1 and, on the responder's side, lifts y1 back into Z_q.  As a
-# response, it makes y2 from A^T X2 (cutting `cut` low bits) and sigma2 from
-# lift(y1)^T X2, and the initiator finishes with X1^T y2 modulo `modulus`.
+# response, it makes y2 from A^T X2 (cutting the suite's t low bits, which
+# only LWE sets) and sigma2 from lift(y1)^T X2, and the initiator finishes
+# with X1^T y2 modulo `modulus`.
 
 class _Step:
     """The matrix algebra of LWR and LWE: int64 matrices, multiplied by the
     cached float32 public matrix A or by each other through `matmul`."""
 
     def public(self, suite: Suite) -> wire.Field:
-        return wire.Field("A", (suite.n_b or suite.n, suite.n), (suite.q,))
+        return wire.Field("A", (suite.n_b or suite.n, suite.n), suite.q)
 
     def expand(self, suite: Suite, seed):
         return algebra.gen_matrix(seed, *self.public(suite).shape, suite.q, TAG_MATRIX)
@@ -121,9 +122,6 @@ class _Lwr(_Step):
         w = suite.q // suite.p  # the rounded-off part is uniform noise of width w
         return Assumption("lwr", n, suite.q, suite.noise.variance, (w**2 - 1) / 12.0, "matrix")
 
-    def cut(self, suite: Suite) -> int:
-        return 0
-
     def sample(self, suite: Suite, m, x, rng) -> np.ndarray:
         return algebra.lwr_round(self.product(suite, m, x, suite.q), suite.q, suite.p)
 
@@ -143,9 +141,6 @@ class _Lwe(_Step):
     def assumption(self, suite: Suite, n: int) -> Assumption:
         return Assumption("lwe", n, suite.q, suite.noise.variance, suite.noise.variance, "matrix")
 
-    def cut(self, suite: Suite) -> int:
-        return suite.t
-
     def sample(self, suite: Suite, m, x, rng) -> np.ndarray:
         mx = self.product(suite, m, x, suite.q)
         return (mx + _sample(suite, rng, mx.shape)) % suite.q
@@ -161,7 +156,7 @@ class _Rlwe(_Lwe):
     so a product transforms only what came off the wire."""
 
     def public(self, suite: Suite) -> wire.Field:
-        return wire.Field("a", (suite.n,), (suite.q,))
+        return wire.Field("a", (suite.n,), suite.q)
 
     def expand(self, suite: Suite, seed) -> algebra.RingPoly:
         return _public_ntt(bytes(seed), suite.n, suite.q)
@@ -184,9 +179,6 @@ class _Rlwe(_Lwe):
 
     def assumption(self, suite: Suite, n: int) -> Assumption:
         return Assumption("rlwe", n, suite.q, suite.noise.variance, suite.noise.variance, "core")
-
-    def cut(self, suite: Suite) -> int:
-        return 0
 
 
 LWR, LWE, RLWE = _Lwr(), _Lwe(), _Rlwe()
@@ -215,8 +207,8 @@ class _Family:
 
     def layouts(self, suite: Suite) -> tuple[wire.Layout, wire.Layout]:
         key, resp = self.key, self.response
-        y1 = wire.Field("y1", key.shape(suite, suite.n_b or suite.n, suite.l_a), (key.modulus(suite),))
-        y2 = wire.Field("y2", resp.shape(suite, suite.n, suite.l_b), (resp.modulus(suite) >> resp.cut(suite),))
+        y1 = wire.Field("y1", key.shape(suite, suite.n_b or suite.n, suite.l_a), key.modulus(suite))
+        y2 = wire.Field("y2", resp.shape(suite, suite.n, suite.l_b), resp.modulus(suite) >> suite.t)
         return wire.Layout((_SEED, y1)), wire.Layout((y2,) + suite.mode.fields(suite)[1])
 
     def initiate(self, suite: Suite, rng):
@@ -232,7 +224,7 @@ class _Family:
         seed, y1 = layout1.unpack(msg1)
         a = key.expand(suite, seed.astype(np.uint8))
         x2 = resp.secret(suite, rng, suite.n_b or suite.n, suite.l_b)
-        y2 = algebra.cut_bits(resp.sample(suite, resp.transpose(a), x2, rng), resp.cut(suite))
+        y2 = algebra.cut_bits(resp.sample(suite, resp.transpose(a), x2, rng), suite.t)
         sigma2 = resp.sample(suite, resp.transpose(key.lift(suite, y1, rng)), x2, rng)
         k, hint = suite.mode.con(suite, sigma2, rng, key_in)
         return k, layout2.pack(y2, *hint)
@@ -240,7 +232,7 @@ class _Family:
     def finish(self, suite: Suite, x1, msg2: bytes) -> bytes:
         resp = self.response
         y2, *hint = layouts(suite)[1].unpack(msg2)
-        y2 = algebra.uncut(y2, resp.cut(suite))
+        y2 = algebra.uncut(y2, suite.t)
         sigma1 = resp.product(suite, resp.transpose(x1), y2, resp.modulus(suite))
         return suite.mode.rec(suite, sigma1, hint)
 
@@ -271,9 +263,9 @@ class Mode:
             if not self.akc(suite):
                 raise ValueError(f"{suite.name}: KC suites cannot transport a chosen key")
             k = np.asarray(key_in, dtype=np.int64).reshape(key.shape)  # ValueError unless key.count symbols
-            key.check(k.reshape(-1, 1))
+            key.check(k.reshape(-1))
         elif self.akc(suite):
-            k = rng.integers(0, key.bounds[0], size=key.shape, dtype=np.int64)
+            k = rng.integers(0, key.bound, size=key.shape, dtype=np.int64)
         k, hint = self._agree(suite, sigma2, rng, k)
         return wire.pack(k, key.bits), hint
 
@@ -287,7 +279,7 @@ class Plain(Mode):
 
     def fields(self, suite: Suite) -> tuple[wire.Field, tuple[wire.Field, ...]]:
         shape = _FAMILIES[suite.family].response.shape(suite, suite.l_a, suite.l_b)  # sigma's shape
-        return wire.Field("key", shape, (suite.kc.m,)), (wire.Field("v", shape, (suite.kc.g,)),)
+        return wire.Field("key", shape, suite.kc.m), (wire.Field("v", shape, suite.kc.g),)
 
     def _agree(self, suite: Suite, sigma2, rng, k):
         if k is not None:
@@ -313,8 +305,8 @@ class Sec(Plain):
 
     def fields(self, suite: Suite) -> tuple[wire.Field, tuple[wire.Field, ...]]:
         blocks = suite.n // self.code.block_bits
-        vprime = wire.Field("v'", (blocks, self.code.n_h + 1), (2,))
-        return (wire.Field("key", (blocks * self.code.message_bits,), (2,)),
+        vprime = wire.Field("v'", (blocks, self.code.n_h + 1), 2)
+        return (wire.Field("key", (blocks * self.code.message_bits,), 2),
                 super().fields(suite)[1] + (() if self.akc(suite) else (vprime,)))
 
     def _agree(self, suite: Suite, sigma2, rng, k):
@@ -360,7 +352,7 @@ class NewHope(_Lattice):
     AKC = False
 
     def fields(self, suite: Suite) -> tuple[wire.Field, tuple[wire.Field, ...]]:
-        return wire.Field("key", (suite.n // 4,), (2,)), (wire.Field("v", (suite.n // 4, 4), (self.g,)),)
+        return wire.Field("key", (suite.n // 4,), 2), (wire.Field("v", (suite.n // 4, 4), self.g),)
 
     def _agree(self, suite: Suite, sigma2, rng, k):
         blocks = _stride_blocks(sigma2, 4)
@@ -374,19 +366,24 @@ class NewHope(_Lattice):
 
 @dataclass(frozen=True)
 class Akcn41(_Lattice):
-    """The 4:1 D4 AKC: one chosen bit per 4 coefficients."""
+    """The 4:1 D4 AKC: one chosen bit per 4 coefficients.  Each block's hint
+    is a record (v0, v1, v2, v3) in Z_g^3 x Z_2g; `_agree` mixes it into the
+    one value v0 + g v1 + g^2 v2 + g^3 v3 below 2g^4, which for g a power of
+    two is its parts bit-packed lowest first, and `_recover` splits it."""
 
     AKC = True
 
     def fields(self, suite: Suite) -> tuple[wire.Field, tuple[wire.Field, ...]]:
-        g = self.g
-        return wire.Field("key", (suite.n // 4,), (2,)), (wire.Field("v", (suite.n // 4,), (g, g, g, 2 * g)),)
+        return wire.Field("key", (suite.n // 4,), 2), (wire.Field("v", (suite.n // 4,), 2 * self.g**4),)
 
     def _agree(self, suite: Suite, sigma2, rng, k):
-        return k, (codes.akcn41_con(_stride_blocks(sigma2, 4), k, self.g, suite.q),)
+        v = codes.akcn41_con(_stride_blocks(sigma2, 4), k, self.g, suite.q)
+        return k, (v @ self.g ** np.arange(4),)
 
     def _recover(self, suite: Suite, sigma1, hint):
-        return codes.akcn41_rec(_stride_blocks(sigma1, 4), hint[0], self.g, suite.q)
+        g = self.g
+        v = hint[0][:, None] // g ** np.arange(4) % (g, g, g, 2 * g)
+        return codes.akcn41_rec(_stride_blocks(sigma1, 4), v, g, suite.q)
 
 
 @dataclass(frozen=True)
@@ -396,7 +393,7 @@ class E8(_Lattice):
     AKC = True
 
     def fields(self, suite: Suite) -> tuple[wire.Field, tuple[wire.Field, ...]]:
-        return wire.Field("key", (suite.n // 2,), (2,)), (wire.Field("v", (suite.n // 8, 8), (self.g,)),)
+        return wire.Field("key", (suite.n // 2,), 2), (wire.Field("v", (suite.n // 8, 8), self.g),)
 
     def _agree(self, suite: Suite, sigma2, rng, k):
         return k, (codes.e8_con(_stride_blocks(sigma2, 8), k.reshape(-1, 4), self.g, suite.q),)

@@ -23,7 +23,9 @@ __all__ = ["Suite", "SUITES", "get_suite", "suite_names"]
 
 @dataclass(frozen=True)
 class Suite:
-    """A fully-resolved protocol instance."""
+    """A fully-resolved protocol instance.  It refuses a family field its
+    family does not read (n_b, p or t), and a kc whose q is not the modulus
+    sigma lives in (p for lwr and hybrid, q otherwise)."""
 
     name: str
     family: str  # "lwr" | "lwe" | "hybrid" | "rlwe"
@@ -50,7 +52,14 @@ class Suite:
         if (self.kc is None) == isinstance(self.mode, Plain):
             raise ValueError(f"{self.name}: plain and sec modes need variant and kc, other modes take neither; "
                              f"mode is {self.mode.name}")
+        for field, families in (("n_b", ("hybrid",)), ("p", ("lwr", "hybrid")), ("t", ("lwe",))):
+            if (value := getattr(self, field)) and self.family not in families:
+                raise ValueError(f"{self.name}: the {self.family} family does not read {field}, "
+                                 f"got {field}={value}")
         if self.kc is not None:
+            if self.kc.q != (self.p or self.q):
+                raise ValueError(f"{self.name}: kc.q must be {self.p or self.q}, the modulus "
+                                 f"sigma lives in, got {self.kc.q}")
             ok = validate_params(self.variant, self.kc)
             if ok is not True:
                 raise ValueError(f"{self.name}: invalid kc params: {ok}")

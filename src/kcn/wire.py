@@ -2,9 +2,11 @@
 
 Elements are packed little-endian, LSB-first within each element, in
 row-major order; each message field is padded to a byte boundary
-independently.  A `Layout` lists a message's fields in wire order; its
-`pack`, its `unpack` and `kcn.analysis.bandwidth` all read that list, so
-the byte counts and the serializer cannot disagree.
+independently.  A `Field` is one array of ints below one bound; a mode
+whose hint is a record (the 4:1 D4 hint) mixes it into one int itself.  A
+`Layout` lists a message's fields in wire order; its `pack`, its `unpack`
+and `kcn.analysis.bandwidth` all read that list, so the byte counts and
+the serializer cannot disagree.
 
 Decoding is canonical: `Layout.unpack` accepts only the unique encoding of
 a valid message, rejecting a wrong length, a set padding bit and any value
@@ -55,63 +57,45 @@ def unpack(data: bytes, bits: int, count: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Field:
-    """An array of `shape` elements, each a record of parts.
-
-    Part j of every element lies in [0, bounds[j]) and takes
-    (bounds[j] - 1).bit_length() bits, lowest part first.  Most fields have
-    one part; the D4 hint is the record (g, g, g, 2g).
-    """
+    """An array of `shape` elements, each in [0, bound) and
+    (bound - 1).bit_length() bits wide."""
 
     name: str
     shape: tuple[int, ...]
-    bounds: tuple[int, ...]
+    bound: int
 
     @cached_property
     def count(self) -> int:
         return math.prod(self.shape)
 
     @cached_property
-    def widths(self) -> tuple[int, ...]:
-        return tuple((b - 1).bit_length() for b in self.bounds)
-
-    @cached_property
     def bits(self) -> int:
-        return sum(self.widths)
+        return (self.bound - 1).bit_length()
 
     @cached_property
     def nbytes(self) -> int:
         return (self.count * self.bits + 7) // 8
 
-    @cached_property
-    def _offsets(self) -> np.ndarray:
-        return np.cumsum((0,) + self.widths[:-1])
-
-    def check(self, parts: np.ndarray) -> None:
-        """Raise unless every part of `parts`, shaped (count, len(bounds)), is in range."""
-        if parts.min() >= 0 and (parts.max(axis=0) < self.bounds).all():
+    def check(self, values: np.ndarray) -> None:
+        """Raise unless every one of the flat `values` is in [0, bound)."""
+        if values.min() >= 0 and values.max() < self.bound:
             return
-        i = int(np.argmax(((parts < 0) | (parts >= self.bounds)).any(axis=1)))
-        raise ValueError(f"field {self.name}[{i}] = {parts[i].tolist()} "
-                         f"is out of range for bounds {list(self.bounds)}")
+        i = int(np.argmax((values < 0) | (values >= self.bound)))
+        raise ValueError(f"field {self.name}[{i}] = {values[i]} is out of range for bound {self.bound}")
 
     def encode(self, values) -> bytes:
-        parts = np.asarray(values, dtype=np.int64).reshape(self.count, len(self.bounds))
-        self.check(parts)
-        mixed = parts[:, 0] if len(self.bounds) == 1 else (parts << self._offsets).sum(axis=1)
-        return pack(mixed, self.bits)
+        flat = np.asarray(values, dtype=np.int64).reshape(self.count)
+        self.check(flat)
+        return pack(flat, self.bits)
 
     def decode(self, data: bytes) -> np.ndarray:
         """Inverse of encode, for exactly `nbytes` bytes; rejects set padding bits."""
         used = self.count * self.bits % 8
         if used and data[-1] >> used:
             raise ValueError(f"field {self.name}: padding bits are not zero")
-        mixed = unpack(data, self.bits, self.count)
-        if len(self.bounds) == 1:
-            self.check(mixed[:, None])
-            return mixed.reshape(self.shape)
-        parts = (mixed[:, None] >> self._offsets) & ((1 << np.array(self.widths)) - 1)
-        self.check(parts)
-        return parts.reshape(self.shape + (len(self.bounds),))
+        values = unpack(data, self.bits, self.count)
+        self.check(values)
+        return values.reshape(self.shape)
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,12 @@
 import dataclasses
+import itertools
 import re
 
 import numpy as np
 import pytest
 
 from kcn import protocols as proto
-from kcn import wire
+from kcn import codes, wire
 from kcn.analysis.bandwidth import bandwidth
 from kcn.codes import SecCode
 from kcn.kc import KcParams, KcVariant
@@ -50,8 +51,8 @@ def test_pack_is_lsb_first():
 
 
 def _top(field):
-    """Every element of `field` at its largest valid value, as (count, parts)."""
-    return np.tile(np.array(field.bounds) - 1, (field.count, 1))
+    """Every element of `field` at its largest valid value, flat."""
+    return np.full(field.count, field.bound - 1)
 
 
 @pytest.mark.parametrize("name", sorted(SUITES))
@@ -63,15 +64,15 @@ def test_layout_edges(name):
         tops = [_top(f) for f in layout.fields]
         data = layout.pack(*tops)
         for field, top, got in zip(layout.fields, tops, layout.unpack(data)):
-            assert np.array_equal(got.reshape(field.count, -1), top)
+            assert np.array_equal(got.reshape(-1), top)
         start = 0
         for i, field in enumerate(layout.fields):
             over = [t.copy() for t in tops]
-            over[i][-1, -1] += 1  # one value at its bound
+            over[i][-1] += 1  # one value at its bound
             bad = rf"field {re.escape(field.name)}\[{field.count - 1}\]"
             with pytest.raises(ValueError, match=bad):
                 layout.pack(*over)
-            if len(field.bounds) == 1 and field.bounds[0] < 1 << field.bits:
+            if field.bound < 1 << field.bits:
                 # the value fits the field's bits, so only the bound check stops it
                 raw = wire.pack(over[i], field.bits)
                 with pytest.raises(ValueError, match=bad):
@@ -208,10 +209,36 @@ def test_suite_needs_both_variant_and_kc(field):
     ("lwe-challenge", lambda: {"mode": proto.Sec(SecCode(4))}, "lwe-challenge"),
     ("okcn-rlwe-16", lambda: {"variant": None, "kc": None}, "okcn-rlwe-16"),
     ("newhope", lambda: {"variant": KcVariant.OKCN_GENERIC, "kc": get_suite("okcn-rlwe-16").kc}, "newhope"),
+    # a kc.q off sigma's modulus: 3 of 20 exchanges disagreed while error_rate
+    # reported 2^-146.3, or the first exchange failed
+    ("lwr-recommended", lambda: {"kc": KcParams(q=2**13, m=2**4, g=2**9, d=255)}, "lwr-recommended: kc.q must be 4096"),
+    ("lwr-recommended", lambda: {"kc": KcParams(q=2**11, m=2**4, g=2**7, d=63)}, "lwr-recommended: kc.q must be 4096"),
+    ("lwe-recommended", lambda: {"kc": KcParams(q=2**13, m=2**4, g=2**9, d=255)}, "lwe-recommended: kc.q must be 16384"),
+    # a field the family does not read: n_b changed only A, t and p were ignored
+    ("lwr-recommended", lambda: {"n_b": 600}, "lwr-recommended: the lwr family does not read n_b"),
+    ("okcn-rlwe-16", lambda: {"t": 3}, "okcn-rlwe-16: the rlwe family does not read t"),
+    ("hybrid-recommended", lambda: {"t": 2}, "hybrid-recommended: the hybrid family does not read t"),
+    ("lwe-recommended", lambda: {"p": 2**10}, "lwe-recommended: the lwe family does not read p"),
 ])
 def test_suite_refuses_a_mode_it_cannot_run(name, change, match):
     with pytest.raises(ValueError, match=match):
         dataclasses.replace(get_suite(name), **change())
+
+
+def test_akcn41_hint_splits_every_record(monkeypatch, rng):
+    # the 512 hint values below 2g^4, g = 4, are the 512 records in Z_4^3 x Z_8
+    suite = get_suite("akcn-4to1")
+    layout2 = proto.layouts(suite)[1]
+    sess, m1 = proto.initiate(suite, rng)
+    _, m2 = proto.respond(suite, m1, rng)
+    y2, _ = layout2.unpack(m2)
+    seen, rec = [], codes.akcn41_rec
+    monkeypatch.setattr(codes, "akcn41_rec", lambda sigma, v, g, q: seen.append(v) or rec(sigma, v, g, q))
+    for start in (0, 256):
+        key = proto.finish(sess, layout2.pack(y2, np.arange(start, start + 256)))
+        assert len(key) == suite.key_bits // 8
+    records = [tuple(r) for v in seen for r in v.tolist()]
+    assert sorted(records) == list(itertools.product(range(4), range(4), range(4), range(8)))
 
 
 @pytest.mark.parametrize("name", ["lwr-recommended", "okcn-rlwe-16", "okcn-sec-765", "newhope"])

@@ -105,7 +105,7 @@ def test_layout_codes_through_module_attributes(monkeypatch):
     calls = []
     for name in ("pack", "unpack"):
         _spy(monkeypatch, wire, name, calls)
-    layout = wire.Layout((wire.Field("a", (3,), (5,)), wire.Field("h", (2,), (2, 4))))
+    layout = wire.Layout((wire.Field("a", (3,), 5), wire.Field("h", (2, 2), 4)))
     data = layout.pack(np.array([0, 1, 4]), np.array([[1, 3], [0, 2]]))
     assert calls == ["pack", "pack"]
     a, h = layout.unpack(data)
