@@ -9,7 +9,12 @@ scanning it, and multiplies it in float32 in chunks of `step` inner terms
 with step max|a| max|b| < 2^24 per sgemm, so every sum inside one chunk
 is an exact float32 integer; the chunks add up in float64.  A product
 with max|a| max|b| >= 2^24 falls back to float64, and one whose bound
-reaches 2^53 to int64.  Polynomials in Z_q[x]/(x^n + 1) are RingPoly
+reaches 2^53 to int64 on operands reduced into [0, q).  The float result
+is converted to int64 without rounding, as it holds exact integers.
+`reduce_mod` is the one choice of how to reduce: a power-of-two q, as every
+matrix suite's q and p are, is a mask, and any other q is `%`.  LWR
+rounding needs a power-of-two q and is one shift and one mask.
+Polynomials in Z_q[x]/(x^n + 1) are RingPoly
 values carrying a domain flag so coefficient- and NTT-domain data cannot
 be mixed silently; `poly_mul` multiplies NTT-domain values only.  The public
 matrix / ring element is expanded deterministically from a 32-byte seed
@@ -32,12 +37,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from kcn.kc import div_round
-
 __all__ = [
     "gen_matrix",
     "gen_poly",
     "lwr_round",
+    "reduce_mod",
     "cut_bits",
     "uncut",
     "matmul",
@@ -111,15 +115,26 @@ def gen_poly(seed: bytes, n: int, q: int, tag: int = 0) -> "RingPoly":
         words = np.frombuffer(xof.digest(2 * nwords), dtype="<u2").astype(np.int64)
         kept = words[words < lim]
         if len(kept) >= n:
-            return RingPoly(n=n, q=q, coeffs=kept[:n] % q, domain="coef")
+            return RingPoly(n=n, q=q, coeffs=kept[:n], domain="coef")
         nwords *= 2
 
 
 def lwr_round(x, q: int, p: int):
-    """LWR rounding: round(p x / q) mod p; requires p | q."""
-    if q % p:
-        raise ValueError("p must divide q")
-    return div_round(np.asarray(x, dtype=np.int64), q // p) % p  # p x / q = x / (q/p)
+    """LWR rounding round(p x / q) mod p, for q a power of two and p | q.
+
+    With w = q / p a power of two, round-half-up x / w is the one shift
+    (x + w/2) >> log2(w), and mod p the mask & (p - 1).
+    """
+    if not (0 < p <= q and q & (q - 1) == 0 and q % p == 0):
+        raise ValueError("lwr_round needs a power-of-two q and p | q")
+    w = q // p
+    return ((np.asarray(x, dtype=np.int64) + (w >> 1)) >> (w.bit_length() - 1)) & (p - 1)
+
+
+def reduce_mod(x: np.ndarray, q: int) -> np.ndarray:
+    """x mod q in [0, q) for int64 x: the mask x & (q - 1) when q is a power
+    of two, which two's complement makes exact for negative x, else `%`."""
+    return x & (q - 1) if q & (q - 1) == 0 else x % q
 
 
 def cut_bits(y, t: int):
@@ -136,7 +151,8 @@ def uncut(y_cut, t: int):
 
 
 def matmul(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
-    """a @ b mod q, as int64, exact.
+    """a @ b mod q, as int64, exact; reduced by `reduce_mod`, so a mask for
+    a power-of-two q.
 
     With term = max|a| max|b| and k inner terms, a product with a float32
     operand (the cached public matrix or a view of it) and term < 2^24 is
@@ -145,7 +161,11 @@ def matmul(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
     step * term < 2^24, so it is exact under any summation order or FMA;
     the chunks add up in float64, exact as k * term < 2^53.  Any other
     product with k * term < 2^53, which includes the int64 ones, is one
-    float64 gemm, and a wider one is int64.  The cached matrix and its views
+    float64 gemm.  Either float result holds exact integers, so it is
+    converted to int64 without rounding.  A wider product reduces both
+    operands into [0, q) first, which keeps the residue, and is one int64
+    product; past k (q - 1)^2 >= 2^63 that could wrap, so it is refused.
+    The cached matrix and its views
     are neither copied nor scanned: their bound is q - 1 from the cache key.
     A transposed a (the responder's A^T) is multiplied as (b^T a^T)^T, so
     BLAS reads A in its stored row order.
@@ -153,14 +173,18 @@ def matmul(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
     a, b = np.asarray(a), np.asarray(b)
     if a.shape[-1] != b.shape[0]:
         raise ValueError(f"dimension mismatch {a.shape} @ {b.shape}")
-    term = _max_abs(a) * _max_abs(b)
-    if a.shape[-1] * term >= 2**53:
-        return (a.astype(np.int64, copy=False) @ b.astype(np.int64, copy=False)) % q
+    k, term = a.shape[-1], _max_abs(a) * _max_abs(b)
+    if k * term >= 2**53:
+        if k * (q - 1) ** 2 >= 2**63:
+            raise ValueError(f"k (q - 1)^2 = {k * (q - 1) ** 2} must be below 2^63 "
+                             f"for an exact int64 product (k = {k}, q = {q})")
+        a, b = (reduce_mod(v.astype(np.int64, copy=False), q) for v in (a, b))
+        return reduce_mod(a @ b, q)
     if a.flags.f_contiguous and not a.flags.c_contiguous:
         prod = _float_product(b.T, a.T, term).T
     else:
         prod = _float_product(a, b, term)
-    return np.rint(prod).astype(np.int64) % q
+    return reduce_mod(prod.astype(np.int64), q)
 
 
 def _float_product(a: np.ndarray, b: np.ndarray, term: int) -> np.ndarray:

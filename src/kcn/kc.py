@@ -136,7 +136,8 @@ def validate_params(variant: KcVariant, p: KcParams):
 
 
 def _check_range(x, bound, what: str):
-    if np.any(np.asarray(x) < 0) or np.any(np.asarray(x) >= bound):
+    x = np.asarray(x)
+    if x.size and (x.min() < 0 or x.max() >= bound):
         raise ValueError(f"{what} out of range [0, {bound})")
 
 

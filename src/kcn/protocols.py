@@ -143,7 +143,7 @@ class _Lwe(_Step):
 
     def sample(self, suite: Suite, m, x, rng) -> np.ndarray:
         mx = self.product(suite, m, x, suite.q)
-        return (mx + _sample(suite, rng, mx.shape)) % suite.q
+        return algebra.reduce_mod(mx + _sample(suite, rng, mx.shape), suite.q)
 
     def lift(self, suite: Suite, y1, rng) -> np.ndarray:
         return y1

@@ -12,7 +12,8 @@ from scipy.stats import chisquare
 from kcn import algebra
 from kcn import protocols as proto
 from kcn.algebra import RingPoly
-from kcn.suites import get_suite
+from kcn.kc import div_round
+from kcn.suites import SUITES, get_suite
 from oracles import frac_part, ntt_mul, schoolbook_negacyclic
 
 SEED = bytes(range(32))
@@ -24,6 +25,19 @@ def test_lwr_round_examples():
     assert algebra.lwr_round(2**15 - 1, 2**15, 2**12) == 0  # wraps
     with pytest.raises(ValueError):
         algebra.lwr_round(1, 12, 5)
+    with pytest.raises(ValueError):  # p | q, but q is not a power of two
+        algebra.lwr_round(1, 24, 12)
+
+
+LWR_MODULI = sorted({(s.q, s.p) for s in SUITES.values() if s.family in ("lwr", "hybrid")})
+
+
+@pytest.mark.parametrize("q, p", LWR_MODULI)
+def test_lwr_round_shift_matches_div_round(q, p):
+    # the shift and mask against round-half-up division, over negative and
+    # positive products and at the float64 integer limit
+    x = np.concatenate([np.arange(-(2**17), 2**17), [2**53 - 1, -(2**53 - 1)]])
+    assert np.array_equal(algebra.lwr_round(x, q, p), div_round(x, q // p) % p)
 
 
 def test_frac_part_examples():
@@ -426,6 +440,15 @@ def test_lwr_sample_matches_big_integer_oracle(rng):
         x = rng.integers(-5, 6, (m.shape[1], 3))  # negative wherever the noise is
         want = [[(2 * p * int(v) + q) // (2 * q) % p for v in row] for row in _oracle(m, x, q)]
         assert np.array_equal(proto.LWR.sample(suite, m, x, rng), want)
+
+
+def test_matmul_int64_fallback_matches_python_ints():
+    # k max|a| max|b| >= 2^53 takes the int64 product, which must not wrap
+    for a, b, q in (([[2**40]], [[2**40]], 7),
+                    ([[3**30, 5**20]], [[7**15], [11**12]], 1000003)):
+        assert np.array_equal(algebra.matmul(a, b, q), _oracle(np.array(a), np.array(b), q))
+    with pytest.raises(ValueError):  # (q - 1)^2 >= 2^63: even reduced operands could wrap
+        algebra.matmul([[2**40]], [[2**40]], 2**32 + 15)
 
 
 def test_matmul_wide_bound_stays_exact(rng):
