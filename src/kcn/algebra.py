@@ -14,9 +14,9 @@ is converted to int64 without rounding, as it holds exact integers.
 `reduce_mod` is the one choice of how to reduce: a power-of-two q, as every
 matrix suite's q and p are, is a mask, and any other q is `%`.  LWR
 rounding needs a power-of-two q and is one shift and one mask.
-Polynomials in Z_q[x]/(x^n + 1) are RingPoly
-values carrying a domain flag so coefficient- and NTT-domain data cannot
-be mixed silently; `poly_mul` multiplies NTT-domain values only.  The public
+Polynomials in Z_q[x]/(x^n + 1) are RingPoly values carrying a domain
+flag so coefficient- and NTT-domain data cannot be mixed silently;
+`poly_mul` multiplies NTT-domain values only.  The public
 matrix / ring element is expanded deterministically from a 32-byte seed
 with SHAKE-128, domain-separated by a one-byte role tag.
 
@@ -165,10 +165,10 @@ def matmul(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
     converted to int64 without rounding.  A wider product reduces both
     operands into [0, q) first, which keeps the residue, and is one int64
     product; past k (q - 1)^2 >= 2^63 that could wrap, so it is refused.
-    The cached matrix and its views
-    are neither copied nor scanned: their bound is q - 1 from the cache key.
-    A transposed a (the responder's A^T) is multiplied as (b^T a^T)^T, so
-    BLAS reads A in its stored row order.
+    The cached matrix and its views are neither copied nor scanned: their
+    bound is q - 1 from the cache key.  A transposed a (the responder's
+    A^T) is multiplied as (b^T a^T)^T, so BLAS reads A in its stored row
+    order.
     """
     a, b = np.asarray(a), np.asarray(b)
     if a.shape[-1] != b.shape[0]:
