@@ -85,8 +85,6 @@ class NoiseTable:
     bits: int
     counts: tuple  # counts[k] is the count of +/-k (0 listed once)
     variance: float = 0.0
-    renyi_order: float = 0.0
-    renyi_divergence: float = 0.0
 
     def __post_init__(self):
         total = self.counts[0] + 2 * sum(self.counts[1:])
@@ -117,17 +115,17 @@ class NoiseTable:
 TABLES = {
     t.name: t
     for t in [
-        NoiseTable("D_R", 16, (19572, 14792, 6383, 1570, 220, 17), 1.70, 500.0, 1.0000396),
-        NoiseTable("D_P", 16, (21456, 15326, 5580, 1033, 97, 4), 1.40, 500.0, 1.0000277),
-        NoiseTable("D1", 8, (94, 62, 17, 2), 1.10, 15.0, 1.0015832),
-        NoiseTable("D2", 12, (1646, 992, 216, 17), 0.90, 75.0, 1.0003146),
-        NoiseTable("D3", 12, (1238, 929, 393, 94, 12, 1), 1.66, 30.0, 1.0002034),
-        NoiseTable("D4", 16, (19794, 14865, 6292, 1499, 200, 15), 1.66, 500.0, 1.0000274),
-        NoiseTable("D5", 16, (22218, 15490, 5242, 858, 67, 2), 1.30, 500.0, 1.0000337),
-        NoiseTable("DB1", 8, (88, 61, 20, 3), 1.25, 25.0, 1.0021674),
-        NoiseTable("DB2", 12, (1570, 990, 248, 24, 1), 1.00, 40.0, 1.0001925),
-        NoiseTable("DB3", 12, (1206, 919, 406, 104, 15, 1), 1.75, 100.0, 1.0003011),
-        NoiseTable("DB4", 16, (19304, 14700, 6490, 1659, 245, 21, 1), 1.75, 500.0, 1.0000146),
+        NoiseTable("D_R", 16, (19572, 14792, 6383, 1570, 220, 17), 1.70),
+        NoiseTable("D_P", 16, (21456, 15326, 5580, 1033, 97, 4), 1.40),
+        NoiseTable("D1", 8, (94, 62, 17, 2), 1.10),
+        NoiseTable("D2", 12, (1646, 992, 216, 17), 0.90),
+        NoiseTable("D3", 12, (1238, 929, 393, 94, 12, 1), 1.66),
+        NoiseTable("D4", 16, (19794, 14865, 6292, 1499, 200, 15), 1.66),
+        NoiseTable("D5", 16, (22218, 15490, 5242, 858, 67, 2), 1.30),
+        NoiseTable("DB1", 8, (88, 61, 20, 3), 1.25),
+        NoiseTable("DB2", 12, (1570, 990, 248, 24, 1), 1.00),
+        NoiseTable("DB3", 12, (1206, 919, 406, 104, 15, 1), 1.75),
+        NoiseTable("DB4", 16, (19304, 14700, 6490, 1659, 245, 21, 1), 1.75),
     ]
 }
 

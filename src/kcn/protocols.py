@@ -44,7 +44,7 @@ __all__ = [
     "layouts",
     "public_element",
     "Assumption",
-    "assumptions",
+    "assumptions", "FAMILIES",
     "Mode", "Plain", "Sec", "NewHope", "Akcn41", "E8",
     "hybrid_keygen",
     "hybrid_encaps",
@@ -278,7 +278,7 @@ class Plain(Mode):
     """One scalar KC or AKC per coefficient of sigma."""
 
     def fields(self, suite: Suite) -> tuple[wire.Field, tuple[wire.Field, ...]]:
-        shape = _FAMILIES[suite.family].response.shape(suite, suite.l_a, suite.l_b)  # sigma's shape
+        shape = FAMILIES[suite.family].response.shape(suite, suite.l_a, suite.l_b)  # sigma's shape
         return wire.Field("key", shape, suite.kc.m), (wire.Field("v", shape, suite.kc.g),)
 
     def _agree(self, suite: Suite, sigma2, rng, k):
@@ -406,7 +406,7 @@ class E8(_Lattice):
 # Family dispatch and key derivation
 
 # a family is its (key step, response) pair
-_FAMILIES = {
+FAMILIES = {
     "lwr": _Family(LWR, LWR),
     "lwe": _Family(LWE, LWE),
     "hybrid": _Family(LWE, LWR),
@@ -417,46 +417,53 @@ _FAMILIES = {
 @lru_cache(maxsize=None)
 def layouts(suite: Suite) -> tuple[wire.Layout, wire.Layout]:
     """The wire layouts of msg1 and msg2 (public key and ciphertext for hybrid)."""
-    return _FAMILIES[suite.family].layouts(suite)
+    return FAMILIES[suite.family].layouts(suite)
 
 
 def public_element(suite: Suite) -> wire.Field:
     """The public matrix or ring element the msg1 seed expands into, as a field."""
-    return _FAMILIES[suite.family].key.public(suite)
+    return FAMILIES[suite.family].key.public(suite)
 
 
 def assumptions(suite: Suite) -> list[Assumption]:
     """The hardness assumptions the suite rests on, each distinct one once."""
-    return _FAMILIES[suite.family].assumptions(suite)
+    return FAMILIES[suite.family].assumptions(suite)
 
 
 def initiate(suite: Suite, rng) -> tuple[Session, bytes]:
-    secret, msg1 = _FAMILIES[suite.family].initiate(suite, rng)
+    secret, msg1 = FAMILIES[suite.family].initiate(suite, rng)
     return Session(suite, secret), msg1
 
 
 def respond(suite: Suite, msg1: bytes, rng, key_in=None) -> tuple[bytes, bytes]:
     """Returns (packed key bits, msg2)."""
-    return _FAMILIES[suite.family].respond(suite, msg1, rng, key_in)
+    return FAMILIES[suite.family].respond(suite, msg1, rng, key_in)
 
 
 def finish(session: Session, msg2: bytes) -> bytes:
-    return _FAMILIES[session.suite.family].finish(session.suite, session.secret, msg2)
+    return FAMILIES[session.suite.family].finish(session.suite, session.secret, msg2)
+
+
+def _kem(suite: Suite) -> _Family:
+    """The hybrid family, the one whose responder takes a chosen key."""
+    if suite.family != "hybrid":
+        raise ValueError(f"{suite.name}: the KEM functions need a hybrid suite, not the {suite.family} family")
+    return FAMILIES["hybrid"]
 
 
 def hybrid_keygen(suite: Suite, rng):
     """Returns (public key bytes, secret X1)."""
-    x1, pk = _FAMILIES[suite.family].initiate(suite, rng)
+    x1, pk = _kem(suite).initiate(suite, rng)
     return pk, x1
 
 
 def hybrid_encaps(suite: Suite, pk: bytes, rng, key_in=None):
     """Returns (packed key bits, ciphertext bytes)."""
-    return _FAMILIES[suite.family].respond(suite, pk, rng, key_in)
+    return _kem(suite).respond(suite, pk, rng, key_in)
 
 
 def hybrid_decaps(suite: Suite, x1: np.ndarray, ct: bytes) -> bytes:
-    return _FAMILIES[suite.family].finish(suite, x1, ct)
+    return _kem(suite).finish(suite, x1, ct)
 
 
 def derive_key(suite: Suite, key_bits: bytes) -> bytes:

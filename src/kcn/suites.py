@@ -16,19 +16,19 @@ from dataclasses import dataclass
 from kcn.kc import KcParams, KcVariant, validate_params
 from kcn.noise import PSI16, TABLES, Law, NoiseTable, bab, gauss
 from kcn.codes import SecCode
-from kcn.protocols import E8, Akcn41, Mode, NewHope, Plain, Sec
+from kcn.protocols import E8, FAMILIES, Akcn41, Mode, NewHope, Plain, Sec
 
 __all__ = ["Suite", "SUITES", "get_suite", "suite_names"]
 
 
 @dataclass(frozen=True)
 class Suite:
-    """A fully-resolved protocol instance.  It refuses a family field its
-    family does not read (n_b, p or t), and a kc whose q is not the modulus
-    sigma lives in (p for lwr and hybrid, q otherwise)."""
+    """A fully-resolved protocol instance.  It refuses an unknown family, a
+    family field its family does not read (n_b, p or t), and a kc whose q is
+    not the modulus sigma lives in (p for lwr and hybrid, q otherwise)."""
 
     name: str
-    family: str  # "lwr" | "lwe" | "hybrid" | "rlwe"
+    family: str  # a key of kcn.protocols.FAMILIES
     n: int  # n_A for the hybrid family
     l_a: int
     l_b: int
@@ -42,6 +42,9 @@ class Suite:
     mode: Mode = Plain()  # a kcn.protocols mode; Plain() and Sec(code) need variant and kc
 
     def __post_init__(self):
+        if self.family not in FAMILIES:
+            raise ValueError(f"{self.name}: unknown family {self.family!r}; "
+                             f"known families: {', '.join(FAMILIES)}")
         if not isinstance(self.noise, (NoiseTable, Law)):
             raise TypeError(f"{self.name}: noise must be a kcn.noise law "
                             f"(a TABLES entry, PSI16, bab or gauss), got {self.noise!r}")

@@ -1,4 +1,6 @@
-"""Acceptance criteria, one test per criterion, each printing a PASS/FAIL line.
+"""Acceptance criteria, one test per criterion, each printing a PASS/FAIL line,
+and a check of the abstract's public-matrix sizes.  The published figures
+come from `scripts/published.py`, except criterion 6's.
 
 Run with `pytest tests/test_acceptance.py -v -s`.  Criterion 6's inequality
 targets are asserted exactly as published and fail; the failure message
@@ -12,16 +14,12 @@ import time
 import numpy as np
 import pytest
 
+import published
 import sweeps
 from kcn import algebra, codes
 from kcn import protocols as proto
 from kcn.analysis.bandwidth import bandwidth
-from kcn.analysis.error_rates import (
-    hybrid_error_rate,
-    lwe_error_rate,
-    lwr_error_rate,
-    zarzar_error_rate,
-)
+from kcn.analysis.error_rates import error_rate, zarzar_error_rate
 from kcn.analysis.security import security_estimate
 from kcn.kc import KcParams, KcVariant
 from kcn.suites import SUITES, get_suite
@@ -127,23 +125,12 @@ def test_criterion_5_error_rate_tables():
     """LWR/LWE/hybrid failure rates reproduce the published table values."""
     t0 = time.time()
     results = []
-    # decimal-printed rows: +-0.5 in log2
-    for name, ref in [("okcn-t2", -39.0), ("okcn-t1", -52.3),
-                      ("frodo-recommended", -38.9), ("okcn-frodo-recommended", -105.9)]:
-        lg = lwe_error_rate(get_suite(name)).log2_overall
-        results.append(f"{name} 2^{lg:.2f}")
-        assert abs(lg - ref) <= 0.5, (name, lg, ref)
-    # the LWR table prints integer exponents as conservative ceilings
-    # (2^-35.44 -> "2^-35"); assert the printed value is reproduced exactly
-    # and the computed one is within a bit of it
-    for name, ref in [("lwr-recommended", -35), ("lwr-paranoid", -34)]:
-        lg = lwr_error_rate(get_suite(name)).log2_overall
-        results.append(f"{name} 2^{lg:.2f}")
-        assert math.ceil(lg) == ref and abs(lg - ref) <= 1.0, (name, lg, ref)
-    for name, ref in [("hybrid-recommended", -63), ("hybrid-paranoid", -52)]:
-        lg = hybrid_error_rate(get_suite(name)).log2_overall
-        results.append(f"{name} 2^{lg:.2f}")
-        assert abs(lg - ref) <= 1.0, (name, lg, ref)
+    for fig in published.FAILURE:
+        lg = error_rate(get_suite(fig.row)).log2_overall
+        results.append(f"{fig.row} 2^{lg:.2f}")
+        assert abs(lg - fig.value) <= fig.tol, (fig.row, lg, fig.value)
+        # a figure printed as a ceiling is reproduced exactly as printed
+        assert not fig.ceil or math.ceil(lg) == fig.value, (fig.row, lg, fig.value)
     _report(5, True, "; ".join(results), t0)
 
 
@@ -167,78 +154,22 @@ def test_criterion_6_zarzar_pipeline():
     )
 
 
-# published security rows: (label, n, q, ss, se, model, attack, (m', b, C, Q, P))
-SECURITY_ROWS = [
-    ("lwr-rec", 680, 2**15, 1.70, 5.25, "matrix", "primal", (667, 461, 143, 131, 104)),
-    ("lwr-rec", 680, 2**15, 1.70, 5.25, "matrix", "dual", (631, 458, 142, 130, 103)),
-    ("lwr-par", 832, 2**15, 1.40, 5.25, "matrix", "primal", (768, 584, 180, 164, 130)),
-    ("lwr-par", 832, 2**15, 1.40, 5.25, "matrix", "dual", (746, 580, 179, 163, 129)),
-    ("lwe-classical", 554, 2**11, 0.90, 0.90, "matrix", "primal", (477, 444, 138, 126, 100)),
-    ("lwe-classical", 554, 2**11, 0.90, 0.90, "matrix", "dual", (502, 439, 137, 125, 99)),
-    ("lwe-recommended", 718, 2**14, 1.66, 1.66, "matrix", "primal", (664, 500, 155, 141, 112)),
-    ("lwe-recommended", 718, 2**14, 1.66, 1.66, "matrix", "dual", (661, 496, 154, 140, 111)),
-    ("lwe-paranoid", 818, 2**14, 1.66, 1.66, "matrix", "primal", (765, 586, 180, 164, 130)),
-    ("lwe-paranoid", 818, 2**14, 1.66, 1.66, "matrix", "dual", (743, 582, 179, 163, 129)),
-    ("lwe-paranoid-512", 700, 2**12, 1.75, 1.75, "matrix", "primal", (643, 587, 180, 164, 131)),
-    ("lwe-paranoid-512", 700, 2**12, 1.75, 1.75, "matrix", "dual", (681, 581, 179, 163, 129)),
-    ("okcn-t2", 712, 2**14, 1.30, 1.30, "matrix", "primal", (638, 480, 149, 136, 108)),
-    ("okcn-t2", 712, 2**14, 1.30, 1.30, "matrix", "dual", (640, 476, 148, 135, 107)),
-    ("frodo-classical", 592, 2**12, 1.00, 1.00, "matrix", "primal", (549, 442, 138, 126, 100)),
-    ("frodo-classical", 592, 2**12, 1.00, 1.00, "matrix", "dual", (544, 438, 136, 124, 99)),
-    ("frodo-recommended", 752, 2**15, 1.75, 1.75, "matrix", "primal", (716, 489, 151, 138, 110)),
-    ("frodo-recommended", 752, 2**15, 1.75, 1.75, "matrix", "dual", (737, 485, 150, 137, 109)),
-    ("frodo-paranoid", 864, 2**15, 1.75, 1.75, "matrix", "primal", (793, 581, 179, 163, 129)),
-    ("frodo-paranoid", 864, 2**15, 1.75, 1.75, "matrix", "dual", (833, 576, 177, 161, 128)),
-    ("hybrid-rec/lwe", 712, 2**15, 2.0, 2.0, "matrix", "primal", (699, 464, 144, 131, 105)),
-    ("hybrid-rec/lwe", 712, 2**15, 2.0, 2.0, "matrix", "dual", (672, 461, 143, 131, 104)),
-    ("hybrid-rec/lwr", 704, 2**15, 2.0, 5.25, "matrix", "primal", (664, 487, 151, 138, 109)),
-    ("hybrid-rec/lwr", 704, 2**15, 2.0, 5.25, "matrix", "dual", (665, 483, 150, 137, 109)),
-    ("hybrid-par/lwe", 864, 2**15, 2.0, 2.0, "matrix", "primal", (808, 590, 181, 165, 131)),
-    ("hybrid-par/lwe", 864, 2**15, 2.0, 2.0, "matrix", "dual", (789, 583, 179, 163, 130)),
-    # the published hybrid-paranoid LWR row matches the standalone
-    # LWR-Paranoid inputs (sigma_s^2 = 1.40), not the hybrid's 2.0; it is
-    # pinned at its apparent generation inputs (see ledger)
-    ("hybrid-par/lwr", 832, 2**15, 1.40, 5.25, "matrix", "primal", (856, 585, 180, 164, 130)),
-    ("hybrid-par/lwr", 832, 2**15, 1.40, 5.25, "matrix", "dual", (765, 579, 178, 162, 129)),
-    ("zarzar", 512, 12289, 22.0, 22.0, "core", "primal", (646, 491, 143, 130, 101)),
-    ("zarzar", 512, 12289, 22.0, 22.0, "core", "dual", (663, 489, 143, 129, 101)),
-]
-
-
 def test_criterion_7_security_tables():
     """Every published security row: (b, C, Q, P) within +-2."""
     t0 = time.time()
     cache = {}
     worst = 0
-    for label, n, q, ss, se, model, attack, ref in SECURITY_ROWS:
-        key = (n, q, ss, se, model)
-        if key not in cache:
-            cache[key] = security_estimate(n, q, ss, se, model=model)
-        est = cache[key][0 if attack == "primal" else 1]
+    for fig in published.SECURITY:
+        if fig.at not in cache:
+            n, q, ss, se, model = fig.at
+            cache[fig.at] = security_estimate(n, q, ss, se, model=model)
+        est = cache[fig.at][0 if fig.quantity == "primal" else 1]
         _, b, c, qq, p = est.rounded()
-        _, rb, rc, rq, rp = ref
+        _, rb, rc, rq, rp = fig.value
         dev = max(abs(b - rb), abs(c - rc), abs(qq - rq), abs(p - rp))
         worst = max(worst, dev)
-        assert dev <= 2, (label, attack, est.rounded(), ref)
-    _report(7, True, f"{len(SECURITY_ROWS)} security rows within +-2 (worst dev {worst})", t0)
-
-
-PAPER_BANDWIDTH = {
-    "lwr-recommended": 16390, "lwr-paranoid": 20030,
-    "lwe-challenge": 6750, "lwe-classical": 12260, "lwe-recommended": 20180,
-    "lwe-paranoid": 22980, "lwe-paranoid-512": 33920,
-    "okcn-t2": 18580, "okcn-t1": 19290,
-    "frodo-challenge": 7750, "frodo-classical": 14220,
-    "frodo-recommended": 22570, "frodo-paranoid": 25930,
-    "okcn-frodo-challenge": 7760, "okcn-frodo-classical": 14220,
-    "okcn-frodo-recommended": 22580, "okcn-frodo-paranoid": 25940,
-    "hybrid-recommended": 10560 + 8610, "hybrid-paranoid": 12240 + 10430,
-    "okcn-rlwe-16": 4128, "okcn-rlwe-64": 4384,
-    "akcn-rlwe-16": 4128, "akcn-rlwe-64": 4384,
-    "okcn-sec-765": 4032, "okcn-sec-837": 4021,
-    "akcn-sec-765": 4128, "akcn-sec-837": 4128,
-    "newhope": 3872, "akcn-4to1": 3904, "zarzar": 928 + 1280,
-}
+        assert dev <= fig.tol, (fig.row, fig.quantity, est.rounded(), fig.value)
+    _report(7, True, f"{len(published.SECURITY)} security rows within +-2 (worst dev {worst})", t0)
 
 
 def test_criterion_8_bandwidth():
@@ -246,17 +177,26 @@ def test_criterion_8_bandwidth():
     t0 = time.time()
     rng = np.random.default_rng(8)
     worst = 0.0
-    for name, ref in PAPER_BANDWIDTH.items():
-        suite = get_suite(name)
+    for fig in published.BANDWIDTH:
+        suite = get_suite(fig.row)
         bw = bandwidth(suite)
         # the closed form equals the real serialization
         sess, m1 = proto.initiate(suite, rng)
         _, m2 = proto.respond(suite, m1, rng)
-        assert (len(m1), len(m2)) == (bw.msg1_bytes, bw.msg2_bytes), name
-        rel = abs(bw.total_bytes - ref) / ref
+        assert (len(m1), len(m2)) == (bw.msg1_bytes, bw.msg2_bytes), fig.row
+        rel = abs(bw.total_bytes - fig.value) / fig.value
         worst = max(worst, rel)
-        assert rel <= 0.03, (name, bw.total_bytes, ref)
-    _report(8, True, f"all {len(PAPER_BANDWIDTH)} suites within 3% (worst {100*worst:.2f}%)", t0)
+        assert rel <= fig.tol, (fig.row, bw.total_bytes, fig.value)
+    _report(8, True, f"all {len(published.BANDWIDTH)} suites within 3% (worst {100*worst:.2f}%)", t0)
+
+
+def test_abstract_matrix_sizes():
+    """The public matrices' sizes in the abstract, exact to the printed digit."""
+    figs = [fig for fig in published.ABSTRACT if fig.quantity == "matrix bytes"]
+    assert [fig.row for fig in figs] == ["okcn-t2", "frodo-recommended"]
+    for fig in figs:  # 887,152 B is printed 887.15 kB
+        got = bandwidth(get_suite(fig.row)).matrix_bytes
+        assert round(got, fig.places) == fig.value, (fig.row, got, fig.value)
 
 
 def test_criterion_9_code_oracles():

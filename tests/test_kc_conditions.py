@@ -1,7 +1,8 @@
 """Every variant's correctness condition, one inequality at a time.
 
-`kcn validate` prints `Violation.condition` and `.detail`, so both strings
-are pinned verbatim.  Each rejected set fails exactly one inequality and
+A `Suite` with a failing set is refused with "invalid kc params: ...", which
+prints `Violation.condition` and `.detail`, so both strings are pinned
+verbatim.  Each rejected set fails exactly one inequality and
 passes the others, so the check order cannot hide a missing one.
 """
 

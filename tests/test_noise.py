@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.stats import norm
 
+import published
 from kcn import noise, suites
 from kcn.noise import TABLES, Pmf
 
@@ -107,15 +108,12 @@ def test_renyi_identity_and_support():
         noise.renyi_divergence(p, q, 2.0)
 
 
-@pytest.mark.parametrize(
-    "name",
-    ["D_R", "D_P", "D1", "D2", "D3", "D4", "D5", "DB1", "DB2", "DB3", "DB4"],
-)
-def test_renyi_divergence_reproduces_table(name):
-    t = TABLES[name]
+@pytest.mark.parametrize("fig", published.RENYI, ids=lambda fig: fig.row)
+def test_renyi_divergence_reproduces_table(fig):
+    t = TABLES[fig.row]
     q = noise.rounded_gaussian_pmf(math.sqrt(t.variance))
-    r = noise.renyi_divergence(t.pmf(), q, t.renyi_order)
-    assert abs(r - t.renyi_divergence) < 1e-6
+    r = noise.renyi_divergence(t.pmf(), q, fig.at[0])
+    assert abs(r - fig.value) < fig.tol
 
 
 def test_renyi_cutoff_insensitive():

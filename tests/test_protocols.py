@@ -219,10 +219,26 @@ def test_suite_needs_both_variant_and_kc(field):
     ("okcn-rlwe-16", lambda: {"t": 3}, "okcn-rlwe-16: the rlwe family does not read t"),
     ("hybrid-recommended", lambda: {"t": 2}, "hybrid-recommended: the hybrid family does not read t"),
     ("lwe-recommended", lambda: {"p": 2**10}, "lwe-recommended: the lwe family does not read p"),
+    # an unknown family used to build, then raise a bare KeyError at first use
+    ("lwe-challenge", lambda: {"family": "lwx"},
+     "lwe-challenge: unknown family 'lwx'; known families: lwr, lwe, hybrid, rlwe"),
 ])
 def test_suite_refuses_a_mode_it_cannot_run(name, change, match):
     with pytest.raises(ValueError, match=match):
         dataclasses.replace(get_suite(name), **change())
+
+
+@pytest.mark.parametrize("name", ["hybrid_keygen", "hybrid_encaps", "hybrid_decaps"])
+def test_kem_functions_refuse_a_suite_that_is_not_hybrid(name, rng):
+    # a KC suite's responder cannot take a chosen key: hybrid_keygen used to
+    # return its 8,192-byte msg1 as a "public key"
+    suite = get_suite("lwr-recommended")
+    session, msg1 = proto.initiate(suite, rng)
+    _, msg2 = proto.respond(suite, msg1, rng)
+    args = {"hybrid_keygen": (rng,), "hybrid_encaps": (msg1, rng),
+            "hybrid_decaps": (session.secret, msg2)}[name]
+    with pytest.raises(ValueError, match="lwr-recommended: the KEM functions need a hybrid suite"):
+        getattr(proto, name)(suite, *args)
 
 
 def test_akcn41_hint_splits_every_record(monkeypatch, rng):
