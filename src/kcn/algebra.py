@@ -1,16 +1,18 @@
 """Integer-lattice arithmetic shared by the protocols.
 
 Matrices over Z_q are int64 ndarrays with elements in [0, q-1], except the
-public matrix, which `gen_matrix` returns read-only as float32 from a
-one-entry cache, so both parties of an exchange, or all sessions to one
-public key, expand and convert it once.  `matmul` takes the exactness
-bound of that matrix, and of its views such as A^T, from its q instead of
-scanning it, and multiplies it in float32 in chunks of `step` inner terms
-with step max|a| max|b| < 2^24 per sgemm, so every sum inside one chunk
-is an exact float32 integer; the chunks add up in float64.  A product
-with max|a| max|b| >= 2^24 falls back to float64, and one whose bound
-reaches 2^53 to int64 on operands reduced into [0, q).  The float result
-is converted to int64 without rounding, as it holds exact integers.
+public matrix, which `gen_matrix` returns read-only as float32; it keeps
+nothing, and `kcn.protocols` holds the expanded matrix of each parsed
+public key.  `matmul` takes each operand's exactness bound from its caller
+where the caller knows it (q - 1 for the public matrix, a noise law's
+support bound for a secret, a wire field's bound for a value off the
+wire) and scans only an operand without one.  It multiplies a float32
+operand in chunks of `step` inner terms with step max|a| max|b| < 2^24
+per sgemm, so every sum inside one chunk is an exact float32 integer;
+the chunks add up in float64.  A product with max|a| max|b| >= 2^24
+falls back to float64, and one whose bound reaches 2^53 to int64 on
+operands reduced into [0, q).  The float result is converted to int64
+without rounding, as it holds exact integers.
 `reduce_mod` is the one choice of how to reduce: a power-of-two q, as every
 matrix suite's q and p are, is a mask, and any other q is `%`.  LWR
 rounding needs a power-of-two q and is one shift and one mask.
@@ -59,14 +61,16 @@ def gen_matrix(seed: bytes, rows: int, cols: int, q: int, tag: int = 0) -> np.nd
 
     Each element masks the low log2(q) bits of one 16-bit stream word for
     q <= 2^16; wider-than-16-bit moduli are not used by any suite.  The
-    result is read-only float32 holding integers in [0, q), which float32
-    holds exactly, ready for `matmul`'s chunked sgemm, and is shared by all
-    callers until another (seed, rows, cols, q, tag) is expanded.
+    result is a new read-only float32 array holding integers in [0, q),
+    which float32 holds exactly, ready for `matmul`'s chunked sgemm.
     """
     seed = _check_seed(seed)
     if not (q > 1 and q & (q - 1) == 0 and q <= 1 << 16):
         raise ValueError("gen_matrix needs a power-of-two q <= 2^16")
-    return _expand_matrix(seed, rows, cols, q, tag)
+    raw = hashlib.shake_128(seed + bytes([tag])).digest(2 * rows * cols)
+    a = (np.frombuffer(raw, dtype="<u2").reshape(rows, cols) & np.uint16(q - 1)).astype(np.float32)
+    a.flags.writeable = False
+    return a
 
 
 def _check_seed(seed) -> bytes:
@@ -74,27 +78,6 @@ def _check_seed(seed) -> bytes:
     if len(seed) != SEED_BYTES:
         raise ValueError("seed must be 32 bytes")
     return seed
-
-
-# One entry serves both reuse patterns (the responder right after the
-# initiator, and a run of sessions to one public key); more found no hits.
-# The slot is one (key, matrix) tuple, replaced whole so a reader never
-# pairs one matrix with another's key, and emptied before the next
-# expansion so two matrices are never alive in it at once.
-_matrix_slot: tuple | None = None
-
-
-def _expand_matrix(seed: bytes, rows: int, cols: int, q: int, tag: int) -> np.ndarray:
-    global _matrix_slot
-    key = (seed, rows, cols, q, tag)
-    slot = _matrix_slot
-    if slot is None or slot[0] != key:
-        _matrix_slot = slot = None
-        raw = hashlib.shake_128(seed + bytes([tag])).digest(2 * rows * cols)
-        a = (np.frombuffer(raw, dtype="<u2").reshape(rows, cols) & np.uint16(q - 1)).astype(np.float32)
-        a.flags.writeable = False
-        _matrix_slot = slot = (key, a)
-    return slot[1]
 
 
 def gen_poly(seed: bytes, n: int, q: int, tag: int = 0) -> "RingPoly":
@@ -150,12 +133,17 @@ def uncut(y_cut, t: int):
     return (y_cut << t) + (1 << (t - 1))
 
 
-def matmul(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
+def matmul(a: np.ndarray, b: np.ndarray, q: int, bounds=(None, None)) -> np.ndarray:
     """a @ b mod q, as int64, exact; reduced by `reduce_mod`, so a mask for
     a power-of-two q.
 
+    `bounds` gives max|a| and max|b| where the caller knows them, as the
+    step kinds of `kcn.protocols` do: q - 1 for the public matrix and its
+    transpose, the noise law's support bound for a secret, and the field's
+    bound for a value off the wire.  An operand whose bound is None is
+    scanned.  A bound below an operand's true max|.| breaks exactness.
     With term = max|a| max|b| and k inner terms, a product with a float32
-    operand (the cached public matrix or a view of it) and term < 2^24 is
+    operand (the public matrix or a view of it) and term < 2^24 is
     split into chunks of step = (2^24 - 1) // term inner terms.  Each chunk
     is one float32 sgemm whose every partial sum stays below
     step * term < 2^24, so it is exact under any summation order or FMA;
@@ -165,15 +153,15 @@ def matmul(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
     converted to int64 without rounding.  A wider product reduces both
     operands into [0, q) first, which keeps the residue, and is one int64
     product; past k (q - 1)^2 >= 2^63 that could wrap, so it is refused.
-    The cached matrix and its views are neither copied nor scanned: their
-    bound is q - 1 from the cache key.  A transposed a (the responder's
-    A^T) is multiplied as (b^T a^T)^T, so BLAS reads A in its stored row
-    order.
+    The public matrix and its views are not copied.  A transposed a (the
+    responder's A^T) is multiplied as (b^T a^T)^T, so BLAS reads A in its
+    stored row order.
     """
     a, b = np.asarray(a), np.asarray(b)
     if a.shape[-1] != b.shape[0]:
         raise ValueError(f"dimension mismatch {a.shape} @ {b.shape}")
-    k, term = a.shape[-1], _max_abs(a) * _max_abs(b)
+    bound_a, bound_b = (_max_abs(v) if m is None else m for v, m in zip((a, b), bounds))
+    k, term = a.shape[-1], max(1, bound_a) * max(1, bound_b)  # a zero term would leave no step
     if k * term >= 2**53:
         if k * (q - 1) ** 2 >= 2**63:
             raise ValueError(f"k (q - 1)^2 = {k * (q - 1) ** 2} must be below 2^63 "
@@ -203,16 +191,8 @@ def _float_product(a: np.ndarray, b: np.ndarray, term: int) -> np.ndarray:
 
 
 def _max_abs(x: np.ndarray) -> int:
-    """max(1, max |x|) in Python ints, so no dtype minimum can wrap; q - 1
-    for the cached float32 public matrix or a view of it, whose entries lie
-    in [0, q).  `matmul` sizes its float32 chunks and its float64 and int64
-    fallbacks from this bound."""
-    slot = _matrix_slot
-    if slot is not None and (x is slot[1] or x.base is slot[1]):
-        return slot[0][3] - 1  # the key is (seed, rows, cols, q, tag)
-    if not x.size:
-        return 1
-    return max(1, -int(x.min()), int(x.max()))
+    """max |x| in Python ints, so no dtype minimum can wrap; 0 when empty."""
+    return max(-int(x.min()), int(x.max())) if x.size else 0
 
 
 # ---------------------------------------------------------------------------

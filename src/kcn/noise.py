@@ -1,8 +1,9 @@
 """Discrete noise laws and closeness measures.
 
-A noise law is one value carrying its name, its variance, its exact PMF
-and its sampler; every suite holds one, and the same law drives both the
-exchange and the analysis.  The laws are the exact sampling tables
+A noise law is one value carrying its name, its variance, its exact PMF,
+its sampler and its support bound, the largest |x| a draw can take; every
+suite holds one, and the same law drives both the exchange and the
+analysis.  The laws are the exact sampling tables
 (`TABLES`), NewHope's centered binomial `PSI16`, the bit-counting B^{a,b}
 (`bab`) and the rounded Gaussian (`gauss`).  A sampling table is a law as
 it stands: a draw takes `bits` random bits and looks up the value they
@@ -156,16 +157,23 @@ def sample_bab(a: int, b: int, rng, size=None):
 
 
 class Law(NamedTuple):
-    """A noise law: `pmf()` gives its exact `Pmf`, and `sample(rng, size)`
-    draws from it as int64.  Each sampler looks its `kcn.noise` function up
-    when called, so a wrapper installed on this module reaches every suite.
-    A law compares its callables by identity: `bab(24, 16) != bab(24, 16)`.
+    """A noise law: `pmf()` gives its exact `Pmf`, `sample(rng, size)`
+    draws from it as int64, and `support_bound` is the largest |x| a draw
+    can take (from `bound()`, which a law may build on first use).  Each
+    sampler looks its `kcn.noise` function up when called, so a wrapper
+    installed on this module reaches every suite.  A law compares its
+    callables by identity: `bab(24, 16) != bab(24, 16)`.
     """
 
     name: str
     variance: float
     pmf: Callable[[], Pmf]
     sample: Callable[..., np.ndarray]  # (rng, size) -> draws
+    bound: Callable[[], int]
+
+    @property
+    def support_bound(self) -> int:
+        return self.bound()
 
 
 def bab(a: int, b: int) -> Law:
@@ -180,20 +188,25 @@ def bab(a: int, b: int) -> Law:
         pb[::2] = np.array([math.comb(b, k) for k in range(b + 1)], dtype=np.float64) / 2.0**b
         return Pmf(-(a // 2 + b), np.convolve(pa, pb))
 
-    return Law(f"B^({a},{b})", a / 4 + b, pmf, lambda rng, size: sample_bab(a, b, rng, size))
+    return Law(f"B^({a},{b})", a / 4 + b, pmf, lambda rng, size: sample_bab(a, b, rng, size),
+               lambda: a // 2 + b)
 
 
 # Psi_16 is B^(32,0) in law; its sampler draws other values from the same bits
-PSI16 = Law("Psi16", 8.0, bab(32, 0).pmf, lambda rng, size: sample_centered_binomial(rng, size))
+PSI16 = Law("Psi16", 8.0, bab(32, 0).pmf, lambda rng, size: sample_centered_binomial(rng, size),
+            lambda: 16)
 
 
 def gauss(var: float) -> Law:
     """Rounded Gaussian of variance `var` (before rounding), sampled through
-    a 16-bit table built from its PMF."""
+    a 16-bit table built from its PMF on first use.  The table's support,
+    and so the law's bound, stops where the quantized counts reach zero,
+    short of the PMF's: +-6 against +-12 nonzero masses for var = 2."""
     if not var > 0:
         raise ValueError(f"gauss needs var > 0, got {var}")
     return Law(f"gauss(var={var})", var, lambda: rounded_gaussian_pmf(math.sqrt(var)),
-               lambda rng, size: sample_table(_gauss_table(var), rng, size))
+               lambda rng, size: sample_table(_gauss_table(var), rng, size),
+               lambda: _gauss_table(var).support_bound)
 
 
 @lru_cache(maxsize=None)

@@ -9,10 +9,13 @@ fixed seed reproduces the transcript bit for bit.
 Every family is a (key step, response) pair of three step kinds, with
 LWR = (LWR, LWR), LWE = (LWE, LWE), hybrid = (LWE, LWR) and RLWE =
 (RLWE, RLWE), run by one exchange path.  A step kind brings its algebra
-(matrices through `matmul`, or ring elements through the NTT) and its
-hardness problem, so `assumptions` finds hybrid resting on LWE and LWR.
+(matrices through `matmul`, given every operand's bound, or ring elements
+through the NTT) and its hardness problem, so `assumptions` finds hybrid
+resting on LWE and LWR.
 Every family states its messages once, as the `kcn.wire.Layout` pair
 from `layouts`, which packs, unpacks (canonically) and sizes them.
+`public_key` parses a msg1 (for hybrid, the public key) once into a
+`PublicKey`, which `respond` and `hybrid_encaps` take in place of bytes.
 Consensus is the suite's mode, a value holding its own parameters: `Plain()`
 (every matrix family), `Sec(code)`, `NewHope(g)`, `Akcn41(g)` or `E8(g)`.
 
@@ -37,6 +40,8 @@ if TYPE_CHECKING:
 
 __all__ = [
     "Session",
+    "PublicKey",
+    "public_key",
     "initiate",
     "respond",
     "finish",
@@ -91,7 +96,7 @@ def _sample(suite: Suite, rng, shape) -> np.ndarray:
 
 class _Step:
     """The matrix algebra of LWR and LWE: int64 matrices, multiplied by the
-    cached float32 public matrix A or by each other through `matmul`."""
+    read-only float32 public matrix A or by each other through `matmul`."""
 
     def public(self, suite: Suite) -> wire.Field:
         return wire.Field("A", (suite.n_b or suite.n, suite.n), suite.q)
@@ -108,8 +113,14 @@ class _Step:
     def transpose(self, m):
         return m.T
 
-    def product(self, suite: Suite, m, x, q: int) -> np.ndarray:
-        return algebra.matmul(m, x, q)
+    def product(self, suite: Suite, m, x, q: int, bounds) -> np.ndarray:
+        return algebra.matmul(m, x, q, bounds)
+
+    def sample(self, suite: Suite, m, x, rng) -> np.ndarray:
+        """The sample of M X for a secret X and an M below q in magnitude:
+        A, A^T or lift(y1)^T."""
+        mx = self.product(suite, m, x, suite.q, (suite.q - 1, suite.noise.support_bound))
+        return self.perturb(suite, mx, rng)
 
 
 class _Lwr(_Step):
@@ -122,11 +133,12 @@ class _Lwr(_Step):
         w = suite.q // suite.p  # the rounded-off part is uniform noise of width w
         return Assumption("lwr", n, suite.q, suite.noise.variance, (w**2 - 1) / 12.0, "matrix")
 
-    def sample(self, suite: Suite, m, x, rng) -> np.ndarray:
-        return algebra.lwr_round(self.product(suite, m, x, suite.q), suite.q, suite.p)
+    def perturb(self, suite: Suite, mx, rng) -> np.ndarray:
+        return algebra.lwr_round(mx, suite.q, suite.p)
 
     def lift(self, suite: Suite, y1, rng) -> np.ndarray:
-        """y1 back into Z_q, with uniform eps standing in for the rounded-off part."""
+        """y1 back into Z_q, with uniform eps standing in for the rounded-off
+        part: w y1 + eps lies in [-w/2, q - w/2), below q in magnitude."""
         w = suite.q // suite.p
         eps = rng.integers(-(w // 2), w // 2, size=y1.shape, dtype=np.int64)
         return w * y1 + eps
@@ -141,8 +153,7 @@ class _Lwe(_Step):
     def assumption(self, suite: Suite, n: int) -> Assumption:
         return Assumption("lwe", n, suite.q, suite.noise.variance, suite.noise.variance, "matrix")
 
-    def sample(self, suite: Suite, m, x, rng) -> np.ndarray:
-        mx = self.product(suite, m, x, suite.q)
+    def perturb(self, suite: Suite, mx, rng) -> np.ndarray:
         return algebra.reduce_mod(mx + _sample(suite, rng, mx.shape), suite.q)
 
     def lift(self, suite: Suite, y1, rng) -> np.ndarray:
@@ -159,7 +170,10 @@ class _Rlwe(_Lwe):
         return wire.Field("a", (suite.n,), suite.q)
 
     def expand(self, suite: Suite, seed) -> algebra.RingPoly:
-        return _public_ntt(bytes(seed), suite.n, suite.q)
+        """NTT of the public ring element, its coefficients read-only."""
+        a = algebra.ntt_forward(algebra.gen_poly(seed, suite.n, suite.q, TAG_POLY))
+        a.coeffs.flags.writeable = False
+        return a
 
     def shape(self, suite: Suite, rows: int, cols: int) -> tuple[int, ...]:
         return (suite.n,)
@@ -170,9 +184,10 @@ class _Rlwe(_Lwe):
     def transpose(self, m):  # the identity in place of A^T
         return m
 
-    def product(self, suite: Suite, m, x, q: int) -> np.ndarray:
-        """The coefficients of m x.  An operand off the wire comes as
-        coefficients and is transformed; the others are RingPolys already."""
+    def product(self, suite: Suite, m, x, q: int, bounds) -> np.ndarray:
+        """The coefficients of m x; the NTT needs no `bounds`.  An operand
+        off the wire comes as coefficients and is transformed; the others
+        are RingPolys already."""
         fm, fx = (v if isinstance(v, algebra.RingPoly) else algebra.ntt_forward(algebra.RingPoly(suite.n, q, v))
                   for v in (m, x))
         return algebra.ntt_inverse(algebra.poly_mul(fm, fx)).coeffs
@@ -184,13 +199,57 @@ class _Rlwe(_Lwe):
 LWR, LWE, RLWE = _Lwr(), _Lwe(), _Rlwe()
 
 
-# one entry, like the public matrix's: the responder reuses the initiator's transform
-@lru_cache(maxsize=1)
-def _public_ntt(seed: bytes, n: int, q: int) -> algebra.RingPoly:
-    """NTT of the public ring element, its coefficients read-only."""
-    a = algebra.ntt_forward(algebra.gen_poly(seed, n, q, TAG_POLY))
-    a.coeffs.flags.writeable = False
-    return a
+@dataclass(frozen=True, eq=False)
+class PublicKey:
+    """A parsed msg1, the public key of hybrid: its suite, seed and y1, and
+    the public element `a` the seed expands into (the key step kind's
+    `expand`: A as float32, or the ring element's NTT), all read-only.
+    `public_key` and `initiate` make one; one built by hand is trusted,
+    as `matmul` takes q - 1 for the bound of y1 and `a`."""
+
+    suite: Suite
+    seed: bytes
+    y1: np.ndarray
+    a: object
+
+    def __post_init__(self):
+        self.y1.flags.writeable = False
+
+
+# The one parsed key that msg1 bytes reach.  `initiate` leaves its own key
+# here, so a responder in the same process, or each session to one public
+# key, parses and expands it once; a caller serving more keys holds their
+# PublicKey values.  The slot is one ((suite, msg1), key) tuple, replaced
+# whole so a reader never pairs one key with another's bytes, and emptied
+# before the next expansion so two public elements are never alive in it
+# at once.
+_key_slot: tuple | None = None
+
+
+def public_key(suite: Suite, msg1) -> PublicKey:
+    """Parse msg1 of `suite`: decoded canonically, so `Layout.unpack`
+    refuses a malformed one, and its seed expanded.  The exact bytes of
+    the last key parsed or initiated give back that key."""
+    global _key_slot
+    msg1 = bytes(memoryview(msg1))  # a copy: a buffer changed later cannot hit
+    slot = _key_slot
+    if slot is not None and slot[0] == (suite, msg1):
+        return slot[1]
+    seed, y1 = layouts(suite)[0].unpack(msg1)
+    seed = seed.astype(np.uint8).tobytes()
+    _key_slot = slot = None
+    pk = PublicKey(suite, seed, y1, FAMILIES[suite.family].key.expand(suite, seed))
+    _key_slot = ((suite, msg1), pk)
+    return pk
+
+
+def _parsed(suite: Suite, msg1) -> PublicKey:
+    """msg1 as a PublicKey of `suite`: parsed if bytes, refused if another suite's."""
+    if not isinstance(msg1, PublicKey):
+        return public_key(suite, msg1)
+    if msg1.suite != suite:
+        raise ValueError(f"{suite.name}: the public key is for {msg1.suite.name}")
+    return msg1
 
 
 @dataclass(frozen=True)
@@ -212,28 +271,32 @@ class _Family:
         return wire.Layout((_SEED, y1)), wire.Layout((y2,) + suite.mode.fields(suite)[1])
 
     def initiate(self, suite: Suite, rng):
+        """(X1, msg1), leaving the key of msg1 in the slot."""
+        global _key_slot
         seed = rng.bytes(algebra.SEED_BYTES)
+        _key_slot = None
         a = self.key.expand(suite, seed)
         x1 = self.key.secret(suite, rng, suite.n, suite.l_a)
         y1 = self.key.sample(suite, a, x1, rng)
-        return x1, layouts(suite)[0].pack(np.frombuffer(seed, np.uint8), y1)
+        msg1 = layouts(suite)[0].pack(np.frombuffer(seed, np.uint8), y1)
+        _key_slot = ((suite, msg1), PublicKey(suite, seed, y1, a))
+        return x1, msg1
 
-    def respond(self, suite: Suite, msg1: bytes, rng, key_in):
+    def respond(self, suite: Suite, pk: PublicKey, rng, key_in):
         key, resp = self.key, self.response
-        layout1, layout2 = layouts(suite)
-        seed, y1 = layout1.unpack(msg1)
-        a = key.expand(suite, seed.astype(np.uint8))
         x2 = resp.secret(suite, rng, suite.n_b or suite.n, suite.l_b)
-        y2 = algebra.cut_bits(resp.sample(suite, resp.transpose(a), x2, rng), suite.t)
-        sigma2 = resp.sample(suite, resp.transpose(key.lift(suite, y1, rng)), x2, rng)
+        y2 = algebra.cut_bits(resp.sample(suite, resp.transpose(pk.a), x2, rng), suite.t)
+        sigma2 = resp.sample(suite, resp.transpose(key.lift(suite, pk.y1, rng)), x2, rng)
         k, hint = suite.mode.con(suite, sigma2, rng, key_in)
-        return k, layout2.pack(y2, *hint)
+        return k, layouts(suite)[1].pack(y2, *hint)
 
     def finish(self, suite: Suite, x1, msg2: bytes) -> bytes:
         resp = self.response
         y2, *hint = layouts(suite)[1].unpack(msg2)
-        y2 = algebra.uncut(y2, suite.t)
-        sigma1 = resp.product(suite, resp.transpose(x1), y2, resp.modulus(suite))
+        modulus = resp.modulus(suite)
+        # uncut y2 stays below the modulus, which is y2's bound times 2^t
+        sigma1 = resp.product(suite, resp.transpose(x1), algebra.uncut(y2, suite.t), modulus,
+                              (suite.noise.support_bound, modulus - 1))
         return suite.mode.rec(suite, sigma1, hint)
 
 
@@ -435,9 +498,10 @@ def initiate(suite: Suite, rng) -> tuple[Session, bytes]:
     return Session(suite, secret), msg1
 
 
-def respond(suite: Suite, msg1: bytes, rng, key_in=None) -> tuple[bytes, bytes]:
-    """Returns (packed key bits, msg2)."""
-    return FAMILIES[suite.family].respond(suite, msg1, rng, key_in)
+def respond(suite: Suite, msg1, rng, key_in=None) -> tuple[bytes, bytes]:
+    """Returns (packed key bits, msg2).  msg1 is the initiator's bytes or
+    a `PublicKey` of this suite."""
+    return FAMILIES[suite.family].respond(suite, _parsed(suite, msg1), rng, key_in)
 
 
 def finish(session: Session, msg2: bytes) -> bytes:
@@ -452,14 +516,16 @@ def _kem(suite: Suite) -> _Family:
 
 
 def hybrid_keygen(suite: Suite, rng):
-    """Returns (public key bytes, secret X1)."""
+    """Returns (public key bytes, secret X1).  `public_key(suite, pk)`
+    gives the key as a value for `hybrid_encaps`."""
     x1, pk = _kem(suite).initiate(suite, rng)
     return pk, x1
 
 
-def hybrid_encaps(suite: Suite, pk: bytes, rng, key_in=None):
-    """Returns (packed key bits, ciphertext bytes)."""
-    return _kem(suite).respond(suite, pk, rng, key_in)
+def hybrid_encaps(suite: Suite, pk, rng, key_in=None):
+    """Returns (packed key bits, ciphertext bytes); pk is the public key's
+    bytes or its `PublicKey`."""
+    return _kem(suite).respond(suite, _parsed(suite, pk), rng, key_in)
 
 
 def hybrid_decaps(suite: Suite, x1: np.ndarray, ct: bytes) -> bytes:

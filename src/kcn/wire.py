@@ -10,7 +10,10 @@ the serializer cannot disagree.
 
 Decoding is canonical: `Layout.unpack` accepts only the unique encoding of
 a valid message, rejecting a wrong length, a set padding bit and any value
-at or above its field's bound.
+at or above its field's bound.  `Field.decode` range-checks only a bound
+below 2^bits, as `unpack` masks every value to its bits.  On the way out,
+`Field.check` names the field and value at fault and `pack` checks again
+for its direct callers.
 """
 
 from __future__ import annotations
@@ -94,7 +97,8 @@ class Field:
         if used and data[-1] >> used:
             raise ValueError(f"field {self.name}: padding bits are not zero")
         values = unpack(data, self.bits, self.count)
-        self.check(values)
+        if self.bound < 1 << self.bits:  # unpack's mask keeps every value below 2^bits
+            self.check(values)
         return values.reshape(self.shape)
 
 

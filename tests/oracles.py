@@ -21,7 +21,8 @@ from kcn.noise import Law, Pmf, uniform_pmf
 
 # Uniform noise on {0, 1}: with it a toy suite's consensus distance bounds
 # every possible difference, so the toy exchanges always agree
-BINARY = Law("U({0,1})", 0.25, lambda: uniform_pmf(0, 1), lambda rng, size: rng.integers(0, 2, size=size))
+BINARY = Law("U({0,1})", 0.25, lambda: uniform_pmf(0, 1), lambda rng, size: rng.integers(0, 2, size=size),
+             lambda: 1)
 
 
 def frac_part(x, q: int, p: int):

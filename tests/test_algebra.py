@@ -236,9 +236,15 @@ def test_ring_public_element_is_read_only():
     assert a.domain == "ntt"
     with pytest.raises(ValueError):
         a.coeffs[0] = 1
-    assert proto.RLWE.expand(suite, bytearray(SEED)) is a
     want = algebra.ntt_forward(algebra.gen_poly(SEED, suite.n, suite.q, proto.TAG_POLY))
     assert np.array_equal(a.coeffs, want.coeffs)
+    # the parsed key in the slot: read-only, and the same value for equal bytes
+    _, msg1 = proto.initiate(suite, np.random.default_rng(1))
+    key = proto.public_key(suite, msg1)
+    for array in (key.a.coeffs, key.y1):
+        with pytest.raises(ValueError):
+            array[0] = 1
+    assert proto.public_key(suite, bytearray(msg1)) is key
 
 
 @pytest.mark.parametrize("name", ["newhope", "zarzar"])
@@ -410,16 +416,35 @@ def test_matmul_reads_cached_matrix_without_a_float64_copy(rng):
     assert np.array_equal(got, (a.astype(np.int64).T @ x) % q)
 
 
-def test_max_abs_of_cached_matrix_comes_from_q():
-    q = 2**14
-    a = algebra.gen_matrix(SEED, 4, 4, q)
-    assert algebra._max_abs(a) == algebra._max_abs(a.T) == q - 1
-    copy = a.copy()  # writable, not the cached array: scanned
-    assert algebra._max_abs(copy) == int(a.max()) < q - 1
+def test_max_abs_of_cached_matrix_comes_from_q(monkeypatch, rng):
+    # the slot's public matrix reaches matmul with its bound q - 1, and no
+    # operand of an exchange is scanned; an operand without a bound is
+    suite = get_suite("lwe-challenge")
+    q, law = suite.q, suite.noise.support_bound
+    session, msg1 = proto.initiate(suite, rng)
+    key = proto.public_key(suite, msg1)
+    scanned, calls = [], []
+    max_abs, matmul = algebra._max_abs, algebra.matmul
+    monkeypatch.setattr(algebra, "_max_abs", lambda x: scanned.append(x.shape) or max_abs(x))
+    monkeypatch.setattr(algebra, "matmul",
+                        lambda a, b, q, bounds: calls.append((a, bounds)) or matmul(a, b, q, bounds))
+    key_b, msg2 = proto.respond(suite, msg1, rng)
+    assert proto.finish(session, msg2) == key_b
+    assert calls[0][0].base is key.a  # A^T X2, then lift(y1)^T X2 and X1^T y2
+    assert [bounds for _, bounds in calls] == [(q - 1, law), (q - 1, law), (law, q - 1)]
+    assert scanned == []
+    x = rng.integers(-law, law + 1, (key.a.shape[1], 2))
+    assert np.array_equal(algebra.matmul(key.a, x, q, (q - 1, None)), _oracle(key.a, x, q))
+    assert scanned == [x.shape]
 
 
 def test_gen_matrix_drops_previous_before_expanding(monkeypatch):
-    old = weakref.ref(algebra.gen_matrix(SEED, 16, 16, 2**14, tag=5))
+    # the slot lets its key go before the next expansion, whether that is
+    # the parse of other bytes or a fresh initiate
+    suite = get_suite("lwe-challenge")
+    _, other = proto.initiate(suite, np.random.default_rng(1))
+    _, msg1 = proto.initiate(suite, np.random.default_rng(2))
+    old = weakref.ref(proto.public_key(suite, msg1).a)
     shake = hashlib.shake_128
     alive = []
 
@@ -428,8 +453,10 @@ def test_gen_matrix_drops_previous_before_expanding(monkeypatch):
         return shake(data)
 
     monkeypatch.setattr(algebra.hashlib, "shake_128", probe)
-    algebra.gen_matrix(bytes(32), 16, 16, 2**14, tag=5)
-    assert alive == [False]
+    proto.public_key(suite, other)
+    old = weakref.ref(proto.public_key(suite, other).a)  # the slot's key, not expanded again
+    proto.initiate(suite, np.random.default_rng(3))
+    assert alive == [False, False]
 
 
 def test_lwr_sample_matches_big_integer_oracle(rng):

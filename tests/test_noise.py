@@ -275,3 +275,23 @@ def test_suite_noise_laws_pinned():
         h.update(float.hex(law.variance).encode())
     assert len(suites.suite_names()) == 30
     assert h.hexdigest() == SUITE_NOISE_DIGEST
+
+
+def _sampled_pmf(law) -> Pmf:
+    """The pmf a law's draws follow: its pmf(), except for gauss, which
+    samples a 16-bit table of it whose support stops where the counts
+    reach zero."""
+    pmf = law.pmf()
+    return noise.table_from_pmf(pmf, 16, law.name).pmf() if law.name.startswith("gauss") else pmf
+
+
+@pytest.mark.parametrize("name", suites.suite_names())
+def test_support_bound_of_every_suite_law(name):
+    # `matmul` sizes its exact products from this bound, so no draw may exceed it
+    law = suites.get_suite(name).noise
+    sampled = _sampled_pmf(law)
+    support = sampled.support[sampled.probs > 0]
+    assert law.support_bound == max(-support[0], support[-1])
+    assert law.support_bound <= max(-law.pmf().offset, law.pmf().support[-1])
+    draws = law.sample(np.random.default_rng(len(name)), 10**5)
+    assert np.abs(draws).max() <= law.support_bound

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from kcn import protocols as proto
-from kcn import codes, wire
+from kcn import algebra, codes, wire
 from kcn.analysis.bandwidth import bandwidth
 from kcn.codes import SecCode
 from kcn.kc import KcParams, KcVariant
@@ -239,6 +239,62 @@ def test_kem_functions_refuse_a_suite_that_is_not_hybrid(name, rng):
             "hybrid_decaps": (session.secret, msg2)}[name]
     with pytest.raises(ValueError, match="lwr-recommended: the KEM functions need a hybrid suite"):
         getattr(proto, name)(suite, *args)
+
+
+@pytest.mark.parametrize("name, expand", [("hybrid-recommended", "gen_matrix"), ("akcn-sec-837", "gen_poly")])
+def test_two_public_keys_in_turn_are_each_expanded_once(monkeypatch, name, expand):
+    suite = get_suite(name)
+    sessions = [proto.initiate(suite, np.random.default_rng(seed)) for seed in (1, 2)]
+    seeds, real = [], getattr(algebra, expand)
+    monkeypatch.setattr(algebra, expand, lambda seed, *args: seeds.append(seed) or real(seed, *args))
+    keys = [proto.public_key(suite, msg1) for _, msg1 in sessions]
+    assert seeds == [key.seed for key in keys]
+    got = [proto.respond(suite, keys[i % 2], np.random.default_rng(10 + i)) for i in range(6)]
+    assert len(seeds) == 2
+    # byte for byte what the bytes path gives, which parses again on every switch
+    assert got == [proto.respond(suite, sessions[i % 2][1], np.random.default_rng(10 + i)) for i in range(6)]
+    for i, (key_b, msg2) in enumerate(got):
+        assert proto.finish(sessions[i % 2][0], msg2) == key_b
+
+
+def test_public_key_of_another_suite_is_refused(rng):
+    rec, par = get_suite("hybrid-recommended"), get_suite("hybrid-paranoid")
+    pk, x1 = proto.hybrid_keygen(rec, rng)
+    key = proto.public_key(rec, pk)
+    for encaps in (proto.hybrid_encaps, proto.respond):
+        with pytest.raises(ValueError, match="hybrid-paranoid: the public key is for hybrid-recommended"):
+            encaps(par, key, rng)
+    key_b, ct = proto.hybrid_encaps(rec, key, rng)
+    assert proto.hybrid_decaps(rec, x1, ct) == key_b
+    ring = get_suite("newhope")
+    _, msg1 = proto.initiate(ring, rng)
+    with pytest.raises(ValueError, match="akcn-4to1: the public key is for newhope"):
+        proto.respond(get_suite("akcn-4to1"), proto.public_key(ring, msg1), rng)
+
+
+def test_msg1_one_bit_from_the_slot_is_parsed_again(rng):
+    # ring: the flipped bit takes y1[i] to q or above; the decoder refuses it
+    # as it always did, and the slot keeps its key
+    suite = get_suite("newhope")
+    _, msg1 = proto.initiate(suite, rng)
+    key = proto.public_key(suite, msg1)
+    i = int(np.argmax((key.y1 & 1 << 13 == 0) & (key.y1 + (1 << 13) >= suite.q)))
+    bit = 8 * 32 + 14 * i + 13
+    bad = bytearray(msg1)
+    bad[bit // 8] ^= 1 << bit % 8
+    with pytest.raises(ValueError, match=rf"field y1\[{i}\] = {key.y1[i] + (1 << 13)} "):
+        proto.respond(suite, bad, rng)
+    assert proto.public_key(suite, msg1) is key
+    # hybrid: every string decodes, so a buffer changed by one bit is another key
+    suite = get_suite("hybrid-recommended")
+    pk, _ = proto.hybrid_keygen(suite, rng)
+    buf = bytearray(pk)
+    key = proto.public_key(suite, buf)
+    buf[-1] ^= 0x80  # the top bit of the last y1 value
+    other = proto.public_key(suite, buf)
+    assert other is not key and proto.public_key(suite, buf) is other
+    assert np.array_equal(other.a, key.a) and other.a is not key.a
+    assert np.count_nonzero(other.y1 != key.y1) == 1
 
 
 def test_akcn41_hint_splits_every_record(monkeypatch, rng):

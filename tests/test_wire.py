@@ -64,3 +64,16 @@ def test_pack_inverts_unpack_up_to_padding(bits, count, data):
     raw = data.draw(st.binary(min_size=(nbits + 7) // 8, max_size=(nbits + 7) // 8))
     clear = raw[:-1] + bytes([raw[-1] & (1 << nbits % 8) - 1]) if nbits % 8 else raw
     assert wire.pack(wire.unpack(raw, bits, count), bits) == clear
+
+
+@pytest.mark.parametrize("bits", range(1, 13))
+def test_power_of_two_field_decodes_every_string_below_its_bound(bits):
+    # decode skips the range check of a field whose bound is 2^bits, as
+    # unpack's mask keeps every value below it: every canonical string of
+    # count * bits <= 12 bits decodes in range, and encodes back to itself
+    field = wire.Field("f", (12 // bits,), 1 << bits)
+    for x in range(1 << field.count * field.bits):
+        data = x.to_bytes(field.nbytes, "little")
+        values = field.decode(data)
+        assert 0 <= values.min() and values.max() < field.bound
+        assert field.encode(values) == data
