@@ -1,12 +1,12 @@
 """Failure-probability computations for the four protocol families.
 
-Each function builds the exact distribution of the difference between the
-two parties' pre-consensus values for one coordinate, applies the
-consensus failure predicate, and lifts to the whole key with the union
-bound.  The LWR computation follows the conditional decomposition over
-the residue a = X1^T A^T X2 mod (q/p): conditioned on a, the two halves
-of the difference are independent, so their joint law is assembled from
-two per-residue convolutions instead of one intractable joint one.
+Each family function builds the exact law of the difference D between the
+two parties' pre-consensus values for one coordinate, mod q.  `_fail_prob`
+is the one consensus test (the sigma-difference in Z_{kc.q} lies farther
+than d from 0) and `_report` the one union rule, chosen by the mode.  The
+LWR law is assembled per residue a = X1^T A^T X2 mod (q/p): conditioned on
+a, the two halves of D are independent, so two per-residue convolutions
+replace one intractable joint one.
 """
 
 from __future__ import annotations
@@ -56,8 +56,16 @@ def _log2(p: float) -> float:
     return math.log2(p) if p > 0 else -math.inf
 
 
-def _union(p: float, k: int) -> float:
-    return min(1.0, p * k)
+def _report(suite: Suite, p_coord: float, dropped: float | None) -> ErrorReport:
+    """The whole-key rate by the mode's union rule, over the terms each published table counted."""
+    if isinstance(suite.mode, Sec):  # a block fails when two of its bits do
+        block = suite.mode.code.block_bits
+        p, terms = p_coord**2, suite.n // block * math.comb(block, 2)
+    elif suite.family in ("lwr", "hybrid"):  # one term per coordinate
+        p, terms = p_coord, suite.l_a * suite.l_b
+    else:  # one term per key bit
+        p, terms = p_coord, suite.key_bits
+    return ErrorReport(p_coord, min(1.0, p * terms), dropped)
 
 
 def _inner(x: Pmf, y: Pmf, n: int) -> Pmf:
@@ -70,10 +78,16 @@ def _rounding_pmf(w: int) -> Pmf:
     return uniform_pmf(-w // 2, w // 2 - 1)
 
 
-def _lwr_fail_prob(folded: np.ndarray, q: int, p: int, d: int) -> float:
-    """Mass of the differences mod q whose LWR rounding lies farther than d from 0 in Z_p."""
-    s = algebra.lwr_round(np.arange(q), q, p)
-    return float(np.sum(folded[dist_mod(s, p) > d]))
+def _sigma_diff(suite: Suite) -> np.ndarray:
+    """Sigma2 - Sigma1 in Z_{kc.q} for each D in Z_q: D itself when kc.q = q,
+    else its LWR rounding (lwr and hybrid, where `Suite` makes kc.q = p)."""
+    x = np.arange(suite.q)
+    return x if suite.kc.q == suite.q else algebra.lwr_round(x, suite.q, suite.kc.q)
+
+
+def _fail_prob(suite: Suite, folded: np.ndarray, d: int) -> float:
+    """Mass of D mod q whose sigma-difference lies farther than d from 0 in Z_{kc.q}."""
+    return float(np.sum(folded[dist_mod(_sigma_diff(suite), suite.kc.q) > d]))
 
 
 # ---------------------------------------------------------------------------
@@ -105,8 +119,7 @@ def lwe_error_rate(suite: Suite) -> ErrorReport:
     """Failure probability of the LWE protocol from the coordinate difference
     X1^T (E2 + eps(Y2)) - E1^T X2 - E_sigma, with Y2 treated as uniform.
 
-    The whole-key rate is the union bound over key bits, matching the
-    accounting used for the published tables.
+    The whole-key rate is `_report`'s union bound over key bits.
     """
     if suite.family != "lwe":
         raise ValueError("lwe suite required")
@@ -115,11 +128,9 @@ def lwe_error_rate(suite: Suite) -> ErrorReport:
     dist = pm.conv(_inner(chi, pm.conv(chi, _cut_noise_pmf(suite.t)), n), pm.negate(_inner(chi, chi, n)))
     dist = pm.conv(dist, pm.negate(chi))  # E_sigma
     folded = pm.fold_mod(dist, q)
-    if suite.variant is KcVariant.FRODO:
-        p_coord = _frodo_fail_prob(folded, q, suite.kc.m)
-    else:
-        p_coord = pm.cyclic_fail_prob(folded, d)
-    return ErrorReport(p_coord, _union(p_coord, suite.key_bits), dist.dropped)
+    p_coord = (_frodo_fail_prob(folded, q, suite.kc.m) if suite.variant is KcVariant.FRODO
+               else _fail_prob(suite, folded, d))
+    return _report(suite, p_coord, dist.dropped)
 
 
 # ---------------------------------------------------------------------------
@@ -194,9 +205,8 @@ def lwr_error_rate(suite: Suite) -> ErrorReport:
     """|Sigma1 - Sigma2|_p > d failure, union over the l_A l_B coordinates."""
     if suite.family != "lwr":
         raise ValueError("lwr suite required")
-    q, p = suite.q, suite.p
-    p_coord = _lwr_fail_prob(lwr_diff_distribution(suite.n, q, p, suite.noise.pmf()), q, p, suite.kc.d)
-    return ErrorReport(p_coord, _union(p_coord, suite.l_a * suite.l_b))
+    folded = lwr_diff_distribution(suite.n, suite.q, suite.p, suite.noise.pmf())
+    return _report(suite, _fail_prob(suite, folded, suite.kc.d), None)
 
 
 # ---------------------------------------------------------------------------
@@ -218,39 +228,31 @@ def hybrid_error_rate(suite: Suite, exact_region: bool = False) -> ErrorReport:
     q, p, qk, m, g = suite.q, suite.p, suite.kc.q, suite.kc.m, suite.kc.g
     dist = pm.conv(_inner(chi, chi, suite.n_b), _inner(chi, _rounding_pmf(q // p), suite.n))
     folded = pm.fold_mod(dist, q)
+    step, half = qk // g, qk // (2 * m)
     if exact_region:
-        s = algebra.lwr_round(np.arange(q), q, p)
+        s = _sigma_diff(suite)
         # hint offset (q_kc/g) eps2 ranges over [-(q_kc/2g - 1), q_kc/2g]
-        s_c = np.where(s < p // 2, s, s - p)
-        step = qk // g
-        half = qk // (2 * m)
+        s_c = np.where(s < qk // 2, s, s - qk)
         frac = np.zeros(q)
         for u in range(-(step // 2 - 1), step // 2 + 1):
             frac += (s_c + u < -half) | (s_c + u >= half)
         p_coord = float(np.dot(folded, frac / step))
     else:
-        p_coord = _lwr_fail_prob(folded, q, p, qk // (2 * m) - 1)
-    return ErrorReport(p_coord, _union(p_coord, suite.l_a * suite.l_b), dist.dropped)
+        p_coord = _fail_prob(suite, folded, half - 1)
+    return _report(suite, p_coord, dist.dropped)
 
 
 # ---------------------------------------------------------------------------
 # RLWE protocol, plain or SEC
 
 def rlwe_error_rate(suite: Suite) -> ErrorReport:
-    """Per-coefficient failure of e2 x1 - e1 x2 - e_sigma, plus the block
+    """Per-coefficient failure of e2 x1 - e1 x2 - e_sigma, and `_report`'s
     union bound (plain: n-fold; SEC: one corrected bit per block)."""
     if suite.family != "rlwe" or not isinstance(suite.mode, Plain):  # Sec is a Plain
         raise ValueError("rlwe suite in plain or sec mode required")
     chi = suite.noise.pmf()
-    q, n, d = suite.q, suite.n, suite.kc.d
-    dist = pm.conv(_inner(chi, chi, 2 * n), pm.negate(chi))
-    per_bit = pm.cyclic_fail_prob(pm.fold_mod(dist, q), d)
-    if isinstance(suite.mode, Sec):
-        block_bits = suite.mode.code.block_bits
-        overall = _union(per_bit**2, suite.n // block_bits * math.comb(block_bits, 2))
-    else:
-        overall = _union(per_bit, n)
-    return ErrorReport(per_bit, overall, dist.dropped)
+    dist = pm.conv(_inner(chi, chi, 2 * suite.n), pm.negate(chi))
+    return _report(suite, _fail_prob(suite, pm.fold_mod(dist, suite.q), suite.kc.d), dist.dropped)
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +295,7 @@ def zarzar_error_rate(sigma_sq: float, q: int, g: int, n: int) -> ZarzarReport:
     norm_bound = math.floor((q - 1) / 2 - math.sqrt(2) * (q / g + 1) - 10 * sigma)
     threshold = math.floor(norm_bound**2 / (4 * sigma_sq**2))
     tail = float(np.sum(distr.probs[step * distr.support > threshold - 64]))
-    overall = _union(tail, n // 8)
+    overall = min(1.0, tail * (n // 8))
     return ZarzarReport(norm_bound, threshold, tail, overall, distr.dropped)
 
 

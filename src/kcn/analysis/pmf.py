@@ -19,11 +19,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from kcn.kc import dist_mod
 from kcn.noise import Pmf
 
 __all__ = ["discretize_chisq", "conv", "negate", "iid_sum", "power", "product_pmf", "fold_mod",
-           "cyclic_fail_prob", "kept", "trim"]
+           "kept", "trim"]
 
 PROB_FLOOR = 2.0**-200  # mass below this is flushed when trimming supports
 
@@ -105,12 +104,6 @@ def product_pmf(px: Pmf, py: Pmf, scale: float = 1.0) -> Pmf:
         np.multiply(py.probs, px.probs[i], out=v)
         np.add.at(out, idx, v)
     return Pmf(lo, out, px.dropped + py.dropped)
-
-
-def cyclic_fail_prob(folded: np.ndarray, d: int) -> float:
-    """P(|X|_q > d) for a mod-q folded distribution."""
-    q = len(folded)
-    return float(np.sum(folded[dist_mod(np.arange(q), q) > d]))
 
 
 def kept(probs: np.ndarray, floor: float) -> tuple[int, int]:

@@ -204,8 +204,8 @@ class PublicKey:
     """A parsed msg1, the public key of hybrid: its suite, seed and y1, and
     the public element `a` the seed expands into (the key step kind's
     `expand`: A as float32, or the ring element's NTT), all read-only.
-    `public_key` and `initiate` make one; one built by hand is trusted,
-    as `matmul` takes q - 1 for the bound of y1 and `a`."""
+    y1 must lie in its field, as `matmul` takes q - 1 for its bound; `a` is
+    trusted, since checking it would scan all of A on every exchange."""
 
     suite: Suite
     seed: bytes
@@ -213,6 +213,10 @@ class PublicKey:
     a: object
 
     def __post_init__(self):
+        field = layouts(self.suite)[0].fields[1]
+        if self.y1.shape != field.shape:
+            raise ValueError(f"{self.suite.name}: y1 has shape {self.y1.shape}, expected {field.shape}")
+        field.check(self.y1.reshape(-1))
         self.y1.flags.writeable = False
 
 

@@ -7,6 +7,7 @@ pipelines are checked against independent oracles at small sizes.
 import hashlib
 import itertools
 import math
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -16,6 +17,7 @@ from scipy.stats import binom, chi2
 from kcn.analysis import pmf as pm
 from kcn.analysis.error_rates import (
     ZarzarReport,
+    _fail_prob,
     error_rate,
     hybrid_error_rate,
     lwe_error_rate,
@@ -23,8 +25,10 @@ from kcn.analysis.error_rates import (
     rlwe_error_rate,
     zarzar_error_rate,
 )
+from kcn.codes import SecCode
 from kcn.kc import KcParams, KcVariant
 from kcn.noise import TABLES, Pmf
+from kcn.protocols import Sec
 from kcn.suites import SUITES, Suite
 from oracles import BINARY, lwr_diff_conditioned, product_pmf_rows
 
@@ -233,10 +237,29 @@ def test_trim_sums_the_cut_tails():
     assert pm.product_pmf(t, p).dropped == t.dropped + p.dropped
 
 
-def test_cyclic_fail_prob():
-    folded = np.full(8, 1 / 8)
-    # |r|_8 > 2 leaves residues 3, 4, 5
-    assert abs(pm.cyclic_fail_prob(folded, 2) - 3 / 8) < 1e-12
+# One toy suite per sigma-difference: D itself (lwe, ring) or its LWR rounding (lwr)
+FAIL_PROB_SUITES = {
+    "lwe": Suite(name="toy-lwe-8", family="lwe", n=4, l_a=1, l_b=1, q=8, noise=BINARY,
+                 variant=KcVariant.OKCN_SIMPLE, kc=KcParams(q=8, m=2, g=4, d=1)),
+    "lwr": Suite(name="toy-lwr-16", family="lwr", n=4, l_a=1, l_b=1, q=16, p=4, noise=BINARY,
+                 variant=KcVariant.OKCN_SIMPLE, kc=KcParams(q=4, m=2, g=2, d=0)),
+    "ring": Suite(name="toy-ring-17", family="rlwe", n=4, l_a=1, l_b=1, q=17, noise=BINARY,
+                  variant=KcVariant.OKCN_GENERIC, kc=KcParams(q=17, m=2, g=4, d=2)),
+}
+
+
+@pytest.mark.parametrize("name", FAIL_PROB_SUITES)
+def test_fail_prob(name, rng):
+    suite = FAIL_PROB_SUITES[name]
+    q, qk, d = suite.q, suite.kc.q, suite.kc.d
+    fails = []
+    for r in range(q):
+        s = (r * qk + q // 2) // q % qk  # round(qk r / q) mod qk, halves up; r when qk = q
+        fails.append(min(s, qk - s) > d)
+    # each residue alone, then a random law over all of them
+    assert [_fail_prob(suite, np.eye(q)[r], d) for r in range(q)] == fails
+    folded = rng.dirichlet(np.ones(q))
+    assert _fail_prob(suite, folded, d) == pytest.approx(float(np.dot(folded, fails)), rel=1e-14, abs=0)
 
 
 @pytest.mark.parametrize("df, step", [(2, 0.02), (256, 0.1)])
@@ -355,6 +378,11 @@ def test_rlwe_union_bound_identity():
     )
     rep = rlwe_error_rate(toy)
     assert abs(rep.overall - min(1.0, toy.n * rep.per_symbol)) / rep.overall < 0.01
+    # SEC: a block of 6 bits fails when two of its bits do, 10 blocks
+    sec = replace(toy, name="toy-rlwe-sec", mode=Sec(SecCode(2)))
+    rep = rlwe_error_rate(sec)
+    assert 0 < rep.overall < 1
+    assert rep.overall == min(1.0, rep.per_symbol**2 * (64 // 6 * math.comb(6, 2)))
 
 
 def test_zarzar_report_structure():

@@ -272,6 +272,28 @@ def test_public_key_of_another_suite_is_refused(rng):
         proto.respond(get_suite("akcn-4to1"), proto.public_key(ring, msg1), rng)
 
 
+def test_public_key_refuses_a_y1_outside_its_field(rng):
+    # y1 + 2^52 + 2^20 is y1 mod q, but matmul takes q - 1 as y1's bound, so
+    # the response would differ from the reduced key's: the key refuses it
+    suite = get_suite("lwe-challenge")
+    _, msg1 = proto.initiate(suite, rng)
+    key = proto.public_key(suite, msg1)
+    with pytest.raises(ValueError, match=r"field y1\[0\] = \d+ is out of range for bound 1024"):
+        proto.PublicKey(suite, key.seed, key.y1 + 2**52 + 2**20, key.a)
+    bad = key.y1.copy()
+    bad[1, 1] = -1
+    with pytest.raises(ValueError, match=r"field y1\[9\] = -1 is out of range"):
+        proto.PublicKey(suite, key.seed, bad, key.a)
+    with pytest.raises(ValueError, match=r"lwe-challenge: y1 has shape \(8, 334\), expected \(334, 8\)"):
+        proto.PublicKey(suite, key.seed, key.y1.T, key.a)
+    ring = get_suite("newhope")
+    _, msg1 = proto.initiate(ring, rng)
+    key = proto.public_key(ring, msg1)
+    with pytest.raises(ValueError, match=r"field y1\[0\] = \d+ is out of range for bound 12289"):
+        proto.PublicKey(ring, key.seed, key.y1 + 12289, key.a)
+    assert proto.PublicKey(ring, key.seed, key.y1.copy(), key.a).y1.flags.writeable is False
+
+
 def test_msg1_one_bit_from_the_slot_is_parsed_again(rng):
     # ring: the flipped bit takes y1[i] to q or above; the decoder refuses it
     # as it always did, and the slot keeps its key
