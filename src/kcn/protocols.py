@@ -6,16 +6,17 @@ and answers with his sample and the reconciliation hint, and Alice
 finishes.  All randomness flows through one injected numpy Generator, so a
 fixed seed reproduces the transcript bit for bit.
 
-Every family is a (key step, response) pair of three step kinds, with
-LWR = (LWR, LWR), LWE = (LWE, LWE), hybrid = (LWE, LWR) and RLWE =
-(RLWE, RLWE), run by one exchange path.  A step kind brings its algebra
-(matrices through `matmul`, given every operand's bound, or ring elements
-through the NTT) and its hardness problem, so `assumptions` finds hybrid
-resting on LWE and LWR.
+Every family is a `_Family`, the (key step, response) pair of three step
+kinds: LWR = (LWR, LWR), LWE = (LWE, LWE), hybrid = (LWE, LWR) and RLWE =
+(RLWE, RLWE).  One exchange path, `initiate`, `respond` and `finish`, runs
+them all, and the hybrid KEM functions are that exchange on a hybrid suite.
+A step kind brings its algebra (matrices through `matmul`, given every
+operand's bound, or ring elements through the NTT) and its hardness
+problem, so `assumptions` finds hybrid resting on LWE and LWR.
 Every family states its messages once, as the `kcn.wire.Layout` pair
 from `layouts`, which packs, unpacks (canonically) and sizes them.
 `public_key` parses a msg1 (for hybrid, the public key) once into a
-`PublicKey`, which `respond` and `hybrid_encaps` take in place of bytes.
+`PublicKey`, which `respond` (so `hybrid_encaps`) takes in place of bytes.
 Consensus is the suite's mode, a value holding its own parameters: `Plain()`
 (every matrix family), `Sec(code)`, `NewHope(g)`, `Akcn41(g)` or `E8(g)`.
 
@@ -247,63 +248,6 @@ def public_key(suite: Suite, msg1) -> PublicKey:
     return pk
 
 
-def _parsed(suite: Suite, msg1) -> PublicKey:
-    """msg1 as a PublicKey of `suite`: parsed if bytes, refused if another suite's."""
-    if not isinstance(msg1, PublicKey):
-        return public_key(suite, msg1)
-    if msg1.suite != suite:
-        raise ValueError(f"{suite.name}: the public key is for {msg1.suite.name}")
-    return msg1
-
-
-@dataclass(frozen=True)
-class _Family:
-    """A protocol family: one key step kind and one response kind."""
-
-    key: _Step
-    response: _Step
-
-    def assumptions(self, suite: Suite) -> list[Assumption]:
-        """The key step over the rows of X1, then the response over those of X2."""
-        return list(dict.fromkeys((self.key.assumption(suite, suite.n),
-                                   self.response.assumption(suite, suite.n_b or suite.n))))
-
-    def layouts(self, suite: Suite) -> tuple[wire.Layout, wire.Layout]:
-        key, resp = self.key, self.response
-        y1 = wire.Field("y1", key.shape(suite, suite.n_b or suite.n, suite.l_a), key.modulus(suite))
-        y2 = wire.Field("y2", resp.shape(suite, suite.n, suite.l_b), resp.modulus(suite) >> suite.t)
-        return wire.Layout((_SEED, y1)), wire.Layout((y2,) + suite.mode.fields(suite)[1])
-
-    def initiate(self, suite: Suite, rng):
-        """(X1, msg1), leaving the key of msg1 in the slot."""
-        global _key_slot
-        seed = rng.bytes(algebra.SEED_BYTES)
-        _key_slot = None
-        a = self.key.expand(suite, seed)
-        x1 = self.key.secret(suite, rng, suite.n, suite.l_a)
-        y1 = self.key.sample(suite, a, x1, rng)
-        msg1 = layouts(suite)[0].pack(np.frombuffer(seed, np.uint8), y1)
-        _key_slot = ((suite, msg1), PublicKey(suite, seed, y1, a))
-        return x1, msg1
-
-    def respond(self, suite: Suite, pk: PublicKey, rng, key_in):
-        key, resp = self.key, self.response
-        x2 = resp.secret(suite, rng, suite.n_b or suite.n, suite.l_b)
-        y2 = algebra.cut_bits(resp.sample(suite, resp.transpose(pk.a), x2, rng), suite.t)
-        sigma2 = resp.sample(suite, resp.transpose(key.lift(suite, pk.y1, rng)), x2, rng)
-        k, hint = suite.mode.con(suite, sigma2, rng, key_in)
-        return k, layouts(suite)[1].pack(y2, *hint)
-
-    def finish(self, suite: Suite, x1, msg2: bytes) -> bytes:
-        resp = self.response
-        y2, *hint = layouts(suite)[1].unpack(msg2)
-        modulus = resp.modulus(suite)
-        # uncut y2 stays below the modulus, which is y2's bound times 2^t
-        sigma1 = resp.product(suite, resp.transpose(x1), algebra.uncut(y2, suite.t), modulus,
-                              (suite.noise.support_bound, modulus - 1))
-        return suite.mode.rec(suite, sigma1, hint)
-
-
 # ---------------------------------------------------------------------------
 # Consensus modes, each a frozen value holding its parameters: `fields` gives
 # the agreed key (a field of symbols below a bound) and the hint fields that
@@ -329,8 +273,12 @@ class Mode:
         if key_in is not None:
             if not self.akc(suite):
                 raise ValueError(f"{suite.name}: KC suites cannot transport a chosen key")
-            k = np.asarray(key_in, dtype=np.int64).reshape(key.shape)  # ValueError unless key.count symbols
-            key.check(k.reshape(-1))
+            k = np.asarray(key_in)
+            if k.dtype.kind not in "iu":  # a cast would truncate floats and parse strings
+                raise ValueError(f"{suite.name}: a chosen key holds integers, got dtype {k.dtype}")
+            k = k.reshape(key.shape)  # ValueError unless key.count symbols
+            key.check(k.reshape(-1))  # before the cast, which would wrap a uint64 above 2^63
+            k = k.astype(np.int64, copy=False)
         elif self.akc(suite):
             k = rng.integers(0, key.bound, size=key.shape, dtype=np.int64)
         k, hint = self._agree(suite, sigma2, rng, k)
@@ -470,9 +418,16 @@ class E8(_Lattice):
 
 
 # ---------------------------------------------------------------------------
-# Family dispatch and key derivation
+# The families, their exchange (which the KEM functions run on a hybrid
+# suite) and key derivation
 
-# a family is its (key step, response) pair
+class _Family(NamedTuple):
+    """A protocol family: one key step kind and one response kind."""
+
+    key: _Step
+    response: _Step
+
+
 FAMILIES = {
     "lwr": _Family(LWR, LWR),
     "lwe": _Family(LWE, LWE),
@@ -484,7 +439,10 @@ FAMILIES = {
 @lru_cache(maxsize=None)
 def layouts(suite: Suite) -> tuple[wire.Layout, wire.Layout]:
     """The wire layouts of msg1 and msg2 (public key and ciphertext for hybrid)."""
-    return FAMILIES[suite.family].layouts(suite)
+    key, resp = FAMILIES[suite.family]
+    y1 = wire.Field("y1", key.shape(suite, suite.n_b or suite.n, suite.l_a), key.modulus(suite))
+    y2 = wire.Field("y2", resp.shape(suite, suite.n, suite.l_b), resp.modulus(suite) >> suite.t)
+    return wire.Layout((_SEED, y1)), wire.Layout((y2,) + suite.mode.fields(suite)[1])
 
 
 def public_element(suite: Suite) -> wire.Field:
@@ -493,47 +451,72 @@ def public_element(suite: Suite) -> wire.Field:
 
 
 def assumptions(suite: Suite) -> list[Assumption]:
-    """The hardness assumptions the suite rests on, each distinct one once."""
-    return FAMILIES[suite.family].assumptions(suite)
+    """The hardness assumptions the suite rests on, each distinct one once:
+    the key step over the rows of X1, then the response over those of X2."""
+    key, resp = FAMILIES[suite.family]
+    return list(dict.fromkeys((key.assumption(suite, suite.n), resp.assumption(suite, suite.n_b or suite.n))))
 
 
 def initiate(suite: Suite, rng) -> tuple[Session, bytes]:
-    secret, msg1 = FAMILIES[suite.family].initiate(suite, rng)
-    return Session(suite, secret), msg1
+    """(Alice's session, msg1), leaving the key of msg1 in the slot."""
+    global _key_slot
+    key = FAMILIES[suite.family].key
+    seed = rng.bytes(algebra.SEED_BYTES)
+    _key_slot = None
+    a = key.expand(suite, seed)
+    x1 = key.secret(suite, rng, suite.n, suite.l_a)
+    y1 = key.sample(suite, a, x1, rng)
+    msg1 = layouts(suite)[0].pack(np.frombuffer(seed, np.uint8), y1)
+    _key_slot = ((suite, msg1), PublicKey(suite, seed, y1, a))
+    return Session(suite, x1), msg1
 
 
 def respond(suite: Suite, msg1, rng, key_in=None) -> tuple[bytes, bytes]:
     """Returns (packed key bits, msg2).  msg1 is the initiator's bytes or
     a `PublicKey` of this suite."""
-    return FAMILIES[suite.family].respond(suite, _parsed(suite, msg1), rng, key_in)
+    pk = msg1 if isinstance(msg1, PublicKey) else public_key(suite, msg1)
+    if pk.suite != suite:
+        raise ValueError(f"{suite.name}: the public key is for {pk.suite.name}")
+    key, resp = FAMILIES[suite.family]
+    x2 = resp.secret(suite, rng, suite.n_b or suite.n, suite.l_b)
+    y2 = algebra.cut_bits(resp.sample(suite, resp.transpose(pk.a), x2, rng), suite.t)
+    sigma2 = resp.sample(suite, resp.transpose(key.lift(suite, pk.y1, rng)), x2, rng)
+    k, hint = suite.mode.con(suite, sigma2, rng, key_in)
+    return k, layouts(suite)[1].pack(y2, *hint)
 
 
 def finish(session: Session, msg2: bytes) -> bytes:
-    return FAMILIES[session.suite.family].finish(session.suite, session.secret, msg2)
+    suite, resp = session.suite, FAMILIES[session.suite.family].response
+    y2, *hint = layouts(suite)[1].unpack(msg2)
+    modulus = resp.modulus(suite)
+    # uncut y2 stays below the modulus, which is y2's bound times 2^t
+    sigma1 = resp.product(suite, resp.transpose(session.secret), algebra.uncut(y2, suite.t), modulus,
+                          (suite.noise.support_bound, modulus - 1))
+    return suite.mode.rec(suite, sigma1, hint)
 
 
-def _kem(suite: Suite) -> _Family:
-    """The hybrid family, the one whose responder takes a chosen key."""
+def _kem(suite: Suite) -> Suite:
+    """`suite`, checked to be hybrid: the family whose responder takes a chosen key."""
     if suite.family != "hybrid":
         raise ValueError(f"{suite.name}: the KEM functions need a hybrid suite, not the {suite.family} family")
-    return FAMILIES["hybrid"]
+    return suite
 
 
 def hybrid_keygen(suite: Suite, rng):
     """Returns (public key bytes, secret X1).  `public_key(suite, pk)`
     gives the key as a value for `hybrid_encaps`."""
-    x1, pk = _kem(suite).initiate(suite, rng)
-    return pk, x1
+    session, pk = initiate(_kem(suite), rng)
+    return pk, session.secret
 
 
 def hybrid_encaps(suite: Suite, pk, rng, key_in=None):
     """Returns (packed key bits, ciphertext bytes); pk is the public key's
     bytes or its `PublicKey`."""
-    return _kem(suite).respond(suite, _parsed(suite, pk), rng, key_in)
+    return respond(_kem(suite), pk, rng, key_in)
 
 
 def hybrid_decaps(suite: Suite, x1: np.ndarray, ct: bytes) -> bytes:
-    return _kem(suite).finish(suite, x1, ct)
+    return finish(Session(_kem(suite), x1), ct)
 
 
 def derive_key(suite: Suite, key_bits: bytes) -> bytes:

@@ -24,8 +24,10 @@ __all__ = ["Suite", "SUITES", "get_suite", "suite_names"]
 @dataclass(frozen=True)
 class Suite:
     """A fully-resolved protocol instance.  It refuses an unknown family, a
-    family field its family does not read (n_b, p or t), and a kc whose q is
-    not the modulus sigma lives in (p for lwr and hybrid, q otherwise)."""
+    family field its family does not read (n_b, p or t), a dimension below 1
+    (n, l_a, l_b, and n_b for hybrid), a t outside [0, qbits), a ring whose
+    l_a or l_b is not 1, and a kc whose q is not the modulus sigma lives in
+    (p for lwr and hybrid, q otherwise)."""
 
     name: str
     family: str  # a key of kcn.protocols.FAMILIES
@@ -59,6 +61,14 @@ class Suite:
             if (value := getattr(self, field)) and self.family not in families:
                 raise ValueError(f"{self.name}: the {self.family} family does not read {field}, "
                                  f"got {field}={value}")
+        dims = ("n", "l_a", "l_b") + (("n_b",) if self.family == "hybrid" else ())
+        if small := [f"{dim}={getattr(self, dim)}" for dim in dims if getattr(self, dim) < 1]:
+            raise ValueError(f"{self.name}: dimensions must be at least 1, got {', '.join(small)}")
+        if not 0 <= self.t < self.qbits:
+            raise ValueError(f"{self.name}: t must lie in [0, {self.qbits}), the bits of q, got t={self.t}")
+        if self.family == "rlwe" and (self.l_a, self.l_b) != (1, 1):
+            raise ValueError(f"{self.name}: the rlwe family runs l_a = l_b = 1, "
+                             f"got l_a={self.l_a}, l_b={self.l_b}")
         if self.kc is not None:
             if self.kc.q != (self.p or self.q):
                 raise ValueError(f"{self.name}: kc.q must be {self.p or self.q}, the modulus "

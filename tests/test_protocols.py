@@ -219,6 +219,16 @@ def test_suite_needs_both_variant_and_kc(field):
     ("okcn-rlwe-16", lambda: {"t": 3}, "okcn-rlwe-16: the rlwe family does not read t"),
     ("hybrid-recommended", lambda: {"t": 2}, "hybrid-recommended: the hybrid family does not read t"),
     ("lwe-recommended", lambda: {"p": 2**10}, "lwe-recommended: the lwe family does not read p"),
+    # a shape the family cannot run: n_b = 0 ran hybrid at n_b = n, a t of at
+    # least qbits or below 0 failed at first exchange, a ring ignored l_a,
+    # and a dimension below 1 failed inside numpy
+    ("hybrid-recommended", lambda: {"n_b": 0}, "hybrid-recommended: dimensions must be at least 1, got n_b=0"),
+    ("lwe-challenge", lambda: {"t": 11}, r"lwe-challenge: t must lie in \[0, 10\)"),
+    ("lwe-challenge", lambda: {"t": -1}, r"lwe-challenge: t must lie in \[0, 10\)"),
+    ("okcn-rlwe-16", lambda: {"l_a": 2}, "okcn-rlwe-16: the rlwe family runs l_a = l_b = 1"),
+    ("lwr-recommended", lambda: {"n": 0}, "lwr-recommended: dimensions must be at least 1, got n=0"),
+    ("lwe-recommended", lambda: {"l_a": 0}, "lwe-recommended: dimensions must be at least 1, got l_a=0"),
+    ("lwr-recommended", lambda: {"l_b": -1}, "lwr-recommended: dimensions must be at least 1, got l_b=-1"),
     # an unknown family used to build, then raise a bare KeyError at first use
     ("lwe-challenge", lambda: {"family": "lwx"},
      "lwe-challenge: unknown family 'lwx'; known families: lwr, lwe, hybrid, rlwe"),
@@ -347,7 +357,9 @@ def test_akc_chosen_key_needs_the_key_count(rng):
     # hybrid-recommended agrees on 8 x 8 symbols; a scalar used to broadcast
     suite = get_suite("hybrid-recommended")
     pk, _ = proto.hybrid_keygen(suite, rng)
-    for bad in (1, np.ones((8, 7), dtype=np.int64)):
+    # floats, strings and bools of the key count were cast: [0.9] * 64 sent the all-zero key
+    for bad in (1, np.ones((8, 7), dtype=np.int64), [0.9] * 64, np.full(64, 3.99), ["1"] * 64,
+                np.ones(64, dtype=bool)):
         with pytest.raises(ValueError):
             proto.hybrid_encaps(suite, pk, rng, key_in=bad)
     with pytest.raises(ValueError, match=r"field key\[0\]"):  # a symbol at m = 16

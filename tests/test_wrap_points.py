@@ -151,3 +151,16 @@ def test_suite_security_estimates_through_module_attribute(monkeypatch, name, pr
     rows = security.suite_security(get_suite(name))
     assert [(label, primal[1]) for label, primal, _ in rows] == problems
     assert calls == [n for _, n in problems]
+
+
+def test_kem_functions_run_the_one_exchange_path(monkeypatch):
+    # keygen, encaps and decaps are initiate, respond and finish on a hybrid
+    # suite, looked up at call time, so a traced run nests their spans
+    calls = []
+    for name in ("initiate", "respond", "finish"):
+        _spy(monkeypatch, proto, name, calls)
+    suite, rng = get_suite("hybrid-recommended"), np.random.default_rng(6)
+    pk, x1 = proto.hybrid_keygen(suite, rng)
+    key_b, ct = proto.hybrid_encaps(suite, pk, rng)
+    assert proto.hybrid_decaps(suite, x1, ct) == key_b
+    assert calls == ["initiate", "respond", "finish"]
