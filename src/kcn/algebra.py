@@ -18,7 +18,10 @@ matrix suite's q and p are, is a mask, and any other q is `%`.  LWR
 rounding needs a power-of-two q and is one shift and one mask.
 Polynomials in Z_q[x]/(x^n + 1) are RingPoly values carrying a domain
 flag so coefficient- and NTT-domain data cannot be mixed silently;
-`poly_mul` multiplies NTT-domain values only.  The public
+`poly_mul` multiplies NTT-domain values only.  Coefficients are int64 and
+NTT values float64, each in [0, q).  Every ring operation reduces its
+result once into that form, and only the RingPoly constructor, which
+serves outside callers, reduces what it is given.  The public
 matrix / ring element is expanded deterministically from a 32-byte seed
 with SHAKE-128, domain-separated by a one-byte role tag.
 
@@ -27,8 +30,10 @@ coefficients form an n1 x n2 matrix (n1 = 2^ceil(log2(n) / 2)), which is
 multiplied by an n1-point transform matrix, scaled by twiddle factors and
 multiplied by an n2-point one, each step reduced to a centered residue and
 the output once into [0, q).  The products are exact while n1 (q - 1)^2 <
-2^53; a ring past that bound is refused.  NTT-domain values come in no set
-order: they serve only for pointwise products and the inverse, not the wire.
+2^53; a ring past that bound is refused.  The forward transform takes
+coefficients of either sign up to q - 1 in magnitude, so a centered noise
+sample needs no reduction first.  NTT-domain values come in no set order:
+they serve only for pointwise products and the inverse, not the wire.
 """
 
 from __future__ import annotations
@@ -200,17 +205,44 @@ def _max_abs(x: np.ndarray) -> int:
 
 @dataclass
 class RingPoly:
+    """A ring element of Z_q[x]/(x^n + 1): int64 coefficients ("coef") or
+    float64 NTT values ("ntt"), in [0, q) as the ring operations return them.
+
+    The constructor, for outside callers, reduces into that form an integer
+    array or a float array of integers below 2^53 in magnitude, and refuses
+    anything a cast would truncate or wrap.  `unchecked` wraps values a ring
+    operation has already reduced; `ntt_forward` also reads coefficients of
+    either sign with |x| <= q - 1.
+    """
+
     n: int
     q: int
     coeffs: np.ndarray
     domain: str = "coef"  # "coef" | "ntt"
 
-    def __post_init__(self):  # the one reduction into [0, q) of every ring operation's output
-        self.coeffs = np.asarray(self.coeffs, dtype=np.int64) % self.q
-        if self.coeffs.shape != (self.n,):
-            raise ValueError("coefficient count must equal n")
+    def __post_init__(self):
         if self.domain not in ("coef", "ntt"):
             raise ValueError("domain must be 'coef' or 'ntt'")
+        x = np.asarray(self.coeffs)
+        if x.dtype.kind == "f":
+            if not np.all(np.abs(x) < 2.0**53) or not np.array_equal(x, np.rint(x)):
+                raise ValueError("float coefficients must be integers below 2^53 in magnitude")
+        elif x.dtype.kind not in "iu":
+            raise ValueError(f"coefficients must be integers, got dtype {x.dtype}")
+        if x.shape != (self.n,):
+            raise ValueError("coefficient count must equal n")
+        wide = {"f": np.float64, "i": np.int64, "u": np.uint64}[x.dtype.kind]  # so q fits the dtype
+        x = x.astype(wide, copy=False) % self.q
+        self.coeffs = x.astype(np.int64 if self.domain == "coef" else np.float64, copy=False)
+
+    @classmethod
+    def unchecked(cls, n: int, q: int, coeffs: np.ndarray, domain: str = "coef") -> "RingPoly":
+        """A RingPoly around `coeffs` as they are: not copied, checked or
+        reduced.  Values outside the form the domain states break the
+        exactness of the operation that reads them."""
+        p = cls.__new__(cls)
+        p.n, p.q, p.coeffs, p.domain = n, q, coeffs, domain
+        return p
 
 
 def _find_generator(q: int) -> int:
@@ -272,12 +304,25 @@ def _ntt_tables(n: int, q: int):
 
 
 def _mod(x: np.ndarray, q: int) -> np.ndarray:
-    """Centered r = x - rint(x / q) q for exact integer float64 |x| < 2^53:
-    x * (1/q) errs by under |x| 2^-52 / q + 2^-53, so |r| <= q/2 + 2, and
-    |r| <= q - 1 as q >= 5 is odd.  rint(x / q) q is exact: the guard leaves
-    n1 (q - 1)^2 over 2^27 below 2^53, and q < 2^26."""
+    """Centered r = x - rint(x / q) q for exact integer float64 |x| < 2^53
+    of either sign: x * (1/q) errs by under |x| 2^-52 / q + 2^-53, so
+    |r| <= q/2 + 2, and |r| <= q - 1 as q >= 5 is odd.  rint(x / q) q is
+    exact: the guard leaves n1 (q - 1)^2 over 2^27 below 2^53, and q < 2^26."""
     r = x * (1.0 / q)
     np.rint(r, out=r)
+    r *= -q
+    r += x
+    return r
+
+
+def _canonical(x: np.ndarray, q: int) -> np.ndarray:
+    """x mod q in [0, q), as x - floor(x / q) q, for exact integer float64
+    |x| < 2^53 - q.  With k = floor(x / q), x / q lies in [k, k + 1 - 1/q],
+    k and k + 1 are exact, and the correctly rounded x / q is below k + 1,
+    as half an ulp of k + 1 is at most |k + 1| 2^-53 < 1/q; so the floor is
+    k, k q is exact and so is x - k q."""
+    r = x / q
+    np.floor(r, out=r)
     r *= -q
     r += x
     return r
@@ -287,34 +332,47 @@ def ntt_forward(p: RingPoly) -> RingPoly:
     """Forward negacyclic NTT, Bailey's four-step method in float64 BLAS.
 
     The n coefficients are an n1 x n2 matrix A, transformed as
-    ((W1 @ A mod q) * T mod q) @ W2 mod q, psi folded into W1 and T and each
-    mod q the centered `_mod`.  A and the tables lie in [0, q), reduced
-    stages in |r| <= q/2 + 2 <= q - 1, so the three products sum n1, 1 and
-    n2 <= n1 terms of at most (q - 1)^2: at most n1 (q - 1)^2 < 2^53."""
+    ((W1 @ A mod q) * T mod q) @ W2 mod q, psi folded into W1 and T, the
+    first two mod q the centered `_mod` and the last `_canonical`, so the
+    output is float64 in [0, q) with no int64 pass.  A may hold any
+    integers with |x| <= q - 1, a centered noise sample as well as
+    residues; the tables lie in [0, q) and reduced stages in
+    |r| <= q/2 + 2 <= q - 1, so the three products sum n1, 1 and n2 <= n1
+    terms of at most (q - 1)^2: at most n1 (q - 1)^2 < 2^53.  The last
+    one's terms are at most (q/2 + 2)(q - 1), so its sum plus q stays within
+    n1 (q - 1)^2 for q >= 9, and is at most 41 for q = 5, as `_canonical`
+    needs."""
     if p.domain != "coef":
         raise ValueError("already in NTT domain")
     w1, t, w2, _, _, _ = _ntt_tables(p.n, p.q)
     a = p.coeffs.astype(np.float64).reshape(w1.shape[0], -1)
-    a = _mod(_mod(_mod(w1 @ a, p.q) * t, p.q) @ w2, p.q)
-    return RingPoly(p.n, p.q, a.reshape(-1).astype(np.int64), "ntt")
+    a = _canonical(_mod(_mod(w1 @ a, p.q) * t, p.q) @ w2, p.q)
+    return RingPoly.unchecked(p.n, p.q, a.reshape(-1), "ntt")
 
 
 def ntt_inverse(p: RingPoly) -> RingPoly:
-    """Inverse of `ntt_forward` (psi^-j and n^-1 in the tables), steps reversed;
-    its products sum n2, 1 and n1 terms of at most (q - 1)^2, so stay exact."""
+    """Inverse of `ntt_forward` (psi^-j and n^-1 in the tables), steps
+    reversed, read from the float64 values in place; its products sum n2, 1
+    and n1 terms of at most (q - 1)^2, so stay exact, the last within
+    `_canonical`'s bound as in `ntt_forward`.  The coefficients come back as
+    int64 in [0, q)."""
     if p.domain != "ntt":
         raise ValueError("not in NTT domain")
     _, _, _, w1inv, tinv, w2inv = _ntt_tables(p.n, p.q)
-    a = p.coeffs.astype(np.float64).reshape(w1inv.shape[0], -1)
-    a = _mod(w1inv @ _mod(_mod(a @ w2inv, p.q) * tinv, p.q), p.q)
-    return RingPoly(p.n, p.q, a.reshape(-1).astype(np.int64), "coef")
+    a = p.coeffs.reshape(w1inv.shape[0], -1)
+    a = _canonical(w1inv @ _mod(_mod(a @ w2inv, p.q) * tinv, p.q), p.q)
+    return RingPoly.unchecked(p.n, p.q, a.reshape(-1).astype(np.int64), "coef")
 
 
 def poly_mul(a: RingPoly, b: RingPoly) -> RingPoly:
     """Pointwise product of two NTT-domain polys in one ring, which is the
-    NTT of their negacyclic product; coefficient-domain operands are refused."""
+    NTT of their negacyclic product; coefficient-domain operands are refused.
+    The float64 product of two values in [0, q) is below q^2, and the
+    NTT's guard (n1 >= 2) leaves (q - 1)^2 < 2^52 and q < 2^26, so the
+    product is exact, within `_canonical`'s bound, and reduced once."""
     if (a.n, a.q) != (b.n, b.q):
         raise ValueError("operands must share the ring")
     if a.domain != "ntt" or b.domain != "ntt":
         raise ValueError("poly_mul takes NTT-domain operands")
-    return RingPoly(a.n, a.q, a.coeffs * b.coeffs, "ntt")
+    _ntt_tables(a.n, a.q)  # refuses a ring past the guard, as the transforms do
+    return RingPoly.unchecked(a.n, a.q, _canonical(a.coeffs * b.coeffs, a.q), "ntt")

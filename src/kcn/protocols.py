@@ -180,17 +180,22 @@ class _Rlwe(_Lwe):
         return (suite.n,)
 
     def secret(self, suite: Suite, rng, rows: int, cols: int) -> algebra.RingPoly:
-        return algebra.ntt_forward(algebra.RingPoly(suite.n, suite.q, super().secret(suite, rng, rows, cols)))
+        """The NTT of a noise sample, transformed centered: its support
+        bound lies below q, so no reduction comes first."""
+        x = super().secret(suite, rng, rows, cols)
+        return algebra.ntt_forward(algebra.RingPoly.unchecked(suite.n, suite.q, x))
 
     def transpose(self, m):  # the identity in place of A^T
         return m
 
     def product(self, suite: Suite, m, x, q: int, bounds) -> np.ndarray:
-        """The coefficients of m x; the NTT needs no `bounds`.  An operand
-        off the wire comes as coefficients and is transformed; the others
-        are RingPolys already."""
-        fm, fx = (v if isinstance(v, algebra.RingPoly) else algebra.ntt_forward(algebra.RingPoly(suite.n, q, v))
-                  for v in (m, x))
+        """The coefficients of m x, as int64 in [0, q); the NTT needs no
+        `bounds`.  An operand off the wire (y1, or y2, which the ring
+        suites do not cut) comes as coefficients in [0, q), its field's
+        range, and is transformed as it is; the others are RingPolys
+        already."""
+        fm, fx = (v if isinstance(v, algebra.RingPoly)
+                  else algebra.ntt_forward(algebra.RingPoly.unchecked(suite.n, q, v)) for v in (m, x))
         return algebra.ntt_inverse(algebra.poly_mul(fm, fx)).coeffs
 
     def assumption(self, suite: Suite, n: int) -> Assumption:

@@ -69,6 +69,10 @@ class Suite:
         if self.family == "rlwe" and (self.l_a, self.l_b) != (1, 1):
             raise ValueError(f"{self.name}: the rlwe family runs l_a = l_b = 1, "
                              f"got l_a={self.l_a}, l_b={self.l_b}")
+        if self.family == "rlwe" and self.noise.support_bound >= self.q:
+            raise ValueError(f"{self.name}: the rlwe noise must stay below q = {self.q} in magnitude, "
+                             f"as the NTT reads its samples centered; its support bound is "
+                             f"{self.noise.support_bound}")
         if self.kc is not None:
             if self.kc.q != (self.p or self.q):
                 raise ValueError(f"{self.name}: kc.q must be {self.p or self.q}, the modulus "

@@ -134,6 +134,14 @@ def test_ntt_exactness_guard():
         algebra.ntt_forward(RingPoly(16, 67108961, np.arange(16)))
 
 
+def test_poly_mul_exactness_guard():
+    # NTT-domain values built by hand on a ring the transforms refuse are
+    # refused by poly_mul too, whose float64 product the guard keeps exact
+    spec = RingPoly(16, 67108961, np.arange(16), "ntt")
+    with pytest.raises(ValueError, match=r"2\^53"):
+        algebra.poly_mul(spec, spec)
+
+
 def _assert_centered_residue(x, r, q):
     assert np.array_equal(r, np.rint(r))  # an exact integer
     assert np.array_equal(r.astype(np.int64) % q, x.astype(np.int64) % q)
@@ -162,6 +170,76 @@ def test_float_mod_property_below_guard(n, q, data):
     xs = data.draw(st.lists(st.integers(-top, top), min_size=1, max_size=64))
     x = np.array(xs, dtype=np.float64)  # exact: |x| < 2^53
     _assert_centered_residue(x, algebra._mod(x, q), q)
+
+
+# the rings of the reduction tests: both suite rings, a small one, and the
+# largest prime q = 1 mod 32 the guard admits at n = 16 (n1 = 4)
+EDGE_RINGS = [(512, 12289), (1024, 12289), (16, 97), (16, 47452897)]
+
+
+@pytest.mark.parametrize("n,q", [(2, 67108837), (16, 47452897), (1024, 12289)])
+@settings(deadline=None, max_examples=200)
+@given(data=st.data())
+def test_float_canonical_residue(n, q, data):
+    # x mod q in [0, q), exactly, on both sides of zero up to 2^53 - q, and
+    # at multiples of q and beside them, where x / q lands on or by an integer
+    algebra._ntt_tables(n, q)
+    top = 2**53 - q - 1
+    xs = data.draw(st.lists(st.integers(-top, top), min_size=1, max_size=64))
+    k = data.draw(st.integers(-(top // q), top // q))
+    x = np.array(xs + [k * q, k * q + 1, k * q - 1, 0, top, -top], dtype=np.int64)
+    r = algebra._canonical(x.astype(np.float64), q)
+    assert r.dtype == np.float64
+    assert np.array_equal(r.astype(np.int64), x % q)
+
+
+@pytest.mark.parametrize("n,q", EDGE_RINGS)
+def test_ntt_forward_reads_centered_coefficients(n, q, rng):
+    # coefficients down to -(q - 1), as a centered noise sample gives them,
+    # transform to the very values their residues do
+    ext = np.array([-(q - 1), q - 1, -1, 0])
+    for c in (rng.integers(-(q - 1), q, n), np.resize(ext, n), np.full(n, -(q - 1))):
+        centered = algebra.ntt_forward(RingPoly.unchecked(n, q, c.astype(np.int64)))
+        reduced = algebra.ntt_forward(RingPoly(n, q, c))
+        assert centered.coeffs.tobytes() == reduced.coeffs.tobytes()
+
+
+@pytest.mark.parametrize("n,q", EDGE_RINGS)
+def test_ring_operations_return_canonical_residues(n, q, rng):
+    # NTT values are float64 and coefficients int64, each in [0, q), from
+    # the transforms and the product alike, the all-(q - 1) input included
+    for c in (rng.integers(0, q, n), np.full(n, q - 1)):
+        spec = algebra.ntt_forward(RingPoly(n, q, c))
+        prod = algebra.poly_mul(spec, spec)
+        back = algebra.ntt_inverse(prod)
+        for p, dtype in ((spec, np.float64), (prod, np.float64), (back, np.int64)):
+            assert p.coeffs.dtype == dtype
+            assert p.coeffs.min() >= 0 and p.coeffs.max() < q
+        assert np.array_equal(algebra.ntt_inverse(spec).coeffs, c)
+        if n <= 64:
+            assert np.array_equal(back.coeffs, schoolbook_negacyclic(c, c, q))
+
+
+@pytest.mark.parametrize("bad", [[0.9, 1.5, 2.2, 16.7], ["1", "2", "3", "4"], np.full(4, 2.0**63),
+                                 [np.nan] * 4, [True] * 4])
+def test_ring_poly_refuses_values_that_are_not_integers(bad):
+    # a cast would truncate, parse or wrap these into coefficients
+    for domain in ("coef", "ntt"):
+        with pytest.raises(ValueError):
+            RingPoly(4, 17, bad, domain)
+
+
+def test_ring_poly_reduces_integers_and_integral_floats():
+    # integer dtypes of any sign and width, and floats holding integers, as
+    # an NTT-domain product reduced by hand is, come back canonical
+    want = [1, 16, 0, 16]
+    for x in ([18, -1, 0, 33], np.array([18, 2**64 - 2, 0, 16], dtype=np.uint64),
+              np.array([18.0, -1.0, 0.0, 2.0**53 - 16])):
+        coef, spec = RingPoly(4, 17, x), RingPoly(4, 17, x, "ntt")
+        assert coef.coeffs.dtype == np.int64 and spec.coeffs.dtype == np.float64
+        assert list(coef.coeffs) == list(spec.coeffs) == want
+    # a narrow dtype is widened first, so a q past its range still reduces it
+    assert list(RingPoly(4, 12289, np.array([1, -1, 0, 127], dtype=np.int8)).coeffs) == [1, 12288, 0, 127]
 
 
 def test_ntt_guard_leaves_room_for_centered_quotient():

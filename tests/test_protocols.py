@@ -226,6 +226,8 @@ def test_suite_needs_both_variant_and_kc(field):
     ("lwe-challenge", lambda: {"t": 11}, r"lwe-challenge: t must lie in \[0, 10\)"),
     ("lwe-challenge", lambda: {"t": -1}, r"lwe-challenge: t must lie in \[0, 10\)"),
     ("okcn-rlwe-16", lambda: {"l_a": 2}, "okcn-rlwe-16: the rlwe family runs l_a = l_b = 1"),
+    # ring noise the NTT cannot read centered: |x| <= q - 1 keeps it exact
+    ("okcn-rlwe-16", lambda: {"q": 13}, "okcn-rlwe-16: the rlwe noise must stay below q = 13"),
     ("lwr-recommended", lambda: {"n": 0}, "lwr-recommended: dimensions must be at least 1, got n=0"),
     ("lwe-recommended", lambda: {"l_a": 0}, "lwe-recommended: dimensions must be at least 1, got l_a=0"),
     ("lwr-recommended", lambda: {"l_b": -1}, "lwr-recommended: dimensions must be at least 1, got l_b=-1"),
