@@ -79,6 +79,41 @@ def test_centered_binomial(rng):
     assert abs(pmf.variance() - 8.0) < 1e-12
 
 
+# SHA-256 over sample_centered_binomial(default_rng(1600 + size), size) as
+# little-endian int64, then 8 bytes of the generator's next draw, for each
+# size below: the values and the draws the sampler leaves behind
+PSI16_SIZES = (0, 1, 7, 1024)
+PSI16_DIGEST = "d4c4641e995f2d02d2a8fdc93fc7d3baed7425a745cf5571fe12b2ff61031576"
+
+
+def test_centered_binomial_pinned():
+    h = hashlib.sha256()
+    for size in PSI16_SIZES:
+        rng = np.random.default_rng(1600 + size)
+        x = noise.sample_centered_binomial(rng, size)
+        assert x.dtype == np.int64 and x.shape == (size,)
+        h.update(x.astype("<i8").tobytes())
+        h.update(rng.bytes(8))
+    assert h.hexdigest() == PSI16_DIGEST
+    x = noise.sample_centered_binomial(np.random.default_rng(5))
+    assert isinstance(x, np.int64) and x == -1
+
+
+def test_centered_binomial_edge_words():
+    # each draw is popcount(low 16 bits) - popcount(high 16 bits) of one
+    # 32-bit word, at the all-zero, all-one and half-set words too
+    words = [0, 0xFFFFFFFF, 0xFFFF0000, 0x0000FFFF, 0x80000001, 0x00018000, 0x7FFF8000, 0x12345678]
+
+    class FakeRng:
+        def integers(self, lo, hi, size=None, dtype=None):
+            assert (lo, hi, dtype) == (0, 1 << 32, np.uint64)
+            return np.array(words, dtype=np.uint64)
+
+    want = [bin(w & 0xFFFF).count("1") - bin(w >> 16).count("1") for w in words]
+    assert noise.sample_centered_binomial(FakeRng(), len(words)).tolist() == want
+    assert want[:4] == [0, 0, -16, 16]
+
+
 def test_bab_sampler(rng):
     x = noise.sample_bab(24, 16, rng, 10**6)
     assert abs(x.var() - 22.0) < 0.1

@@ -48,6 +48,19 @@ def test_widths_outside_1_to_63_rejected(bits):
         wire.unpack(bytes((5 * bits + 7) // 8), bits, 5)
 
 
+@pytest.mark.parametrize("bits", [1, 4, 14, 63])
+def test_pack_refuses_values_outside_its_bits(bits):
+    # 2^bits (where int64 holds it) and any negative value are refused,
+    # wherever they stand; 2^bits - 1 and 0 pack
+    top = (1 << bits) - 1
+    assert wire.unpack(wire.pack(np.array([top, 0]), bits), bits, 2).tolist() == [top, 0]
+    over = [[top + 1], [0, top + 1]] if bits < 63 else []
+    for bad in over + [[-1], [top, -1, 0], [-(2**63)]]:
+        with pytest.raises(ValueError, match=f"^values out of range for {bits} bits$"):
+            wire.pack(np.array(bad, dtype=np.int64), bits)
+    assert wire.pack(np.array([], dtype=np.int64), bits) == b""
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.integers(1, 63), st.data())
 def test_unpack_inverts_pack(bits, data):
