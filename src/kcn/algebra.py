@@ -41,6 +41,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -203,7 +204,7 @@ def _max_abs(x: np.ndarray) -> int:
 # ---------------------------------------------------------------------------
 # Negacyclic NTT over Z_q[x]/(x^n + 1), q prime with q = 1 mod 2n.
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class RingPoly:
     """A ring element of Z_q[x]/(x^n + 1): int64 coefficients ("coef") or
     float64 NTT values ("ntt"), in [0, q) as the ring operations return them.
@@ -212,7 +213,8 @@ class RingPoly:
     array or a float array of integers below 2^53 in magnitude, and refuses
     anything a cast would truncate or wrap.  `unchecked` wraps values a ring
     operation has already reduced; `ntt_forward` also reads coefficients of
-    either sign with |x| <= q - 1.
+    either sign with |x| <= q - 1.  A RingPoly is frozen, so a parsed key's
+    public element cannot be swapped, and compares by identity.
     """
 
     n: int
@@ -233,15 +235,19 @@ class RingPoly:
             raise ValueError("coefficient count must equal n")
         wide = {"f": np.float64, "i": np.int64, "u": np.uint64}[x.dtype.kind]  # so q fits the dtype
         x = x.astype(wide, copy=False) % self.q
-        self.coeffs = x.astype(np.int64 if self.domain == "coef" else np.float64, copy=False)
+        object.__setattr__(self, "coeffs", x.astype(np.int64 if self.domain == "coef" else np.float64,
+                                                    copy=False))
 
     @classmethod
     def unchecked(cls, n: int, q: int, coeffs: np.ndarray, domain: str = "coef") -> "RingPoly":
         """A RingPoly around `coeffs` as they are: not copied, checked or
         reduced.  Values outside the form the domain states break the
         exactness of the operation that reads them."""
-        p = cls.__new__(cls)
-        p.n, p.q, p.coeffs, p.domain = n, q, coeffs, domain
+        p, set_ = cls.__new__(cls), object.__setattr__
+        set_(p, "n", n)
+        set_(p, "q", q)
+        set_(p, "coeffs", coeffs)
+        set_(p, "domain", domain)
         return p
 
 
@@ -263,9 +269,22 @@ def _find_generator(q: int) -> int:
     raise ValueError("no generator found")
 
 
+class _NttPlan(NamedTuple):
+    """The four-step tables of one ring and whether its first stage reduces."""
+
+    w1: np.ndarray
+    t: np.ndarray
+    w2: np.ndarray
+    w1inv: np.ndarray
+    tinv: np.ndarray
+    w2inv: np.ndarray
+    reduce_first: bool
+
+
 @lru_cache(maxsize=None)
-def _ntt_tables(n: int, q: int):
-    """Read-only float64 four-step tables (W1, T, W2, W1inv, Tinv, W2inv).
+def _ntt_tables(n: int, q: int) -> _NttPlan:
+    """The stage plan of the ring: read-only float64 four-step tables
+    (W1, T, W2, W1inv, Tinv, W2inv), and whether the first stage reduces.
 
     With n = n1 * n2 and n1 = 2^ceil(log2(n) / 2), coefficient n2 j1 + j2
     is entry (j1, j2) of A, and entry (k1, k2) of the output is A evaluated
@@ -274,6 +293,12 @@ def _ntt_tables(n: int, q: int):
     W2[j2, k2] = psi^(2 n1 j2 k2).  The inverse tables negate every
     exponent, and Tinv also carries n^-1.  Every entry is read, by its
     exponent mod 2n, from one array of the powers of psi.
+
+    The first stage's product and its twiddle stay within n1 (q - 1)^3 in
+    both transforms, so where n1 (q - 1)^3 + q < 2^53, as on every shipped
+    ring (32 * 12288^3 is about 5.9e13), the first `_mod` is skipped and
+    the second reduces the exact twiddled sums.  A ring past that line,
+    such as (16, 47452897), keeps all three reductions.
     """
     if n & (n - 1) or n < 2:
         raise ValueError("n must be a power of two")
@@ -300,14 +325,17 @@ def _ntt_tables(n: int, q: int):
     tables = tuple(np.ascontiguousarray(x, dtype=np.float64) for x in tables)
     for x in tables:
         x.flags.writeable = False
-    return tables
+    return _NttPlan(*tables, reduce_first=n1 * (q - 1) ** 3 + q >= 2**53)
 
 
 def _mod(x: np.ndarray, q: int) -> np.ndarray:
-    """Centered r = x - rint(x / q) q for exact integer float64 |x| < 2^53
-    of either sign: x * (1/q) errs by under |x| 2^-52 / q + 2^-53, so
-    |r| <= q/2 + 2, and |r| <= q - 1 as q >= 5 is odd.  rint(x / q) q is
-    exact: the guard leaves n1 (q - 1)^2 over 2^27 below 2^53, and q < 2^26."""
+    """Centered r = x - rint(x / q) q for exact integer float64 x of either
+    sign with |x| + q < 2^53: x * (1/q) errs by under |x| 2^-52 / q + 2^-53,
+    so |r| <= q/2 + 2, and |r| <= q - 1 as q >= 5 is odd; and rint(x / q) q,
+    within q/2 + 2 of x, is exact.  The NTT's inputs stay within n1 (q - 1)^2,
+    which the guard leaves over 2^27 > q below 2^53, or within n1 (q - 1)^3
+    where the stage plan skips the first reduction, as n1 (q - 1)^3 + q < 2^53
+    there."""
     r = x * (1.0 / q)
     np.rint(r, out=r)
     r *= -q
@@ -333,34 +361,44 @@ def ntt_forward(p: RingPoly) -> RingPoly:
 
     The n coefficients are an n1 x n2 matrix A, transformed as
     ((W1 @ A mod q) * T mod q) @ W2 mod q, psi folded into W1 and T, the
-    first two mod q the centered `_mod` and the last `_canonical`, so the
-    output is float64 in [0, q) with no int64 pass.  A may hold any
-    integers with |x| <= q - 1, a centered noise sample as well as
-    residues; the tables lie in [0, q) and reduced stages in
-    |r| <= q/2 + 2 <= q - 1, so the three products sum n1, 1 and n2 <= n1
-    terms of at most (q - 1)^2: at most n1 (q - 1)^2 < 2^53.  The last
-    one's terms are at most (q/2 + 2)(q - 1), so its sum plus q stays within
-    n1 (q - 1)^2 for q >= 9, and is at most 41 for q = 5, as `_canonical`
-    needs."""
+    middle mod q the centered `_mod`, the last `_canonical`, and the first
+    a `_mod` only where the ring's stage plan keeps it; the output is
+    float64 in [0, q) with no int64 pass.  A may hold any integers with
+    |x| <= q - 1, a centered noise sample as well as residues, and the
+    tables lie in [0, q).  So W1 @ A sums n1 terms of at most (q - 1)^2,
+    and unreduced it reaches n1 (q - 1)^3 after the twiddle, which the plan
+    admits only while n1 (q - 1)^3 + q < 2^53; reduced, the twiddle's
+    products stay below (q - 1)^2.  A reduced stage lies in |r| <= q/2 + 2
+    <= q - 1, so the last product sums n2 <= n1 terms of at most
+    (q/2 + 2)(q - 1), and that sum plus q stays within n1 (q - 1)^2 for
+    q >= 9, and is at most 41 for q = 5, as `_canonical` needs."""
     if p.domain != "coef":
         raise ValueError("already in NTT domain")
-    w1, t, w2, _, _, _ = _ntt_tables(p.n, p.q)
-    a = p.coeffs.astype(np.float64).reshape(w1.shape[0], -1)
-    a = _canonical(_mod(_mod(w1 @ a, p.q) * t, p.q) @ w2, p.q)
+    plan = _ntt_tables(p.n, p.q)
+    a = plan.w1 @ p.coeffs.astype(np.float64).reshape(plan.w1.shape[0], -1)
+    if plan.reduce_first:
+        a = _mod(a, p.q)
+    a *= plan.t
+    a = _canonical(_mod(a, p.q) @ plan.w2, p.q)
     return RingPoly.unchecked(p.n, p.q, a.reshape(-1), "ntt")
 
 
 def ntt_inverse(p: RingPoly) -> RingPoly:
     """Inverse of `ntt_forward` (psi^-j and n^-1 in the tables), steps
-    reversed, read from the float64 values in place; its products sum n2, 1
-    and n1 terms of at most (q - 1)^2, so stay exact, the last within
-    `_canonical`'s bound as in `ntt_forward`.  The coefficients come back as
-    int64 in [0, q)."""
+    reversed, read from the float64 values in place.  Its first product
+    sums n2 <= n1 terms of at most (q - 1)^2 from values in [0, q), so
+    unreduced it stays within n2 (q - 1)^3 <= n1 (q - 1)^3 after the
+    twiddle, and the stage plan skips its `_mod` as in `ntt_forward`; the
+    last product sums n1 terms, within `_canonical`'s bound as there.  The
+    coefficients come back as int64 in [0, q)."""
     if p.domain != "ntt":
         raise ValueError("not in NTT domain")
-    _, _, _, w1inv, tinv, w2inv = _ntt_tables(p.n, p.q)
-    a = p.coeffs.reshape(w1inv.shape[0], -1)
-    a = _canonical(w1inv @ _mod(_mod(a @ w2inv, p.q) * tinv, p.q), p.q)
+    plan = _ntt_tables(p.n, p.q)
+    a = p.coeffs.reshape(plan.w1inv.shape[0], -1) @ plan.w2inv
+    if plan.reduce_first:
+        a = _mod(a, p.q)
+    a *= plan.tinv
+    a = _canonical(plan.w1inv @ _mod(a, p.q), p.q)
     return RingPoly.unchecked(p.n, p.q, a.reshape(-1).astype(np.int64), "coef")
 
 

@@ -137,11 +137,13 @@ def sample_table(table: NoiseTable, rng, size=None):
 
 
 def sample_centered_binomial(rng, size=None):
-    """Psi_16: sum of 16 centered binomial terms, 32 bits per draw, variance 8."""
+    """Psi_16: sum of 16 centered binomial terms, 32 bits per draw, variance 8.
+
+    A draw is popcount(low 16 bits) - popcount(high 16 bits) of one 32-bit
+    word r, counted in one pass as popcount(r ^ 0xFFFF0000) - 16, since
+    flipping the high half counts its zeros, 16 - popcount(high)."""
     r = rng.integers(0, 1 << 32, size=size, dtype=np.uint64)
-    lo = np.bitwise_count(r & np.uint64(0xFFFF)).astype(np.int64)
-    hi = np.bitwise_count(r >> np.uint64(16)).astype(np.int64)
-    return lo - hi
+    return np.bitwise_count(r ^ np.uint64(0xFFFF0000)).astype(np.int64) - 16
 
 
 def sample_bab(a: int, b: int, rng, size=None):

@@ -225,6 +225,20 @@ class PublicKey:
         field.check(self.y1.reshape(-1))
         self.y1.flags.writeable = False
 
+    @classmethod
+    def unchecked(cls, suite: Suite, seed: bytes, y1: np.ndarray, a) -> "PublicKey":
+        """A PublicKey around a y1 already known to lie in its field, made
+        read-only but not checked again: the y1 that `initiate` has just
+        packed, or one that `Field.decode` has checked or `unpack`'s mask
+        bounds."""
+        pk, set_ = cls.__new__(cls), object.__setattr__
+        set_(pk, "suite", suite)
+        set_(pk, "seed", seed)
+        set_(pk, "y1", y1)
+        set_(pk, "a", a)
+        y1.flags.writeable = False
+        return pk
+
 
 # The one parsed key that msg1 bytes reach.  `initiate` leaves its own key
 # here, so a responder in the same process, or each session to one public
@@ -248,7 +262,7 @@ def public_key(suite: Suite, msg1) -> PublicKey:
     seed, y1 = layouts(suite)[0].unpack(msg1)
     seed = seed.astype(np.uint8).tobytes()
     _key_slot = slot = None
-    pk = PublicKey(suite, seed, y1, FAMILIES[suite.family].key.expand(suite, seed))
+    pk = PublicKey.unchecked(suite, seed, y1, FAMILIES[suite.family].key.expand(suite, seed))
     _key_slot = ((suite, msg1), pk)
     return pk
 
@@ -260,7 +274,8 @@ def public_key(suite: Suite, msg1) -> PublicKey:
 # `_agree` and `_recover` run Con and Rec on sigma.
 
 class Mode:
-    """The shared Con/Rec driver of the consensus modes."""
+    """The shared Con/Rec driver of the consensus modes, which reads each
+    suite's fields from `_fields`."""
 
     AKC = None  # fixed by a code mode; None: the suite's scalar variant decides
 
@@ -274,7 +289,7 @@ class Mode:
     def con(self, suite: Suite, sigma2: np.ndarray, rng, key_in) -> tuple[bytes, tuple]:
         """(packed key, hint arrays).  AKC sends `key_in` (the key's symbol
         count, each below its bound) or a uniform key; KC refuses `key_in`."""
-        key, k = self.fields(suite)[0], None
+        key, k = _fields(self, suite)[0], None
         if key_in is not None:
             if not self.akc(suite):
                 raise ValueError(f"{suite.name}: KC suites cannot transport a chosen key")
@@ -290,7 +305,15 @@ class Mode:
         return wire.pack(k, key.bits), hint
 
     def rec(self, suite: Suite, sigma1: np.ndarray, hint) -> bytes:
-        return wire.pack(self._recover(suite, sigma1, hint), self.fields(suite)[0].bits)
+        return wire.pack(self._recover(suite, sigma1, hint), _fields(self, suite)[0].bits)
+
+
+@lru_cache(maxsize=None)
+def _fields(mode: Mode, suite: Suite) -> tuple[wire.Field, tuple[wire.Field, ...]]:
+    """`mode.fields(suite)`, built once per suite: the key field, whose
+    `bits` and `bound` each `wire.Field` computes on first use, and the
+    hint fields of `layouts`."""
+    return mode.fields(suite)
 
 
 @dataclass(frozen=True)
@@ -447,7 +470,7 @@ def layouts(suite: Suite) -> tuple[wire.Layout, wire.Layout]:
     key, resp = FAMILIES[suite.family]
     y1 = wire.Field("y1", key.shape(suite, suite.n_b or suite.n, suite.l_a), key.modulus(suite))
     y2 = wire.Field("y2", resp.shape(suite, suite.n, suite.l_b), resp.modulus(suite) >> suite.t)
-    return wire.Layout((_SEED, y1)), wire.Layout((y2,) + suite.mode.fields(suite)[1])
+    return wire.Layout((_SEED, y1)), wire.Layout((y2,) + _fields(suite.mode, suite)[1])
 
 
 def public_element(suite: Suite) -> wire.Field:
@@ -472,7 +495,7 @@ def initiate(suite: Suite, rng) -> tuple[Session, bytes]:
     x1 = key.secret(suite, rng, suite.n, suite.l_a)
     y1 = key.sample(suite, a, x1, rng)
     msg1 = layouts(suite)[0].pack(np.frombuffer(seed, np.uint8), y1)
-    _key_slot = ((suite, msg1), PublicKey(suite, seed, y1, a))
+    _key_slot = ((suite, msg1), PublicKey.unchecked(suite, seed, y1, a))
     return Session(suite, x1), msg1
 
 

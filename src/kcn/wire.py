@@ -12,8 +12,9 @@ Decoding is canonical: `Layout.unpack` accepts only the unique encoding of
 a valid message, rejecting a wrong length, a set padding bit and any value
 at or above its field's bound.  `Field.decode` range-checks only a bound
 below 2^bits, as `unpack` masks every value to its bits.  On the way out,
-`Field.check` names the field and value at fault and `pack` checks again
-for its direct callers.
+`pack` scans each value once, against the field's bound or, for its
+direct callers, 2^bits; when it refuses a field, `Field.check` names the
+field and value at fault.
 """
 
 from __future__ import annotations
@@ -32,12 +33,20 @@ def _check(bits: int) -> None:
         raise ValueError(f"bits must be in 1..63, got {bits}")
 
 
-def pack(values: np.ndarray, bits: int) -> bytes:
-    """Pack non-negative ints < 2^bits into ceil(len*bits/8) bytes."""
+def pack(values: np.ndarray, bits: int, bound: int | None = None) -> bytes:
+    """Pack non-negative ints below `bound` (default 2^bits, at most that)
+    into ceil(len*bits/8) bytes, after one scan of the values."""
     _check(bits)
+    top = 1 << bits
+    if bound is None:
+        bound = top
+    elif not 0 < bound <= top:
+        raise ValueError(f"bound {bound} does not fit {bits} bits")
     flat = np.asarray(values, dtype=np.int64).reshape(-1)
-    if flat.size and (flat.min() < 0 or flat.max() >> bits):
-        raise ValueError(f"values out of range for {bits} bits")
+    # as uint64 a negative value is at least 2^63, above any bound
+    if flat.size and flat.view(np.uint64).max() >= bound:
+        raise ValueError(f"values out of range for {bits} bits" if bound == top
+                         else f"values out of range for bound {bound}")
     octets = flat.astype("<u8").view(np.uint8).reshape(-1, 8)  # each value's 64-bit word
     bitmat = np.unpackbits(octets, axis=1, count=bits, bitorder="little")
     return np.packbits(bitmat, bitorder="little").tobytes()
@@ -87,9 +96,14 @@ class Field:
         raise ValueError(f"field {self.name}[{i}] = {values[i]} is out of range for bound {self.bound}")
 
     def encode(self, values) -> bytes:
+        """Pack the `count` values, each in [0, bound); a refusal names the
+        first value at fault."""
         flat = np.asarray(values, dtype=np.int64).reshape(self.count)
-        self.check(flat)
-        return pack(flat, self.bits)
+        try:
+            return pack(flat, self.bits, self.bound)
+        except ValueError:
+            self.check(flat)
+            raise
 
     def decode(self, data: bytes) -> np.ndarray:
         """Inverse of encode, for exactly `nbytes` bytes; rejects set padding bits."""

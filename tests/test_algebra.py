@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import tracemalloc
@@ -286,6 +287,52 @@ def test_ntt_pinned():
             h.update(spec.coeffs.astype("<i8").tobytes())
             h.update(back.coeffs.astype("<i8").tobytes())
     assert h.hexdigest() == NTT_DIGEST
+
+
+# rings on both sides of the stage plan's line n1 (q - 1)^3 + q < 2^53:
+# every ring below it skips the first reduction of either transform, and
+# the two past it, each the largest q the guard admits for its n1, keep it
+PLAN_RINGS = [((16, 97), False), ((256, 7681), False), ((512, 12289), False), ((1024, 12289), False),
+              ((16, 47452897), True), ((2, 67108837), True)]
+
+
+@pytest.mark.parametrize("ring, reduces", PLAN_RINGS, ids=lambda x: str(x))
+def test_ntt_stage_plan_on_both_sides_of_the_line(ring, reduces, rng):
+    n, q = ring
+    n1 = 1 << (n.bit_length() // 2)
+    assert algebra._ntt_tables(n, q).reduce_first is reduces
+    assert (n1 * (q - 1) ** 3 + q >= 2**53) is reduces
+    # centered inputs at +-(q - 1), as a transformed noise sample or the
+    # worst case of the skip's bound gives them, and the all-(q - 1) NTT
+    # values that drive the inverse's first stage to its largest
+    top = np.full(n, q - 1, dtype=np.int64)
+    signs = np.where(rng.integers(0, 2, n) == 1, 1, -1)
+    alt = np.resize(np.array([q - 1, -(q - 1)], dtype=np.int64), n)
+    inputs = [top, -top, alt, signs * (q - 1), rng.integers(-(q - 1), q, n)]
+    for a in inputs:
+        spec = algebra.ntt_forward(RingPoly.unchecked(n, q, a))
+        assert spec.coeffs.min() >= 0 and spec.coeffs.max() < q
+        assert np.array_equal(algebra.ntt_inverse(spec).coeffs, a % q)
+        for b in inputs[:3]:
+            prod = algebra.poly_mul(spec, algebra.ntt_forward(RingPoly.unchecked(n, q, b)))
+            assert np.array_equal(algebra.ntt_inverse(prod).coeffs, schoolbook_negacyclic(a, b, q))
+    spec = RingPoly.unchecked(n, q, np.full(n, q - 1.0), "ntt")
+    back = algebra.ntt_inverse(spec)
+    assert back.coeffs.min() >= 0 and back.coeffs.max() < q
+    assert np.array_equal(algebra.ntt_forward(back).coeffs, spec.coeffs)
+
+
+def test_ring_poly_is_frozen_and_compares_by_identity():
+    p = RingPoly(4, 17, [1, 2, 3, 4])
+    assert (p == RingPoly(4, 17, [1, 2, 3, 4])) is False
+    assert p == p and p != RingPoly(4, 17, [1, 2, 3, 4])
+    for name in ("n", "q", "coeffs", "domain"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(p, name, getattr(p, name))
+    u = RingPoly.unchecked(4, 17, p.coeffs, "coef")
+    assert u.coeffs is p.coeffs and (u.n, u.q, u.domain) == (4, 17, "coef")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        u.coeffs = np.zeros(4)
 
 
 def test_poly_mul_ring_mismatch():

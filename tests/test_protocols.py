@@ -306,6 +306,62 @@ def test_public_key_refuses_a_y1_outside_its_field(rng):
     assert proto.PublicKey(ring, key.seed, key.y1.copy(), key.a).y1.flags.writeable is False
 
 
+def test_parsed_ring_key_cannot_be_changed(rng):
+    # a RingPoly is frozen: the public element of a parsed key stays the one
+    # its seed expands to, so a later parse of the same bytes, which the
+    # slot answers with the same key, still agrees with the initiator
+    suite = get_suite("newhope")
+    session, msg1 = proto.initiate(suite, rng)
+    key = proto.public_key(suite, msg1)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        key.a.coeffs = np.zeros(1024)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        key.a = algebra.RingPoly(1024, suite.q, np.zeros(1024, dtype=np.int64), "ntt")
+    again = proto.public_key(suite, msg1)
+    assert again is key
+    key_b, msg2 = proto.respond(suite, again, rng)
+    assert proto.finish(session, msg2) == key_b
+
+
+@pytest.mark.parametrize("name", ["okcn-rlwe-16", "okcn-sec-837", "akcn-sec-837", "newhope", "akcn-4to1",
+                                  "zarzar", "hybrid-recommended"])
+def test_exchange_builds_no_wire_field_once_warm(monkeypatch, name):
+    # the key and hint fields of each mode are built once per suite, so a
+    # second exchange constructs none
+    suite = get_suite(name)
+    session, msg1 = proto.initiate(suite, np.random.default_rng(1))
+    proto.finish(session, proto.respond(suite, msg1, np.random.default_rng(2))[1])
+    built = []
+
+    class Counted(wire.Field):
+        def __init__(self, name, *args):
+            built.append(name)
+            super().__init__(name, *args)
+
+    monkeypatch.setattr(wire, "Field", Counted)
+    session, msg1 = proto.initiate(suite, np.random.default_rng(3))
+    key_b, msg2 = proto.respond(suite, msg1, np.random.default_rng(4))
+    assert proto.finish(session, msg2) == key_b
+    assert built == ([] if suite.family == "rlwe" else ["A"])  # a matrix expansion reads A's shape
+    assert proto._fields(suite.mode, suite) is proto._fields(suite.mode, suite)
+
+
+def test_initiate_and_parse_keep_y1_read_only(rng):
+    # the slot's key from initiate and a key parsed from other bytes hold y1
+    # read-only, as the checking constructor leaves it
+    for name in ("newhope", "lwe-challenge", "hybrid-recommended"):
+        suite = get_suite(name)
+        _, msg1 = proto.initiate(suite, rng)
+        own = proto.public_key(suite, msg1)
+        _, other = proto.initiate(suite, rng)
+        parsed = proto.public_key(suite, bytes(msg1))
+        assert parsed is not own and other != msg1
+        for key in (own, parsed):
+            assert key.y1.flags.writeable is False
+            assert key.y1.shape == proto.layouts(suite)[0].fields[1].shape
+        assert np.array_equal(own.y1, parsed.y1)
+
+
 def test_msg1_one_bit_from_the_slot_is_parsed_again(rng):
     # ring: the flipped bit takes y1[i] to q or above; the decoder refuses it
     # as it always did, and the slot keeps its key

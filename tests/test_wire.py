@@ -61,6 +61,42 @@ def test_pack_refuses_values_outside_its_bits(bits):
     assert wire.pack(np.array([], dtype=np.int64), bits) == b""
 
 
+@pytest.mark.parametrize("bits, bound", [(1, 1), (4, 9), (14, 12289), (14, 1 << 13), (63, 2**62 + 1)])
+def test_pack_refuses_values_at_a_callers_bound(bits, bound):
+    # a bound below 2^bits refuses the value bound, and a negative one, with
+    # pack's message; the values below it pack as they do with no bound
+    ok = np.array([bound - 1, 0], dtype=np.int64)
+    assert wire.pack(ok, bits, bound) == wire.pack(ok, bits)
+    for bad in ([bound], [0, bound], [-1]):
+        with pytest.raises(ValueError, match=f"^values out of range for bound {bound}$"):
+            wire.pack(np.array(bad, dtype=np.int64), bits, bound)
+    assert wire.pack(np.array([], dtype=np.int64), bits, bound) == b""
+
+
+@pytest.mark.parametrize("bits", [1, 4, 14, 63])
+def test_pack_bound_none_is_the_default(bits):
+    # bound=None and bound=2^bits are the default: the same bytes, and the
+    # same refusal with the same message
+    vals = _values(bits, 17)
+    assert wire.pack(vals, bits, None) == wire.pack(vals, bits, 1 << bits) == wire.pack(vals, bits)
+    for bound in (None, 1 << bits):
+        with pytest.raises(ValueError, match=f"^values out of range for {bits} bits$"):
+            wire.pack(np.array([-1]), bits, bound)
+    for bound in (0, -1, (1 << bits) + 1):
+        with pytest.raises(ValueError, match=f"^bound {bound} does not fit {bits} bits$"):
+            wire.pack(vals, bits, bound)
+
+
+def test_field_encode_names_the_value_pack_refuses():
+    # Field.encode scans once, through pack, and a refusal names the field
+    field = wire.Field("y", (4,), 12289)
+    assert field.encode(np.array([12288, 0, 1, 2])) == wire.pack(np.array([12288, 0, 1, 2]), 14)
+    with pytest.raises(ValueError, match=r"^field y\[2\] = 12289 is out of range for bound 12289$"):
+        field.encode(np.array([0, 1, 12289, 16383]))
+    with pytest.raises(ValueError, match=r"^field y\[1\] = -3 is out of range"):
+        field.encode(np.array([0, -3, 1, 2]))
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.integers(1, 63), st.data())
 def test_unpack_inverts_pack(bits, data):
