@@ -28,12 +28,17 @@ with SHAKE-128, domain-separated by a one-byte role tag.
 The negacyclic NTT is Bailey's four-step method on float64 BLAS: the n
 coefficients form an n1 x n2 matrix (n1 = 2^ceil(log2(n) / 2)), which is
 multiplied by an n1-point transform matrix, scaled by twiddle factors and
-multiplied by an n2-point one, each step reduced to a centered residue and
-the output once into [0, q).  The products are exact while n1 (q - 1)^2 <
-2^53; a ring past that bound is refused.  The forward transform takes
-coefficients of either sign up to q - 1 in magnitude, so a centered noise
-sample needs no reduction first.  NTT-domain values come in no set order:
-they serve only for pointwise products and the inverse, not the wire.
+multiplied by an n2-point one; the output is reduced once into [0, q) and
+the steps before it to a centered residue.  The products are exact while
+n1 (q - 1)^2 < 2^53; a ring past that bound is refused.  Each ring's stage
+plan, read from (n, q) as `reduce_mod` reads its choice from q, drops the
+first step's reduction where the unreduced twiddled sums stay exact,
+n1 (q - 1)^3 + q < 2^53, so a transform on every shipped ring reduces
+twice; a ring past that line reduces after every step.  The forward
+transform takes coefficients of either sign up to q - 1 in magnitude, so a
+centered noise sample needs no reduction first.  NTT-domain values come in
+no set order: they serve only for pointwise products and the inverse, not
+the wire.
 """
 
 from __future__ import annotations

@@ -310,9 +310,8 @@ class Mode:
 
 @lru_cache(maxsize=None)
 def _fields(mode: Mode, suite: Suite) -> tuple[wire.Field, tuple[wire.Field, ...]]:
-    """`mode.fields(suite)`, built once per suite: the key field, whose
-    `bits` and `bound` each `wire.Field` computes on first use, and the
-    hint fields of `layouts`."""
+    """`mode.fields(suite)`, built once per suite: the key field that
+    Con/Rec pack at its bits, and the hint fields of `layouts`."""
     return mode.fields(suite)
 
 
