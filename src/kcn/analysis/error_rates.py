@@ -1,13 +1,14 @@
 """Failure-probability computations for the four protocol families.
 
 Each family function builds the exact law of the difference D between the
-two parties' pre-consensus values for one coordinate, mod q.  `_fail_prob`
-is the one consensus test (the sigma-difference in Z_{kc.q} lies farther
-than d from 0) and `_report` the one union rule, chosen by the mode.  The
-LWR law is assembled per residue a = X1^T A^T X2 mod (q/p): conditioned on
-a, the two halves of D are independent, so two per-residue convolutions
-replace one intractable joint one.
-"""
+two parties' pre-consensus values for one coordinate, mod q, and weighs it
+by one of two consensus predicates: `_fail_prob`, the tables' threshold
+(the sigma-difference in Z_{kc.q} lies farther than d from 0), or
+`_exact_fail_prob`, the failure read off `kcn.kc`'s Con and Rec (Frodo, and
+the hybrid exact region).  `_report` is the one union rule, chosen by the
+mode.  The LWR law is assembled per residue a = X1^T A^T X2 mod (q/p):
+conditioned on a, the two halves of D are independent, so two per-residue
+convolutions replace one intractable joint one."""
 
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ import numpy as np
 from kcn import algebra
 from kcn.noise import Pmf, uniform_pmf
 from kcn.analysis import pmf as pm
-from kcn.kc import KcVariant, dist_mod
+from kcn.kc import KcVariant, _e_range, _scheme, akc_con, akc_rec, dist_mod, kc_rec
 from kcn.protocols import Plain, Sec
 from kcn.suites import Suite
 
@@ -90,6 +91,32 @@ def _fail_prob(suite: Suite, folded: np.ndarray, d: int) -> float:
     return float(np.sum(folded[dist_mod(_sigma_diff(suite), suite.kc.q) > d]))
 
 
+def _fail_fraction(suite: Suite) -> np.ndarray:
+    """f(delta), delta in Z_{kc.q}: the share of Con inputs (each sigma, with each e in `_e_range`
+    for KC or each key for AKC) whose key Rec misses at sigma - delta.  A key's preimage in a Rec
+    table row (v fixed) must be one cyclic run, so that its successes form one interval of delta."""
+    variant, kc, q, n_cells = suite.variant, suite.kc, suite.kc.q, suite.kc.g * suite.kc.m
+    sigma, hint = np.arange(q)[:, None], np.arange(kc.g)[:, None]
+    if variant.is_akc:
+        v, rec = akc_con(variant, sigma, key := np.arange(kc.m), kc), akc_rec
+    else:
+        (key, v), rec = _scheme(variant, False, "con").con(sigma, np.arange(*_e_range(kc)), kc), kc_rec
+    cell = hint * kc.m + rec(variant, np.arange(q), hint, kc)  # (v, key) at each (v, sigma')
+    last = cell != np.roll(cell, -1, axis=1)  # sigma' ends its run
+    if np.bincount(cell[last], minlength=n_cells).max() > 1:
+        raise ValueError(f"{suite.name}: Rec splits a key's preimage in one hint's row into several runs")
+    end = np.bincount(cell[last], np.nonzero(last)[1], n_cells).astype(np.int64)  # 0 for a whole row
+    mine = v * kc.m + key
+    size = np.bincount(cell.ravel(), minlength=n_cells)[mine].ravel()
+    lo = ((sigma - end[mine]) % q).ravel()  # success iff delta in [lo, lo + size) mod q
+    covered = np.cumsum(np.bincount(lo, minlength=2 * q) - np.bincount(lo + size, minlength=2 * q))
+    return (size.size - (covered[:q] + covered[q:])) / size.size
+
+
+def _exact_fail_prob(suite: Suite, folded: np.ndarray) -> float:
+    return float(np.dot(folded, _fail_fraction(suite)[_sigma_diff(suite)]))
+
+
 # ---------------------------------------------------------------------------
 # LWE protocol, optional bit cutting
 
@@ -101,26 +128,11 @@ def _cut_noise_pmf(t: int) -> Pmf:
     return uniform_pmf(-half + 1, half)
 
 
-def _frodo_fail_prob(folded: np.ndarray, q: int, m: int) -> float:
-    """Exact per-coordinate failure of the Frodo reconciliation.
-
-    Averaged over the uniform position of sigma1 inside its signal block of
-    length L = q/(2m), the failure fraction at centered offset c is the
-    trapezoid clip((|c| - L/2) / L, 0, 1): offsets up to L/2 always
-    round back, offsets beyond 3L/2 never do.
-    """
-    big_l = q // (2 * m)
-    c = dist_mod(np.arange(q), q)
-    frac = np.clip((c - big_l / 2) / big_l, 0.0, 1.0)
-    return float(np.dot(folded, frac))
-
-
 def lwe_error_rate(suite: Suite) -> ErrorReport:
     """Failure probability of the LWE protocol from the coordinate difference
-    X1^T (E2 + eps(Y2)) - E1^T X2 - E_sigma, with Y2 treated as uniform.
-
-    The whole-key rate is `_report`'s union bound over key bits.
-    """
+    X1^T (E2 + eps(Y2)) - E1^T X2 - E_sigma, with Y2 treated as uniform: read
+    off Con/Rec for Frodo's reconciliation, else by the tables' threshold d.
+    The whole-key rate is `_report`'s union bound over key bits."""
     if suite.family != "lwe":
         raise ValueError("lwe suite required")
     chi = suite.noise.pmf()
@@ -128,7 +140,7 @@ def lwe_error_rate(suite: Suite) -> ErrorReport:
     dist = pm.conv(_inner(chi, pm.conv(chi, _cut_noise_pmf(suite.t)), n), pm.negate(_inner(chi, chi, n)))
     dist = pm.conv(dist, pm.negate(chi))  # E_sigma
     folded = pm.fold_mod(dist, q)
-    p_coord = (_frodo_fail_prob(folded, q, suite.kc.m) if suite.variant is KcVariant.FRODO
+    p_coord = (_exact_fail_prob(suite, folded) if suite.variant is KcVariant.FRODO
                else _fail_prob(suite, folded, d))
     return _report(suite, p_coord, dist.dropped)
 
@@ -213,32 +225,17 @@ def lwr_error_rate(suite: Suite) -> ErrorReport:
 # Hybrid public-key construction
 
 def hybrid_error_rate(suite: Suite, exact_region: bool = False) -> ErrorReport:
-    """Hybrid failure from Sigma2 - Sigma1 = round((p/q)(E1^T X2 + X1^T u)).
-
-    The default threshold is |.|_p > q_kc/2m - 1, the distance the
-    published table is computed at.  The reconciliation here has
-    m | g | q_kc, so round(k1 q/m) is exact and the only rounding loss is
-    the hint's; exact_region=True averages over the q_kc/g equally likely
-    hint offsets, giving the protocol's true (slightly higher) failure
-    rate instead of the table's accounting.
-    """
+    """Hybrid failure from Sigma2 - Sigma1 = round((p/q)(E1^T X2 + X1^T u)):
+    by default `_fail_prob` at q_kc/2m - 1, the distance the published table
+    is computed at; exact_region=True gives the protocol's true (slightly
+    higher) rate, read off Con/Rec by `_exact_fail_prob`."""
     if suite.family != "hybrid":
         raise ValueError("hybrid suite required")
     chi = suite.noise.pmf()
-    q, p, qk, m, g = suite.q, suite.p, suite.kc.q, suite.kc.m, suite.kc.g
-    dist = pm.conv(_inner(chi, chi, suite.n_b), _inner(chi, _rounding_pmf(q // p), suite.n))
-    folded = pm.fold_mod(dist, q)
-    step, half = qk // g, qk // (2 * m)
-    if exact_region:
-        s = _sigma_diff(suite)
-        # hint offset (q_kc/g) eps2 ranges over [-(q_kc/2g - 1), q_kc/2g]
-        s_c = np.where(s < qk // 2, s, s - qk)
-        frac = np.zeros(q)
-        for u in range(-(step // 2 - 1), step // 2 + 1):
-            frac += (s_c + u < -half) | (s_c + u >= half)
-        p_coord = float(np.dot(folded, frac / step))
-    else:
-        p_coord = _fail_prob(suite, folded, half - 1)
+    dist = pm.conv(_inner(chi, chi, suite.n_b), _inner(chi, _rounding_pmf(suite.q // suite.p), suite.n))
+    folded = pm.fold_mod(dist, suite.q)
+    p_coord = (_exact_fail_prob(suite, folded) if exact_region
+               else _fail_prob(suite, folded, suite.kc.q // (2 * suite.kc.m) - 1))
     return _report(suite, p_coord, dist.dropped)
 
 

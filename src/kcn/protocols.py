@@ -99,11 +99,14 @@ class _Step:
     """The matrix algebra of LWR and LWE: int64 matrices, multiplied by the
     read-only float32 public matrix A or by each other through `matmul`."""
 
+    def public_shape(self, suite: Suite) -> tuple[int, int]:
+        return (suite.n_b or suite.n, suite.n)
+
     def public(self, suite: Suite) -> wire.Field:
-        return wire.Field("A", (suite.n_b or suite.n, suite.n), suite.q)
+        return wire.Field("A", self.public_shape(suite), suite.q)
 
     def expand(self, suite: Suite, seed):
-        return algebra.gen_matrix(seed, *self.public(suite).shape, suite.q, TAG_MATRIX)
+        return algebra.gen_matrix(seed, *self.public_shape(suite), suite.q, TAG_MATRIX)
 
     def shape(self, suite: Suite, rows: int, cols: int) -> tuple[int, ...]:
         return (rows, cols)

@@ -14,9 +14,10 @@ import numpy as np
 import pytest
 from scipy.stats import binom, chi2
 
-from kcn.analysis import pmf as pm
+from kcn.analysis import error_rates, pmf as pm
 from kcn.analysis.error_rates import (
     ZarzarReport,
+    _fail_fraction,
     _fail_prob,
     error_rate,
     hybrid_error_rate,
@@ -26,11 +27,12 @@ from kcn.analysis.error_rates import (
     zarzar_error_rate,
 )
 from kcn.codes import SecCode
-from kcn.kc import KcParams, KcVariant
+from kcn.kc import KcParams, KcVariant, akc_con, dist_mod
 from kcn.noise import TABLES, Pmf
 from kcn.protocols import Sec
 from kcn.suites import SUITES, Suite
 from oracles import BINARY, lwr_diff_conditioned, product_pmf_rows
+from sweeps import con_grid, enumerate_sets, rec_table
 
 
 # --- pmf operations ----------------------------------------------------------
@@ -260,6 +262,66 @@ def test_fail_prob(name, rng):
     assert [_fail_prob(suite, np.eye(q)[r], d) for r in range(q)] == fails
     folded = rng.dirichlet(np.ones(q))
     assert _fail_prob(suite, folded, d) == pytest.approx(float(np.dot(folded, fails)), rel=1e-14, abs=0)
+
+
+def _fail_fraction_by_loop(variant, kc):
+    """Failures over every (sigma, e or key, delta), one Rec table lookup each."""
+    q = kc.q
+    table = rec_table(variant, kc).tolist()  # [sigma'][v]
+    if variant.is_akc:
+        sigma, key = np.broadcast_arrays(np.arange(q)[:, None], np.arange(kc.m))
+        inputs = list(zip(sigma.ravel().tolist(), key.ravel().tolist(),
+                          akc_con(variant, sigma, key, kc).ravel().tolist()))
+    else:
+        inputs = list(zip(*(a.tolist() for a in con_grid(variant, kc))))
+    fails = [sum(table[(s - delta) % q][v] != k for s, k, v in inputs) for delta in range(q)]
+    return np.array(fails) / len(inputs)
+
+
+@pytest.mark.parametrize("variant", list(KcVariant))
+def test_fail_fraction_matches_a_loop_over_con_inputs(variant):
+    # every set the validator accepts at q <= 16, each at its largest valid
+    # d; generic OKCN's include m that do not divide q (alpha > 1)
+    sets = list(enumerate_sets(variant, 16))
+    for kc in sets:
+        suite = Suite(name="toy", family="lwe", n=1, l_a=1, l_b=1, q=kc.q, noise=BINARY,
+                      variant=variant, kc=kc)
+        f = _fail_fraction(suite)
+        assert np.array_equal(f, _fail_fraction_by_loop(variant, kc)), kc
+        assert not f[dist_mod(np.arange(kc.q), kc.q) <= kc.d].any(), kc
+    assert sets and (variant is not KcVariant.OKCN_GENERIC or any(kc.alpha > 1 for kc in sets))
+
+
+def test_fail_fraction_refuses_a_key_split_into_two_runs(monkeypatch):
+    suite = FAIL_PROB_SUITES["lwe"]
+    monkeypatch.setattr(error_rates, "kc_rec", lambda variant, sigma2, v, kc: sigma2 % 2 + 0 * v)
+    with pytest.raises(ValueError, match="several runs"):
+        _fail_fraction(suite)
+
+
+# The largest distance each scalar suite's Con/Rec tolerate: f(delta) = 0 for
+# every |delta| up to it.  It is the suite's d except where the variant's
+# condition is stricter than its Con/Rec (a report only; no d changes).
+TOLERATED = {
+    "lwr-recommended": 127, "lwr-paranoid": 127,
+    "lwe-challenge": 255, "lwe-classical": 255, "lwe-recommended": 511, "lwe-paranoid": 511,
+    "lwe-paranoid-512": 511, "okcn-t2": 510, "okcn-t1": 510,
+    "frodo-challenge": 256, "frodo-classical": 256, "frodo-recommended": 512, "frodo-paranoid": 512,
+    "okcn-frodo-challenge": 384, "okcn-frodo-classical": 384,
+    "okcn-frodo-recommended": 896, "okcn-frodo-paranoid": 896,
+    "hybrid-recommended": 119, "hybrid-paranoid": 119,
+    "okcn-rlwe-16": 2879, "okcn-rlwe-64": 3023, "akcn-rlwe-16": 2687, "akcn-rlwe-64": 2975,
+    "okcn-sec-765": 2687, "okcn-sec-837": 2687, "akcn-sec-765": 2687, "akcn-sec-837": 2687,
+}
+
+
+def test_fail_fraction_tolerates_each_suites_d():
+    assert set(TOLERATED) == {name for name, s in SUITES.items() if s.kc is not None}
+    for name, tolerated in TOLERATED.items():
+        kc = SUITES[name].kc
+        dist = dist_mod(np.arange(kc.q), kc.q)
+        failing = dist[_fail_fraction(SUITES[name]) > 0]
+        assert int(failing.min()) - 1 == tolerated >= kc.d, name
 
 
 @pytest.mark.parametrize("df, step", [(2, 0.02), (256, 0.1)])
