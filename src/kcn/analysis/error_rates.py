@@ -95,7 +95,7 @@ def _fail_fraction(suite: Suite) -> np.ndarray:
     """f(delta), delta in Z_{kc.q}: the share of Con inputs (each sigma, with each e in `_e_range`
     for KC or each key for AKC) whose key Rec misses at sigma - delta.  A key's preimage in a Rec
     table row (v fixed) must be one cyclic run, so that its successes form one interval of delta."""
-    variant, kc, q, n_cells = suite.variant, suite.kc, suite.kc.q, suite.kc.g * suite.kc.m
+    variant, kc, q, n_cells = suite.mode.variant, suite.kc, suite.kc.q, suite.kc.g * suite.kc.m
     sigma, hint = np.arange(q)[:, None], np.arange(kc.g)[:, None]
     if variant.is_akc:
         v, rec = akc_con(variant, sigma, key := np.arange(kc.m), kc), akc_rec
@@ -114,7 +114,8 @@ def _fail_fraction(suite: Suite) -> np.ndarray:
 
 
 def _exact_fail_prob(suite: Suite, folded: np.ndarray) -> float:
-    return float(np.dot(folded, _fail_fraction(suite)[_sigma_diff(suite)]))
+    """Correctly rounded by `math.fsum`, so no BLAS thread count orders its sum."""
+    return math.fsum(folded * _fail_fraction(suite)[_sigma_diff(suite)])
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +141,7 @@ def lwe_error_rate(suite: Suite) -> ErrorReport:
     dist = pm.conv(_inner(chi, pm.conv(chi, _cut_noise_pmf(suite.t)), n), pm.negate(_inner(chi, chi, n)))
     dist = pm.conv(dist, pm.negate(chi))  # E_sigma
     folded = pm.fold_mod(dist, q)
-    p_coord = (_exact_fail_prob(suite, folded) if suite.variant is KcVariant.FRODO
+    p_coord = (_exact_fail_prob(suite, folded) if suite.mode.variant is KcVariant.FRODO
                else _fail_prob(suite, folded, d))
     return _report(suite, p_coord, dist.dropped)
 
@@ -154,16 +155,12 @@ def _residue_value_joint(chi: Pmf, w: int) -> tuple[np.ndarray, int]:
     y and e are independent uniform over [-w/2, w/2 - 1], x ~ chi.  Returns
     (array of shape (w, L), value offset).
     """
-    kmax = max(abs(int(chi.support[0])), abs(int(chi.support[-1])))
-    vmax = (w - 1) * kmax
+    vmax = (w - 1) * int(np.abs(chi.support).max())
     arr = np.zeros((w, 2 * vmax + 1))
     us = np.arange(-w // 2, w // 2)
-    pu = 1.0 / w
-    for x, px in zip(chi.support, chi.probs):
-        for y in us:
-            res = (y * x) % w
-            vals = (y - us) * x + vmax
-            np.add.at(arr[res], vals, px * pu * pu)
+    x, y, u = np.ix_(chi.support, us, us)
+    # one scatter over the (x, y, u) grid: np.add.at sums each bin in C order, x then y then u
+    np.add.at(arr, ((y * x) % w, (y - u) * x + vmax), chi.probs[:, None, None] * (1.0 / w) * (1.0 / w))
     return arr, -vmax
 
 
@@ -172,7 +169,7 @@ def _joint_conv(a, b, w: int):
     out = np.zeros((w, pa.shape[1] + pb.shape[1] - 1))
     for r1 in range(w):
         for r2 in range(w):
-            out[(r1 + r2) % w] += np.convolve(pa[r1], pb[r2])
+            out[(r1 + r2) % w] += pm.convolve(pa[r1], pb[r2])
     lo, hi = pm.kept(out.sum(axis=0), pm.PROB_FLOOR)
     return out[:, lo:hi].copy(), oa + ob + lo
 
@@ -193,7 +190,7 @@ def _lwr_fold(side1: Pmf, side2, q: int, w: int) -> np.ndarray:
     folded = np.zeros(q)
     for a in range(w):
         # side 1 masked to residue class a; side 2 carries all values
-        conv = np.convolve(np.where(res == a, side1.probs, 0.0), j2[a][::-1])
+        conv = pm.convolve(np.where(res == a, side1.probs, 0.0), j2[a][::-1])
         np.add.at(folded, idx, conv * w)  # divide by Pr[a] = 1/w
     return folded
 

@@ -10,9 +10,11 @@ chi-square discretization.
 
 Convolutions are direct (never FFT): with non-negative terms the result
 carries only relative rounding error, which keeps 2^-100-scale tail
-probabilities meaningful.  Trimming keeps supports small; each Pmf carries
-the mass its trims and truncations removed in `dropped`, and every stage
-that combines two Pmfs adds their bounds (1 - (1-a)(1-b) <= a + b).
+probabilities meaningful.  Every one goes through `convolve`, whose sums
+do not depend on the BLAS thread count.  Trimming keeps supports small;
+each Pmf carries the mass its trims and truncations removed in `dropped`,
+and every stage that combines two Pmfs adds their bounds
+(1 - (1-a)(1-b) <= a + b).
 """
 
 from __future__ import annotations
@@ -21,15 +23,34 @@ import numpy as np
 
 from kcn.noise import Pmf
 
-__all__ = ["discretize_chisq", "conv", "negate", "iid_sum", "power", "product_pmf", "fold_mod",
-           "kept", "trim"]
+__all__ = ["discretize_chisq", "convolve", "conv", "negate", "iid_sum", "power", "product_pmf",
+           "fold_mod", "kept", "trim"]
 
 PROB_FLOOR = 2.0**-200  # mass below this is flushed when trimming supports
+# np.convolve reaches OpenBLAS's ddot, which splits a dot product of more
+# than about 10,000 terms across threads and so orders its sum by the
+# thread count; no dot product here is longer than this.
+_BLOCK = 8192
+
+
+def convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.convolve(a, b), the same at any BLAS thread count: a shorter
+    operand of more than _BLOCK terms is convolved in blocks of _BLOCK,
+    and the partial results are added in block order."""
+    if min(len(a), len(b)) <= _BLOCK:
+        return np.convolve(a, b)
+    if len(a) < len(b):
+        a, b = b, a
+    out = np.zeros(len(a) + len(b) - 1)
+    for i in range(0, len(b), _BLOCK):
+        part = np.convolve(a, b[i:i + _BLOCK])
+        out[i:i + len(part)] += part
+    return out
 
 
 def conv(p: Pmf, q: Pmf) -> Pmf:
     """Distribution of X + Y for independent X ~ p, Y ~ q."""
-    return Pmf(p.offset + q.offset, np.convolve(p.probs, q.probs), p.dropped + q.dropped)
+    return Pmf(p.offset + q.offset, convolve(p.probs, q.probs), p.dropped + q.dropped)
 
 
 def negate(p: Pmf) -> Pmf:

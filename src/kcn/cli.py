@@ -64,7 +64,7 @@ def cmd_validate(args) -> int:
               f"{s.name}: code mode {s.mode.name}, nothing to validate")
         return 0
     # a Suite is built only from kc params that pass kcn.kc.validate_params
-    _emit(args, {"suite": s.name, "variant": s.variant.value, "ok": True}, f"{s.name}: ok")
+    _emit(args, {"suite": s.name, "variant": s.mode.variant.value, "ok": True}, f"{s.name}: ok")
     return 0
 
 

@@ -9,7 +9,7 @@ fixed seed reproduces the transcript bit for bit.
 Every family is a `_Family`, the (key step, response) pair of three step
 kinds: LWR = (LWR, LWR), LWE = (LWE, LWE), hybrid = (LWE, LWR) and RLWE =
 (RLWE, RLWE).  One exchange path, `initiate`, `respond` and `finish`, runs
-them all, and the hybrid KEM functions are that exchange on a hybrid suite.
+them all, and the KEM functions (`hybrid_*`) run it on any AKC suite.
 A step kind brings its algebra (matrices through `matmul`, given every
 operand's bound, or ring elements through the NTT) and its hardness
 problem, so `assumptions` finds hybrid resting on LWE and LWR.
@@ -17,8 +17,9 @@ Every family states its messages once, as the `kcn.wire.Layout` pair
 from `layouts`, which packs, unpacks (canonically) and sizes them.
 `public_key` parses a msg1 (for hybrid, the public key) once into a
 `PublicKey`, which `respond` (so `hybrid_encaps`) takes in place of bytes.
-Consensus is the suite's mode, a value holding its own parameters: `Plain()`
-(every matrix family), `Sec(code)`, `NewHope(g)`, `Akcn41(g)` or `E8(g)`.
+Consensus is the suite's mode, a value holding its own parameters:
+`Plain(variant, kc)` (every matrix family), `Sec(variant, kc, code)`,
+`NewHope(g)`, `Akcn41(g)` or `E8(g)`; each answers `akc` by itself.
 
 The consensus output is returned as packed key bits (before any KDF);
 `derive_key` applies the SHAKE-256 KDF with a suite-name prefix.
@@ -34,7 +35,7 @@ from typing import TYPE_CHECKING, NamedTuple
 import numpy as np
 
 from kcn import algebra, codes, wire
-from kcn.kc import akc_con, akc_rec, kc_con, kc_rec
+from kcn.kc import KcParams, KcVariant, akc_con, akc_rec, kc_con, kc_rec
 
 if TYPE_CHECKING:
     from kcn.suites import Suite
@@ -274,27 +275,23 @@ def public_key(suite: Suite, msg1) -> PublicKey:
 # Consensus modes, each a frozen value holding its parameters: `fields` gives
 # the agreed key (a field of symbols below a bound) and the hint fields that
 # follow y2 in msg2; `akc` says whether the responder chooses the key;
+# `variant` and `kc` are the scalar consensus (None for a lattice code);
 # `_agree` and `_recover` run Con and Rec on sigma.
 
 class Mode:
     """The shared Con/Rec driver of the consensus modes, which reads each
     suite's fields from `_fields`."""
 
-    AKC = None  # fixed by a code mode; None: the suite's scalar variant decides
-
     @property
     def name(self) -> str:
         return type(self).__name__.lower()
-
-    def akc(self, suite: Suite) -> bool:
-        return suite.variant.is_akc if self.AKC is None else self.AKC
 
     def con(self, suite: Suite, sigma2: np.ndarray, rng, key_in) -> tuple[bytes, tuple]:
         """(packed key, hint arrays).  AKC sends `key_in` (the key's symbol
         count, each below its bound) or a uniform key; KC refuses `key_in`."""
         key, k = _fields(self, suite)[0], None
         if key_in is not None:
-            if not self.akc(suite):
+            if not self.akc:
                 raise ValueError(f"{suite.name}: KC suites cannot transport a chosen key")
             k = np.asarray(key_in)
             if k.dtype.kind not in "iu":  # a cast would truncate floats and parse strings
@@ -302,7 +299,7 @@ class Mode:
             k = k.reshape(key.shape)  # ValueError unless key.count symbols
             key.check(k.reshape(-1))  # before the cast, which would wrap a uint64 above 2^63
             k = k.astype(np.int64, copy=False)
-        elif self.akc(suite):
+        elif self.akc:
             k = rng.integers(0, key.bound, size=key.shape, dtype=np.int64)
         k, hint = self._agree(suite, sigma2, rng, k)
         return wire.pack(k, key.bits), hint
@@ -320,21 +317,35 @@ def _fields(mode: Mode, suite: Suite) -> tuple[wire.Field, tuple[wire.Field, ...
 
 @dataclass(frozen=True)
 class Plain(Mode):
-    """One scalar KC or AKC per coefficient of sigma."""
+    """One scalar KC or AKC, `variant` over `kc`, per coefficient of sigma."""
+
+    variant: KcVariant
+    kc: KcParams
+    _TYPES = {"variant": KcVariant, "kc": KcParams}  # each field's type, checked when built
+
+    def __post_init__(self):
+        for field, kind in self._TYPES.items():
+            if not isinstance(value := getattr(self, field), kind):
+                raise ValueError(f"{self.name}: {field} must be a {kind.__module__}.{kind.__name__}, "
+                                 f"got {value!r}")
+
+    @property
+    def akc(self) -> bool:
+        return self.variant.is_akc
 
     def fields(self, suite: Suite) -> tuple[wire.Field, tuple[wire.Field, ...]]:
         shape = FAMILIES[suite.family].response.shape(suite, suite.l_a, suite.l_b)  # sigma's shape
-        return wire.Field("key", shape, suite.kc.m), (wire.Field("v", shape, suite.kc.g),)
+        return wire.Field("key", shape, self.kc.m), (wire.Field("v", shape, self.kc.g),)
 
     def _agree(self, suite: Suite, sigma2, rng, k):
         if k is not None:
-            return k, (akc_con(suite.variant, sigma2, k, suite.kc),)
-        k, v = kc_con(suite.variant, sigma2, suite.kc, rng)
+            return k, (akc_con(self.variant, sigma2, k, self.kc),)
+        k, v = kc_con(self.variant, sigma2, self.kc, rng)
         return k, (v,)
 
     def _recover(self, suite: Suite, sigma1, hint):
-        rec = akc_rec if self.akc(suite) else kc_rec
-        return rec(suite.variant, sigma1, hint[0], suite.kc)
+        rec = akc_rec if self.akc else kc_rec
+        return rec(self.variant, sigma1, hint[0], self.kc)
 
 
 @dataclass(frozen=True)
@@ -343,16 +354,13 @@ class Sec(Plain):
     AKC encodes the key into them; KC wraps them and sends the correction v'."""
 
     code: codes.SecCode
-
-    def __post_init__(self):
-        if not isinstance(self.code, codes.SecCode):
-            raise ValueError(f"sec: code must be a kcn.codes.SecCode, got {self.code!r}")
+    _TYPES = {**Plain._TYPES, "code": codes.SecCode}
 
     def fields(self, suite: Suite) -> tuple[wire.Field, tuple[wire.Field, ...]]:
         blocks = suite.n // self.code.block_bits
         vprime = wire.Field("v'", (blocks, self.code.n_h + 1), 2)
         return (wire.Field("key", (blocks * self.code.message_bits,), 2),
-                super().fields(suite)[1] + (() if self.akc(suite) else (vprime,)))
+                super().fields(suite)[1] + (() if self.akc else (vprime,)))
 
     def _agree(self, suite: Suite, sigma2, rng, k):
         if k is not None:
@@ -365,7 +373,7 @@ class Sec(Plain):
 
     def _recover(self, suite: Suite, sigma1, hint):
         blocks = _whole_blocks(super()._recover(suite, sigma1, hint), self.code)
-        if self.akc(suite):
+        if self.akc:
             return codes.sec_decode(blocks, self.code).reshape(-1)
         return codes.sec_unwrap(blocks, hint[1].astype(np.uint8), self.code).reshape(-1)
 
@@ -384,6 +392,7 @@ def _stride_blocks(coeffs: np.ndarray, width: int) -> np.ndarray:
 @dataclass(frozen=True)
 class _Lattice(Mode):
     g: int  # the lattice code's hint range, a power of two
+    variant = kc = None  # no scalar consensus
 
     def __post_init__(self):
         if self.g < 2 or self.g & (self.g - 1):
@@ -394,7 +403,7 @@ class _Lattice(Mode):
 class NewHope(_Lattice):
     """NewHope's D4 reconciliation (KC): one bit per 4 coefficients."""
 
-    AKC = False
+    akc = False
 
     def fields(self, suite: Suite) -> tuple[wire.Field, tuple[wire.Field, ...]]:
         return wire.Field("key", (suite.n // 4,), 2), (wire.Field("v", (suite.n // 4, 4), self.g),)
@@ -416,7 +425,7 @@ class Akcn41(_Lattice):
     one value v0 + g v1 + g^2 v2 + g^3 v3 below 2g^4, which for g a power of
     two is its parts bit-packed lowest first, and `_recover` splits it."""
 
-    AKC = True
+    akc = True
 
     def fields(self, suite: Suite) -> tuple[wire.Field, tuple[wire.Field, ...]]:
         return wire.Field("key", (suite.n // 4,), 2), (wire.Field("v", (suite.n // 4,), 2 * self.g**4),)
@@ -435,7 +444,7 @@ class Akcn41(_Lattice):
 class E8(_Lattice):
     """The E8 AKC: four chosen bits per 8 coefficients."""
 
-    AKC = True
+    akc = True
 
     def fields(self, suite: Suite) -> tuple[wire.Field, tuple[wire.Field, ...]]:
         return wire.Field("key", (suite.n // 2,), 2), (wire.Field("v", (suite.n // 8, 8), self.g),)
@@ -448,7 +457,7 @@ class E8(_Lattice):
 
 
 # ---------------------------------------------------------------------------
-# The families, their exchange (which the KEM functions run on a hybrid
+# The families, their exchange (which the KEM functions run on an AKC
 # suite) and key derivation
 
 class _Family(NamedTuple):
@@ -526,9 +535,10 @@ def finish(session: Session, msg2: bytes) -> bytes:
 
 
 def _kem(suite: Suite) -> Suite:
-    """`suite`, checked to be hybrid: the family whose responder takes a chosen key."""
-    if suite.family != "hybrid":
-        raise ValueError(f"{suite.name}: the KEM functions need a hybrid suite, not the {suite.family} family")
+    """`suite`, checked to be AKC: its responder takes a chosen key."""
+    if not suite.mode.akc:
+        scheme = f"mode {suite.mode.name}" if suite.kc is None else f"variant {suite.mode.variant.value}"
+        raise ValueError(f"{suite.name}: the KEM functions need an AKC suite, not the KC {scheme}")
     return suite
 
 

@@ -1,12 +1,12 @@
 """Named protocol parameter sets.
 
-Every suite binds dimensions, moduli, the consensus variant and its
-(q, m, g, d), the noise law (a `kcn.noise` table or `Law`, which both the
-exchange and the analysis read), and the consensus mode (a `kcn.protocols`
-value holding its own code parameters; only the ring protocols leave
-`Plain()`).  The distance parameter d is always the largest
-value passing the variant's correctness condition, which is how the
-parameter tables were built.
+Every suite binds dimensions, moduli, the noise law (a `kcn.noise` table
+or `Law`, which both the exchange and the analysis read), and the consensus
+mode: a `kcn.protocols` value holding all of its own parameters, the
+scalar variant and its (q, m, g, d) for `Plain` and `Sec`, or a lattice
+code's g.  Only the ring protocols run a mode other than `Plain`.  The
+distance parameter d is always the largest value passing the variant's
+correctness condition, which is how the parameter tables were built.
 """
 
 from __future__ import annotations
@@ -26,8 +26,9 @@ class Suite:
     """A fully-resolved protocol instance.  It refuses an unknown family, a
     family field its family does not read (n_b, p or t), a dimension below 1
     (n, l_a, l_b, and n_b for hybrid), a t outside [0, qbits), a ring whose
-    l_a or l_b is not 1, and a kc whose q is not the modulus sigma lives in
-    (p for lwr and hybrid, q otherwise)."""
+    l_a or l_b is not 1, a matrix family whose mode is not exactly `Plain`,
+    and a kc whose q is not the modulus sigma lives in (p for lwr and
+    hybrid, q otherwise)."""
 
     name: str
     family: str  # a key of kcn.protocols.FAMILIES
@@ -36,12 +37,10 @@ class Suite:
     l_b: int
     q: int
     noise: NoiseTable | Law
-    variant: KcVariant | None = None
-    kc: KcParams | None = None
+    mode: Mode  # a kcn.protocols consensus mode
     n_b: int = 0  # hybrid only
     p: int = 0  # rounding modulus (lwr / hybrid)
     t: int = 0  # cut bits (lwe)
-    mode: Mode = Plain()  # a kcn.protocols mode; Plain() and Sec(code) need variant and kc
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -50,13 +49,8 @@ class Suite:
         if not isinstance(self.noise, (NoiseTable, Law)):
             raise TypeError(f"{self.name}: noise must be a kcn.noise law "
                             f"(a TABLES entry, PSI16, bab or gauss), got {self.noise!r}")
-        if not isinstance(self.mode, Mode) or (self.family != "rlwe" and self.mode != Plain()):
+        if not isinstance(self.mode, Mode) or (self.family != "rlwe" and type(self.mode) is not Plain):
             raise ValueError(f"{self.name}: the {self.family} family cannot run mode {self.mode!r}")
-        if (self.kc is None) != (self.variant is None):
-            raise ValueError(f"{self.name}: variant and kc are set together or not at all")
-        if (self.kc is None) == isinstance(self.mode, Plain):
-            raise ValueError(f"{self.name}: plain and sec modes need variant and kc, other modes take neither; "
-                             f"mode is {self.mode.name}")
         for field, families in (("n_b", ("hybrid",)), ("p", ("lwr", "hybrid")), ("t", ("lwe",))):
             if (value := getattr(self, field)) and self.family not in families:
                 raise ValueError(f"{self.name}: the {self.family} family does not read {field}, "
@@ -77,11 +71,16 @@ class Suite:
             if self.kc.q != (self.p or self.q):
                 raise ValueError(f"{self.name}: kc.q must be {self.p or self.q}, the modulus "
                                  f"sigma lives in, got {self.kc.q}")
-            ok = validate_params(self.variant, self.kc)
+            ok = validate_params(self.mode.variant, self.kc)
             if ok is not True:
                 raise ValueError(f"{self.name}: invalid kc params: {ok}")
 
     # -- derived quantities ------------------------------------------------
+
+    @property
+    def kc(self) -> KcParams | None:
+        """The scalar consensus parameters of a `Plain` or `Sec` mode, else None."""
+        return self.mode.kc
 
     @property
     def qbits(self) -> int:
@@ -109,10 +108,10 @@ class Suite:
         if self.t:
             out["t"] = self.t
         if self.kc is not None:
-            out.update(variant=self.variant.value, m=self.kc.m, g=self.kc.g, d=self.kc.d)
+            out.update(variant=self.mode.variant.value, m=self.kc.m, g=self.kc.g, d=self.kc.d)
         if isinstance(self.mode, Sec):
             out.update(mode=self.mode.name, n_h=self.mode.code.n_h)
-        elif self.mode != Plain():
+        elif not isinstance(self.mode, Plain):
             out.update(mode=self.mode.name, g=self.mode.g)
         return out
 
@@ -129,25 +128,27 @@ def _table(name: str) -> NoiseTable:
 
 def _lwr(name, n, dist):
     return Suite(
-        name=name, family="lwr", n=n, l_a=8, l_b=8, q=2**15, p=2**12,
-        noise=_table(dist), variant=KcVariant.OKCN_SIMPLE,
-        kc=KcParams(q=2**12, m=2**4, g=2**8, d=127),
+        name=name, family="lwr", n=n, l_a=8, l_b=8, q=2**15, p=2**12, noise=_table(dist),
+        mode=Plain(KcVariant.OKCN_SIMPLE, KcParams(q=2**12, m=2**4, g=2**8, d=127)),
     )
 
 
 def _lwe(name, n, q, l, m, g, d, dist, variant=KcVariant.OKCN_SIMPLE, t=0):
     return Suite(
-        name=name, family="lwe", n=n, l_a=l, l_b=l, q=q, t=t,
-        noise=_table(dist), variant=variant, kc=KcParams(q=q, m=m, g=g, d=d),
+        name=name, family="lwe", n=n, l_a=l, l_b=l, q=q, t=t, noise=_table(dist),
+        mode=Plain(variant, KcParams(q=q, m=m, g=g, d=d)),
     )
 
 
-def _rlwe(name, variant, g, d, mode=Plain(), n=1024, noise=PSI16):
-    kc = KcParams(q=_RLWE_Q, m=2, g=g, d=d) if variant is not None else None
+def _hybrid(name, n, n_b):
     return Suite(
-        name=name, family="rlwe", n=n, l_a=1, l_b=1, q=_RLWE_Q,
-        noise=noise, variant=variant, kc=kc, mode=mode,
+        name=name, family="hybrid", n=n, n_b=n_b, l_a=8, l_b=8, q=2**15, p=2**12, noise=gauss(2.0),
+        mode=Plain(KcVariant.AKCN_GENERIC, KcParams(q=2**12, m=2**4, g=2**8, d=119)),
     )
+
+
+def _rlwe(name, mode, n=1024, noise=PSI16):
+    return Suite(name=name, family="rlwe", n=n, l_a=1, l_b=1, q=_RLWE_Q, noise=noise, mode=mode)
 
 
 SUITES = {
@@ -174,28 +175,20 @@ SUITES = {
         _lwe("okcn-frodo-recommended", 752, 2**15, 8, 2**4, 2**3, 895, "DB3", KcVariant.OKCN_POWER2),
         _lwe("okcn-frodo-paranoid", 864, 2**15, 8, 2**4, 2**3, 895, "DB4", KcVariant.OKCN_POWER2),
         # Hybrid public-key construction (LWE public key, LWR ciphertext)
-        Suite(
-            name="hybrid-recommended", family="hybrid", n=712, n_b=704, l_a=8, l_b=8,
-            q=2**15, p=2**12, noise=gauss(2.0),
-            variant=KcVariant.AKCN_GENERIC, kc=KcParams(q=2**12, m=2**4, g=2**8, d=119),
-        ),
-        Suite(
-            name="hybrid-paranoid", family="hybrid", n=864, n_b=832, l_a=8, l_b=8,
-            q=2**15, p=2**12, noise=gauss(2.0),
-            variant=KcVariant.AKCN_GENERIC, kc=KcParams(q=2**12, m=2**4, g=2**8, d=119),
-        ),
+        _hybrid("hybrid-recommended", 712, 704),
+        _hybrid("hybrid-paranoid", 864, 832),
         # RLWE, NewHope parameters
-        _rlwe("okcn-rlwe-16", KcVariant.OKCN_GENERIC, 2**4, 2879),
-        _rlwe("okcn-rlwe-64", KcVariant.OKCN_GENERIC, 2**6, 3023),
-        _rlwe("akcn-rlwe-16", KcVariant.AKCN_GENERIC, 2**4, 2687),
-        _rlwe("akcn-rlwe-64", KcVariant.AKCN_GENERIC, 2**6, 2975),
-        _rlwe("okcn-sec-765", KcVariant.OKCN_GENERIC, 2**3, 2687, mode=Sec(SecCode(4))),
-        _rlwe("okcn-sec-837", KcVariant.OKCN_GENERIC, 2**3, 2687, mode=Sec(SecCode(5))),
-        _rlwe("akcn-sec-765", KcVariant.AKCN_GENERIC, 2**4, 2687, mode=Sec(SecCode(4))),
-        _rlwe("akcn-sec-837", KcVariant.AKCN_GENERIC, 2**4, 2687, mode=Sec(SecCode(5))),
-        _rlwe("newhope", None, 0, 0, mode=NewHope(2**2)),
-        _rlwe("akcn-4to1", None, 0, 0, mode=Akcn41(2**2)),
-        _rlwe("zarzar", None, 0, 0, mode=E8(2**6), n=512, noise=bab(24, 16)),
+        _rlwe("okcn-rlwe-16", Plain(KcVariant.OKCN_GENERIC, KcParams(_RLWE_Q, 2, 2**4, 2879))),
+        _rlwe("okcn-rlwe-64", Plain(KcVariant.OKCN_GENERIC, KcParams(_RLWE_Q, 2, 2**6, 3023))),
+        _rlwe("akcn-rlwe-16", Plain(KcVariant.AKCN_GENERIC, KcParams(_RLWE_Q, 2, 2**4, 2687))),
+        _rlwe("akcn-rlwe-64", Plain(KcVariant.AKCN_GENERIC, KcParams(_RLWE_Q, 2, 2**6, 2975))),
+        _rlwe("okcn-sec-765", Sec(KcVariant.OKCN_GENERIC, KcParams(_RLWE_Q, 2, 2**3, 2687), SecCode(4))),
+        _rlwe("okcn-sec-837", Sec(KcVariant.OKCN_GENERIC, KcParams(_RLWE_Q, 2, 2**3, 2687), SecCode(5))),
+        _rlwe("akcn-sec-765", Sec(KcVariant.AKCN_GENERIC, KcParams(_RLWE_Q, 2, 2**4, 2687), SecCode(4))),
+        _rlwe("akcn-sec-837", Sec(KcVariant.AKCN_GENERIC, KcParams(_RLWE_Q, 2, 2**4, 2687), SecCode(5))),
+        _rlwe("newhope", NewHope(2**2)),
+        _rlwe("akcn-4to1", Akcn41(2**2)),
+        _rlwe("zarzar", E8(2**6), n=512, noise=bab(24, 16)),
     ]
 }
 

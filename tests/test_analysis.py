@@ -6,14 +6,20 @@ pipelines are checked against independent oracles at small sizes.
 
 import hashlib
 import itertools
+import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 from scipy.stats import binom, chi2
 
+import kcn
 from kcn.analysis import error_rates, pmf as pm
 from kcn.analysis.error_rates import (
     ZarzarReport,
@@ -29,7 +35,7 @@ from kcn.analysis.error_rates import (
 from kcn.codes import SecCode
 from kcn.kc import KcParams, KcVariant, akc_con, dist_mod
 from kcn.noise import TABLES, Pmf
-from kcn.protocols import Sec
+from kcn.protocols import Plain, Sec
 from kcn.suites import SUITES, Suite
 from oracles import BINARY, lwr_diff_conditioned, product_pmf_rows
 from sweeps import con_grid, enumerate_sets, rec_table
@@ -242,11 +248,11 @@ def test_trim_sums_the_cut_tails():
 # One toy suite per sigma-difference: D itself (lwe, ring) or its LWR rounding (lwr)
 FAIL_PROB_SUITES = {
     "lwe": Suite(name="toy-lwe-8", family="lwe", n=4, l_a=1, l_b=1, q=8, noise=BINARY,
-                 variant=KcVariant.OKCN_SIMPLE, kc=KcParams(q=8, m=2, g=4, d=1)),
+                 mode=Plain(KcVariant.OKCN_SIMPLE, KcParams(q=8, m=2, g=4, d=1))),
     "lwr": Suite(name="toy-lwr-16", family="lwr", n=4, l_a=1, l_b=1, q=16, p=4, noise=BINARY,
-                 variant=KcVariant.OKCN_SIMPLE, kc=KcParams(q=4, m=2, g=2, d=0)),
+                 mode=Plain(KcVariant.OKCN_SIMPLE, KcParams(q=4, m=2, g=2, d=0))),
     "ring": Suite(name="toy-ring-17", family="rlwe", n=4, l_a=1, l_b=1, q=17, noise=BINARY,
-                  variant=KcVariant.OKCN_GENERIC, kc=KcParams(q=17, m=2, g=4, d=2)),
+                  mode=Plain(KcVariant.OKCN_GENERIC, KcParams(q=17, m=2, g=4, d=2))),
 }
 
 
@@ -285,7 +291,7 @@ def test_fail_fraction_matches_a_loop_over_con_inputs(variant):
     sets = list(enumerate_sets(variant, 16))
     for kc in sets:
         suite = Suite(name="toy", family="lwe", n=1, l_a=1, l_b=1, q=kc.q, noise=BINARY,
-                      variant=variant, kc=kc)
+                      mode=Plain(variant, kc))
         f = _fail_fraction(suite)
         assert np.array_equal(f, _fail_fraction_by_loop(variant, kc)), kc
         assert not f[dist_mod(np.arange(kc.q), kc.q) <= kc.d].any(), kc
@@ -386,8 +392,8 @@ def test_lwr_production_path_matches_brute_force():
 def _toy_lwe_suite():
     return Suite(
         name="toy-lwe", family="lwe", n=16, l_a=1, l_b=1, q=2**8,
-        noise=TABLES["D1"], variant=KcVariant.OKCN_SIMPLE,
-        kc=KcParams(q=2**8, m=2, g=2**7, d=63),
+        noise=TABLES["D1"],
+        mode=Plain(KcVariant.OKCN_SIMPLE, KcParams(q=2**8, m=2, g=2**7, d=63)),
     )
 
 
@@ -417,8 +423,8 @@ def test_lwe_binary_noise_never_fails():
     # with chi = U({0,1}) and d >= n+1 the failure region has zero mass
     suite = Suite(
         name="toy-binary", family="lwe", n=8, l_a=1, l_b=1, q=2**8,
-        noise=BINARY, variant=KcVariant.OKCN_SIMPLE,
-        kc=KcParams(q=2**8, m=2, g=2**7, d=9),
+        noise=BINARY,
+        mode=Plain(KcVariant.OKCN_SIMPLE, KcParams(q=2**8, m=2, g=2**7, d=9)),
     )
     rep = lwe_error_rate(suite)
     assert rep.overall == 0.0
@@ -435,13 +441,13 @@ def test_union_bound_consistency():
 def test_rlwe_union_bound_identity():
     toy = Suite(
         name="toy-rlwe", family="rlwe", n=64, l_a=1, l_b=1, q=257,
-        noise=TABLES["D1"], variant=KcVariant.OKCN_GENERIC,
-        kc=KcParams(q=257, m=2, g=4, d=47),
+        noise=TABLES["D1"],
+        mode=Plain(KcVariant.OKCN_GENERIC, KcParams(q=257, m=2, g=4, d=47)),
     )
     rep = rlwe_error_rate(toy)
     assert abs(rep.overall - min(1.0, toy.n * rep.per_symbol)) / rep.overall < 0.01
     # SEC: a block of 6 bits fails when two of its bits do, 10 blocks
-    sec = replace(toy, name="toy-rlwe-sec", mode=Sec(SecCode(2)))
+    sec = replace(toy, name="toy-rlwe-sec", mode=Sec(toy.mode.variant, toy.kc, SecCode(2)))
     rep = rlwe_error_rate(sec)
     assert 0 < rep.overall < 1
     assert rep.overall == min(1.0, rep.per_symbol**2 * (64 // 6 * math.comb(6, 2)))
@@ -537,9 +543,9 @@ PINNED_REPORTS = {
     "lwe-paranoid-512": ("0x1.4d8e8fff1c5e6p-43", "0x1.4d8e8fff1c5e6p-34", "0x1.207305341c0a6p-201"),
     "okcn-t2": ("0x1.f441c8692a4e4p-48", "0x1.f441c8692a4e4p-40", "0x1.6c685f65bbab7p-201"),
     "okcn-t1": ("0x1.aa40c1b2a2170p-61", "0x1.aa40c1b2a2170p-53", "0x1.8035295a750a9p-201"),
-    "frodo-challenge": ("0x1.26583a0abcfd4p-48", "0x1.26583a0abcfd4p-42", "0x1.0d9f76d154406p-203"),
+    "frodo-challenge": ("0x1.26583a0abcfd5p-48", "0x1.26583a0abcfd5p-42", "0x1.0d9f76d154406p-203"),
     "frodo-classical": ("0x1.b3a75e2ed03dep-44", "0x1.b3a75e2ed03dep-37", "0x1.14be30322bfb6p-202"),
-    "frodo-recommended": ("0x1.0a27b94153c1ap-47", "0x1.0a27b94153c1ap-39", "0x1.5fc32f054d312p-202"),
+    "frodo-recommended": ("0x1.0a27b94153c1bp-47", "0x1.0a27b94153c1bp-39", "0x1.5fc32f054d312p-202"),
     "frodo-paranoid": ("0x1.29518fe26f4eap-42", "0x1.29518fe26f4eap-34", "0x1.59a1857c89305p-201"),
     "okcn-frodo-challenge": ("0x1.eb9fc7e1b19d6p-87", "0x1.eb9fc7e1b19d6p-81", "0x1.0d9f76d154406p-203"),
     "okcn-frodo-classical": ("0x1.99a2d1a61f990p-78", "0x1.99a2d1a61f990p-71", "0x1.14be30322bfb6p-202"),
@@ -555,7 +561,7 @@ PINNED_REPORTS = {
     "okcn-sec-837": ("0x1.645b8fda52f00p-43", "0x1.10385cfebfffep-71", "0x1.98c2ef6fe5be1p-201"),
     "akcn-sec-765": ("0x1.645b8fda52f00p-43", "0x1.25623e784a03cp-72", "0x1.98c2ef6fe5be1p-201"),
     "akcn-sec-837": ("0x1.645b8fda52f00p-43", "0x1.10385cfebfffep-71", "0x1.98c2ef6fe5be1p-201"),
-    "zarzar": ("0x1.6ccffe999ea60p-35", "0x1.6ccffe999ea60p-29", "0x1.7f98a2e94ae5bp-158",
+    "zarzar": ("0x1.6ccffe999ea60p-35", "0x1.6ccffe999ea60p-29", "0x1.7f98a2e94ae5cp-158",
                "0x1.6c00000000000p+12", "0x1.11c0000000000p+14"),
 }
 
@@ -571,6 +577,34 @@ def _report_fields(rep):
 @pytest.mark.parametrize("name", list(PINNED_REPORTS))
 def test_error_rate_reports_pinned(name):
     assert _report_fields(error_rate(SUITES[name])) == PINNED_REPORTS[name]
+
+
+_PINNED_IN_A_FRESH_PROCESS = """
+import json
+from kcn.analysis.error_rates import error_rate, hybrid_error_rate
+from kcn.suites import SUITES
+from test_analysis import PINNED_EXACT_REGION, PINNED_REPORTS, _report_fields
+out = {name: _report_fields(error_rate(SUITES[name])) for name in PINNED_REPORTS}
+out.update({name + " exact": _report_fields(hybrid_error_rate(SUITES[name], exact_region=True))
+            for name in PINNED_EXACT_REGION})
+print(json.dumps(out))
+"""
+
+
+def test_pinned_reports_hold_at_one_and_two_blas_threads():
+    # OpenBLAS orders a long dot product's sum by its thread count: at one
+    # thread, zarzar's dropped and hybrid-paranoid's exact region used to
+    # differ from these pins in the last bit
+    paths = [str(Path(kcn.__file__).parents[1]), str(Path(__file__).parent)]
+    want = {name: list(fields) for name, fields in PINNED_REPORTS.items()}
+    want.update({name + " exact": list(fields) for name, fields in PINNED_EXACT_REGION.items()})
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    runs = {threads: subprocess.Popen([sys.executable, "-c", _PINNED_IN_A_FRESH_PROCESS], stdout=subprocess.PIPE,
+                                      text=True, env=dict(env, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads))
+            for threads in ("1", "2")}  # the two interpreters run side by side
+    for threads, run in runs.items():
+        out, _ = run.communicate()
+        assert run.returncode == 0 and json.loads(out) == want, f"OPENBLAS_NUM_THREADS={threads}"
 
 
 # SHA-256 of lwr_diff_distribution(n, q, p, chi) as little-endian float64:

@@ -75,4 +75,4 @@ def test_suite_d_is_the_largest_the_condition_accepts(suite):
     # how the parameter tables were built, as the kcn.suites docstring says
     assert len(SCALAR_SUITES) == 27
     kc = suite.kc
-    assert kc.d == max_valid_d(suite.variant, kc.q, kc.m, kc.g)
+    assert kc.d == max_valid_d(suite.mode.variant, kc.q, kc.m, kc.g)

@@ -17,8 +17,8 @@ from oracles import BINARY
 def _toy_lwr():
     return Suite(
         name="toy-lwr", family="lwr", n=4, l_a=1, l_b=1, q=2**6, p=2**4,
-        noise=BINARY, variant=KcVariant.OKCN_SIMPLE,
-        kc=KcParams(q=2**4, m=2, g=8, d=3),
+        noise=BINARY,
+        mode=proto.Plain(KcVariant.OKCN_SIMPLE, KcParams(q=2**4, m=2, g=8, d=3)),
     )
 
 
@@ -27,7 +27,7 @@ def _toy_rlwe(variant=KcVariant.OKCN_GENERIC, g=4, d=35):
     # is guaranteed, not merely likely
     return Suite(
         name="toy-rlwe-plain", family="rlwe", n=16, l_a=1, l_b=1, q=193,
-        noise=BINARY, variant=variant, kc=KcParams(q=193, m=2, g=g, d=d),
+        noise=BINARY, mode=proto.Plain(variant, KcParams(q=193, m=2, g=g, d=d)),
     )
 
 
@@ -135,8 +135,8 @@ def test_lwe_binary_noise_always_agrees(rng):
     # chi = U({0,1}) with d >= n+1 is deterministic-correct by theorem
     suite = Suite(
         name="toy-binary", family="lwe", n=8, l_a=2, l_b=2, q=2**8,
-        noise=BINARY, variant=KcVariant.OKCN_SIMPLE,
-        kc=KcParams(q=2**8, m=2, g=2**7, d=9),
+        noise=BINARY,
+        mode=proto.Plain(KcVariant.OKCN_SIMPLE, KcParams(q=2**8, m=2, g=2**7, d=9)),
     )
     for _ in range(300):
         sess, m1 = proto.initiate(suite, rng)
@@ -183,37 +183,47 @@ def test_chosen_key_transport(rng):
     kb, m2 = proto.respond(rlwe, m1, rng, key_in=bits)
     assert proto.finish(sess, m2) == kb == bytes((rlwe.key_bits + 7) // 8)
 
-    # an all-ones key through one AKC suite of each ring mode
-    for name in ("akcn-rlwe-16", "akcn-sec-765", "akcn-4to1", "zarzar"):
-        rlwe = get_suite(name)
-        ones = np.ones(rlwe.key_bits, dtype=np.int64)
-        sess, m1 = proto.initiate(rlwe, rng)
-        kb, m2 = proto.respond(rlwe, m1, rng, key_in=ones)
-        assert proto.finish(sess, m2) == kb == wire.pack(ones, 1), name
+
+@pytest.mark.parametrize("mode, match", [
+    # a variant given by its value, or a kc as a tuple, used to reach Con/Rec
+    (lambda v, kc: proto.Plain(v.value, kc), "plain: variant must be a kcn.kc.KcVariant, got 'okcn-simple'"),
+    (lambda v, kc: proto.Plain(v, (kc.q, kc.m, kc.g, kc.d)), "plain: kc must be a kcn.kc.KcParams"),
+    (lambda v, kc: proto.Sec(None, kc, SecCode(4)), "sec: variant must be a kcn.kc.KcVariant, got None"),
+    (lambda v, kc: proto.Sec(v, None, SecCode(4)), "sec: kc must be a kcn.kc.KcParams, got None"),
+])
+def test_scalar_modes_refuse_a_variant_or_kc_of_another_type(mode, match):
+    suite = get_suite("lwr-recommended")
+    with pytest.raises(ValueError, match=match):
+        mode(suite.mode.variant, suite.kc)
 
 
-@pytest.mark.parametrize("field", ["variant", "kc"])
-def test_suite_needs_both_variant_and_kc(field):
-    # with only one of them set, the exchange used to fail on a None deep inside
-    with pytest.raises(ValueError, match="lwr-recommended"):
-        dataclasses.replace(get_suite("lwr-recommended"), **{field: None})
+def _with_kc(name, kc):
+    """The change that gives suite `name`'s mode another kc."""
+    return {"mode": dataclasses.replace(get_suite(name).mode, kc=kc)}
 
 
 @pytest.mark.parametrize("name, change, match", [
     # each of these used to build, then fail at first use or never
-    ("okcn-sec-837", lambda: {"mode": proto.Sec(SecCode(0))}, "sec: n_h"),
-    ("okcn-sec-837", lambda: {"mode": proto.Sec(5)}, "sec: code must be a kcn.codes.SecCode"),
+    ("okcn-sec-837", lambda: {"mode": dataclasses.replace(get_suite("okcn-sec-837").mode, code=SecCode(0))},
+     "sec: n_h"),
+    ("okcn-sec-837", lambda: {"mode": dataclasses.replace(get_suite("okcn-sec-837").mode, code=5)},
+     "sec: code must be a kcn.codes.SecCode"),
     ("okcn-sec-837", lambda: {"mode": "SEC"}, "okcn-sec-837"),
     ("newhope", lambda: {"mode": proto.NewHope(6)}, "newhope: g"),
     ("zarzar", lambda: {"mode": proto.E8(0)}, "e8: g"),
-    ("lwe-challenge", lambda: {"mode": proto.Sec(SecCode(4))}, "lwe-challenge"),
-    ("okcn-rlwe-16", lambda: {"variant": None, "kc": None}, "okcn-rlwe-16"),
-    ("newhope", lambda: {"variant": KcVariant.OKCN_GENERIC, "kc": get_suite("okcn-rlwe-16").kc}, "newhope"),
+    ("lwe-challenge", lambda: {"mode": proto.Sec(KcVariant.OKCN_SIMPLE, get_suite("lwe-challenge").kc, SecCode(4))},
+     "lwe-challenge"),
+    ("lwr-recommended", lambda: {"mode": proto.NewHope(4)}, "lwr-recommended: the lwr family cannot run mode"),
     # a kc.q off sigma's modulus: 3 of 20 exchanges disagreed while error_rate
     # reported 2^-146.3, or the first exchange failed
-    ("lwr-recommended", lambda: {"kc": KcParams(q=2**13, m=2**4, g=2**9, d=255)}, "lwr-recommended: kc.q must be 4096"),
-    ("lwr-recommended", lambda: {"kc": KcParams(q=2**11, m=2**4, g=2**7, d=63)}, "lwr-recommended: kc.q must be 4096"),
-    ("lwe-recommended", lambda: {"kc": KcParams(q=2**13, m=2**4, g=2**9, d=255)}, "lwe-recommended: kc.q must be 16384"),
+    ("lwr-recommended", lambda: _with_kc("lwr-recommended", KcParams(q=2**13, m=2**4, g=2**9, d=255)),
+     "lwr-recommended: kc.q must be 4096"),
+    ("lwr-recommended", lambda: _with_kc("lwr-recommended", KcParams(q=2**11, m=2**4, g=2**7, d=63)),
+     "lwr-recommended: kc.q must be 4096"),
+    ("lwe-recommended", lambda: _with_kc("lwe-recommended", KcParams(q=2**13, m=2**4, g=2**9, d=255)),
+     "lwe-recommended: kc.q must be 16384"),
+    ("okcn-rlwe-16", lambda: _with_kc("okcn-rlwe-16", KcParams(q=12289, m=2, g=2**4, d=2880)),
+     "okcn-rlwe-16: invalid kc params"),
     # a field the family does not read: n_b changed only A, t and p were ignored
     ("lwr-recommended", lambda: {"n_b": 600}, "lwr-recommended: the lwr family does not read n_b"),
     ("okcn-rlwe-16", lambda: {"t": 3}, "okcn-rlwe-16: the rlwe family does not read t"),
@@ -242,15 +252,33 @@ def test_suite_refuses_a_mode_it_cannot_run(name, change, match):
 
 @pytest.mark.parametrize("name", ["hybrid_keygen", "hybrid_encaps", "hybrid_decaps"])
 def test_kem_functions_refuse_a_suite_that_is_not_hybrid(name, rng):
-    # a KC suite's responder cannot take a chosen key: hybrid_keygen used to
-    # return its 8,192-byte msg1 as a "public key"
-    suite = get_suite("lwr-recommended")
-    session, msg1 = proto.initiate(suite, rng)
-    _, msg2 = proto.respond(suite, msg1, rng)
-    args = {"hybrid_keygen": (rng,), "hybrid_encaps": (msg1, rng),
-            "hybrid_decaps": (session.secret, msg2)}[name]
-    with pytest.raises(ValueError, match="lwr-recommended: the KEM functions need a hybrid suite"):
-        getattr(proto, name)(suite, *args)
+    # the KEM runs on every AKC suite; a KC suite's responder cannot take a
+    # chosen key: hybrid_keygen used to return its 8,192-byte msg1 as a "public key"
+    for suite, scheme in [(get_suite("lwr-recommended"), "variant okcn-simple"),
+                          (get_suite("okcn-rlwe-16"), "variant okcn-generic"),
+                          (get_suite("newhope"), "mode newhope")]:
+        session, msg1 = proto.initiate(suite, rng)
+        _, msg2 = proto.respond(suite, msg1, rng)
+        args = {"hybrid_keygen": (rng,), "hybrid_encaps": (msg1, rng),
+                "hybrid_decaps": (session.secret, msg2)}[name]
+        with pytest.raises(ValueError, match=f"{suite.name}: the KEM functions need an AKC suite, not the KC {scheme}"):
+            getattr(proto, name)(suite, *args)
+
+
+AKC_SUITES = [name for name, s in SUITES.items() if s.mode.akc]
+
+
+@pytest.mark.parametrize("name", AKC_SUITES)
+def test_kem_round_trip_on_every_akc_suite(name, rng):
+    assert AKC_SUITES == ["hybrid-recommended", "hybrid-paranoid", "akcn-rlwe-16", "akcn-rlwe-64",
+                          "akcn-sec-765", "akcn-sec-837", "akcn-4to1", "zarzar"]
+    suite = get_suite(name)
+    field = suite.mode.fields(suite)[0]  # the key Con agrees on: symbols below field.bound
+    pk, sk = proto.hybrid_keygen(suite, rng)
+    for key_in in (rng.integers(0, field.bound, field.shape), np.ones(field.shape, dtype=np.int64)):
+        kb, ct = proto.hybrid_encaps(suite, pk, rng, key_in=key_in)
+        assert kb == wire.pack(key_in.reshape(-1), field.bits)
+        assert proto.hybrid_decaps(suite, sk, ct) == kb
 
 
 @pytest.mark.parametrize("name, expand", [("hybrid-recommended", "gen_matrix"), ("akcn-sec-837", "gen_poly")])

@@ -45,7 +45,7 @@ def test_noise_spec_samples_through_module_attribute(monkeypatch, spec, sampler)
 def _toy(variant, kc):
     return Suite(
         name="toy-lwr", family="lwr", n=4, l_a=1, l_b=1, q=2**6, p=2**4,
-        noise=BINARY, variant=variant, kc=kc,
+        noise=BINARY, mode=proto.Plain(variant, kc),
     )
 
 
@@ -53,7 +53,7 @@ def _toy_ring():
     # |sigma1 - sigma2| <= 2n + 1 = 33 <= d for binary noise: always agrees
     return Suite(
         name="toy-rlwe-plain", family="rlwe", n=16, l_a=1, l_b=1, q=193,
-        noise=BINARY, variant=KcVariant.OKCN_GENERIC, kc=KcParams(q=193, m=2, g=4, d=35),
+        noise=BINARY, mode=proto.Plain(KcVariant.OKCN_GENERIC, KcParams(q=193, m=2, g=4, d=35)),
     )
 
 
